@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import diffusion, index, pavement, polynomials
@@ -62,18 +63,7 @@ def _cmd_verify_solutions(args) -> int:
         k_values=args.k, draws=args.draws, seed=args.seed
     )
     if args.format == "json":
-        payload = [
-            {
-                "variant": c.variant,
-                "k": c.k,
-                "model": c.model,
-                "max_residual_coeff": c.max_residual_coeff,
-                "ok": c.ok,
-                "note": c.note,
-            }
-            for c in checks
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps([asdict(c) for c in checks], indent=2, sort_keys=True))
     else:
         for c in checks:
             status = "PASS" if c.ok else "FAIL"
@@ -109,17 +99,8 @@ def _cmd_rs(args) -> int:
         report = rs.variation_lower_bound_check(
             f, omega, args.lo, args.hi, eta=args.eta, max_refinements=args.max_refinements
         )
-        payload = {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "holds": report.holds,
-            "sup_f": report.sup_f,
-            "integral": report.integral,
-            "sup_f_zero": report.sup_f_zero,
-            "omega_nondecreasing": report.omega_nondecreasing,
-        }
         if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
+            print(json.dumps(asdict(report), sort_keys=True))
         else:
             print(
                 f"lhs={_fmt(report.lhs, args.precision)} "
@@ -202,9 +183,8 @@ def _cmd_index(args) -> int:
         result = index.fit_alpha_beta(obs)
         if args.out:
             index.write_fit_report(result, args.out)
-        payload = result.to_json_dict()
         if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
+            print(json.dumps(result.to_json_dict(), sort_keys=True))
         else:
             print(
                 f"alpha={_fmt(result.alpha, args.precision)} "
@@ -219,20 +199,7 @@ def _cmd_pavement(args) -> int:
     designs = pavement.load_mix_table(args.table)
     if args.verb == "table":
         if args.format == "json":
-            payload = [
-                {
-                    "label": d.label,
-                    "ac_mm": d.ac_mm,
-                    "drainage_mm": d.drainage_mm,
-                    "subbase_mm": d.subbase_mm,
-                    "base_mm": d.base_mm,
-                    "total_mm": d.total_mm,
-                    "base_mr_mpa": d.base_mr_mpa,
-                    "reference": d.reference,
-                }
-                for d in designs
-            ]
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps([asdict(d) for d in designs], indent=2, sort_keys=True))
         else:
             print(",".join(pavement.MIX_CSV_COLUMNS))
             for d in designs:

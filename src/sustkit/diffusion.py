@@ -43,6 +43,18 @@ def stable_dt(spacings: Sequence[float]) -> float:
     return CFL_SAFETY / (2.0 * sum(1.0 / h**2 for h in spacings))
 
 
+def _checked_dt(dt: float, spacings: Sequence[float]) -> float:
+    """``dt`` as a float, rejected unless it is positive, finite and within
+    the stability bound for ``spacings``."""
+    dt = float(dt)
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    bound = stable_dt(spacings)
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
+    return dt
+
+
 @dataclass
 class ScalarField:
     """Index values H on a rectangular lattice at one instant.
@@ -123,12 +135,13 @@ class ScenarioSpec:
         self.resolution = tuple(int(n) for n in self.resolution)
         if len(self.domain) != len(self.resolution):
             raise ValueError("domain and resolution must have equal length")
-        if any(hi <= lo for lo, hi in self.domain):
-            raise ValueError("each axis needs lo < hi")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in self.domain):
+            raise ValueError("each axis needs finite lo < hi")
         if any(n < 3 for n in self.resolution):
             raise ValueError("need at least 3 points per axis")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError("t_end must be positive and finite")
+        self.resolved_dt()
 
     @property
     def k(self) -> int:
@@ -140,15 +153,9 @@ class ScenarioSpec:
         )
 
     def resolved_dt(self) -> float:
-        bound = stable_dt(self.spacings())
         if self.dt == "auto":
-            return bound
-        dt = float(self.dt)
-        if dt > bound * (1.0 + 1e-12):
-            raise StabilityError(
-                f"dt={dt:g} exceeds the stability bound {bound:g}"
-            )
-        return dt
+            return stable_dt(self.spacings())
+        return _checked_dt(self.dt, self.spacings())
 
     def initial_field(self) -> ScalarField:
         fld = ScalarField(
@@ -213,69 +220,63 @@ def _interior_laplacian(u: np.ndarray, spacings: Sequence[float]) -> np.ndarray:
     return lap
 
 
+def _ftcs_step(u, out, faces, spacings, boundary_rule: Callable, dt: float, t_new: float) -> None:
+    """Write the FTCS successor of ``u`` into ``out`` (a distinct array of
+    the same shape): interior from the discrete Laplacian, then every
+    boundary node from the rule at ``t_new``."""
+    core = tuple(slice(1, -1) for _ in range(u.ndim))
+    out[core] = u[core] + dt * _interior_laplacian(u, spacings)
+    _apply_boundary(out, faces, boundary_rule, t_new)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
+
+
 def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> ScalarField:
     """One FTCS step: interior updated from the discrete Laplacian, then
     every boundary node overwritten with the rule at the new time.
 
-    ``dt`` must satisfy dt <= CFL_SAFETY / (2 * sum_i 1/dpsi_i^2); a larger
-    step is rejected before anything is computed.
+    ``dt`` must be positive and satisfy
+    dt <= CFL_SAFETY / (2 * sum_i 1/dpsi_i^2); any other step is rejected
+    before anything is computed.
     """
     if any(n < 3 for n in field.extents):
         raise ValueError("stepping needs at least 3 points per axis")
-    bound = stable_dt(field.spacings)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = _checked_dt(dt, field.spacings)
     t_new = field.time + dt
-    u = field.values
-    out = u.copy()
-    core = tuple(slice(1, -1) for _ in range(field.k))
-    out[core] = u[core] + dt * _interior_laplacian(u, field.spacings)
-    _apply_boundary(out, _boundary_faces(field), boundary_rule, t_new)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
+    out = np.empty_like(field.values)
+    _ftcs_step(field.values, out, _boundary_faces(field), field.spacings, boundary_rule, dt, t_new)
     return replace(field, values=out, time=t_new)
 
 
 def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[ScalarField]:
-    """Advance a scenario from t=0 to t_end, returning one field per
-    requested snapshot time (nearest completed step; dt is not adjusted to
-    hit the times exactly)."""
+    """Advance a scenario from t=0 to the last requested snapshot time,
+    returning one field per requested time (nearest completed step, at
+    most ceil(t_end/dt); dt is not adjusted to hit the times exactly)."""
     snapshot_times = [float(t) for t in snapshot_times]
     for t in snapshot_times:
         if not 0.0 <= t <= spec.t_end * (1.0 + 1e-12):
             raise ValueError(f"snapshot time {t} outside [0, {spec.t_end}]")
     dt = spec.resolved_dt()
-    n_steps = max(1, math.ceil(spec.t_end / dt - 1e-12))
+    last_step = max(1, math.ceil(spec.t_end / dt - 1e-12))
     want: dict[int, list[int]] = {}
     for pos, t in enumerate(snapshot_times):
-        step_idx = min(n_steps, max(0, round(t / dt)))
-        want.setdefault(step_idx, []).append(pos)
+        want.setdefault(min(last_step, max(0, round(t / dt))), []).append(pos)
 
     field = spec.initial_field()
     faces = _boundary_faces(field)
-    spacings = field.spacings
-    core = tuple(slice(1, -1) for _ in range(field.k))
     out: list[ScalarField | None] = [None] * len(snapshot_times)
-    if 0 in want:
-        for pos in want[0]:
-            out[pos] = field.copy()
+    for pos in want.get(0, ()):
+        out[pos] = field.copy()
 
-    u = field.values
-    for step in range(1, n_steps + 1):
+    # Double buffering: each step reads u and overwrites every node of nxt.
+    u, nxt = field.values, np.empty_like(field.values)
+    for step in range(1, max(want, default=0) + 1):
         t_new = step * dt
-        nxt = u.copy()
-        nxt[core] = u[core] + dt * _interior_laplacian(u, spacings)
-        _apply_boundary(nxt, faces, spec.boundary_rule, t_new)
-        if not np.all(np.isfinite(nxt)):
-            raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
-        u = nxt
-        if step in want:
-            snap = replace(field, values=u.copy(), time=t_new)
-            for pos in want[step]:
-                out[pos] = snap.copy()
-    return [f for f in out]  # type: ignore[misc]
+        _ftcs_step(u, nxt, faces, field.spacings, spec.boundary_rule, dt, t_new)
+        u, nxt = nxt, u
+        for pos in want.get(step, ()):
+            out[pos] = replace(field, values=u.copy(), time=t_new)
+    return out  # type: ignore[return-value]
 
 
 # -- verification ------------------------------------------------------------

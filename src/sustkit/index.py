@@ -1,9 +1,11 @@
 """Weighted sustainability-index evaluation, (alpha, beta) fitting and the
 interval form of the index time derivative.
 
-Index values are computed directly from the closed forms (plain scalar
-arithmetic); :mod:`sustkit.polynomials` builds the same families as exact
-polynomials, which the test suite uses as an independent cross-check.
+Index values and the fit's basis columns are evaluated from the same
+coefficient table, :func:`sustkit.polynomials.family_coefficients`, from
+which :mod:`sustkit.polynomials` builds the exact polynomials.  The two
+routes share their formulas; the test suite checks them against
+hand-computed values and sympy residuals.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import riemann_stieltjes as rs
+from .polynomials import SolutionFamily, check_positive, family_coefficients
 
 #: the seven factor variables of the headline index: (symbol, name, what the
 #: value measures).  Proportions and levels are normalised to [0, 1] by
@@ -73,11 +78,12 @@ class IndexInputs:
                 f"psi and weights must each have length k={self.k}, got "
                 f"{len(self.psi)} and {len(self.weights)}"
             )
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
+        if not all(math.isfinite(x) for x in (self.t, *self.psi)):
+            raise ValueError("t and psi must be finite")
+        check_positive("weights", self.weights)
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
+            if v is not None:
+                check_positive(name, (v,))
 
 
 @dataclass(frozen=True)
@@ -113,17 +119,10 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-def _basis_terms(k: int, t: float, psi: Sequence[float], weights: Sequence[float]):
-    """The two building blocks of the parametrised weighted index:
-    u = k! * sum(w) * t + sum(w_i psi_i^k) and v = prod(w) * (t + prod(psi))."""
-    fact = math.factorial(k)
-    sum_w = math.fsum(weights)
-    prod_w = math.prod(weights)
-    sum_wpk = math.fsum(w * x**k for w, x in zip(weights, psi))
-    prod_psi = math.prod(psi)
-    u = fact * sum_w * t + sum_wpk
-    v = prod_w * t + prod_w * prod_psi
-    return u, v
+def _evaluate(coefficients, t, psi):
+    """H = c_t*t + sum_i a_i*psi_i^p + b*prod_i psi_i, psi of shape (..., k)."""
+    c_t, a, p, b = coefficients
+    return c_t * t + np.sum(a * psi**p, axis=-1) + b * np.prod(psi, axis=-1)
 
 
 def index_value(inputs: IndexInputs, variant: str) -> float:
@@ -133,38 +132,11 @@ def index_value(inputs: IndexInputs, variant: str) -> float:
     not carry (alpha/beta for C_ab and C2w_ab; weights are always present
     on IndexInputs and ignored by the unweighted families).
     """
-    k, t, psi, w = inputs.k, inputs.t, inputs.psi, inputs.weights
-    fact = math.factorial(k)
-    sum_psi2 = math.fsum(x * x for x in psi)
-    sum_psik = math.fsum(x**k for x in psi)
-    prod_psi = math.prod(psi)
-    if variant == "T1a":
-        return k * t + 0.5 * sum_psi2
-    if variant == "T1b":
-        return 2 * k * t + sum_psi2
-    if variant == "T2a":
-        return (k + 1) * t + sum_psik / fact + prod_psi
-    if variant == "T2b":
-        return (fact * k + 1) * t + sum_psik + prod_psi
-    if variant == "C_ab":
-        if inputs.alpha is None or inputs.beta is None:
-            raise ValueError("C_ab needs alpha and beta")
-        a, b = inputs.alpha, inputs.beta
-        return (k * a * fact + b) * t + a * sum_psik + b * prod_psi
-    sum_w = math.fsum(w)
-    prod_w = math.prod(w)
-    sum_wpk = math.fsum(wi * x**k for wi, x in zip(w, psi))
-    prod_wpsi = prod_w * prod_psi
-    if variant == "T3w":
-        return (fact * sum_w + prod_w) * t + sum_wpk + prod_wpsi
-    if variant == "C1w":
-        return (sum_w + prod_w) * t + sum_wpk / fact + prod_wpsi
-    if variant == "C2w_ab":
-        if inputs.alpha is None or inputs.beta is None:
-            raise ValueError("C2w_ab needs alpha and beta")
-        a, b = inputs.alpha, inputs.beta
-        return (a * fact * sum_w + b * prod_w) * t + a * sum_wpk + b * prod_wpsi
-    raise ValueError(f"unknown family variant {variant!r}")
+    fam = SolutionFamily(
+        variant, inputs.k, alpha=inputs.alpha, beta=inputs.beta, weights=inputs.weights
+    )
+    coefficients = family_coefficients(variant, fam.k, fam.alpha, fam.beta, fam.weights)
+    return float(_evaluate(coefficients, inputs.t, np.array(inputs.psi)))
 
 
 def index_seven_ab(inputs: IndexInputs) -> float:
@@ -198,58 +170,59 @@ class FitResult:
     n_obs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "residual_norm": self.residual_norm,
-            "n_obs": self.n_obs,
-        }
+        return asdict(self)
+
+
+# Rows per block when the fit evaluates its basis columns: bounds the
+# temporaries to a few MB however many observations there are.
+_FIT_BLOCK = 4096
+# A scaled design whose smallest singular value is below this fraction of
+# the largest is treated as rank-deficient: (alpha, beta) would then be set
+# by rounding in the data rather than by the data.
+_MIN_SINGULAR_RATIO = 1e-6
 
 
 def fit_alpha_beta(observations: Sequence[tuple[IndexInputs, float]]) -> FitResult:
     """Least-squares fit of (alpha, beta) in H = alpha*u + beta*v.
 
-    u and v are the two basis terms of the parametrised weighted family
-    (see ``_basis_terms``).  Solved through the 2x2 normal equations after
-    scaling each column to unit 2-norm; with only two parameters the
-    conditioning is benign once scaled.
+    u and v are the C2w_ab closed form at (alpha, beta) = (1, 0) and (0, 1).
+    Each column is scaled to unit 2-norm and the problem solved by
+    ``numpy.linalg.lstsq`` (SVD), which avoids squaring the condition
+    number as the normal equations do (Golub & Van Loan, Matrix
+    Computations, 5.3).  All observations must share one k.
     """
-    if len(observations) < 2:
-        raise ValueError(f"need at least 2 observations, got {len(observations)}")
-    us, vs, hs = [], [], []
-    for inputs, h_obs in observations:
-        u, v = _basis_terms(inputs.k, inputs.t, inputs.psi, inputs.weights)
-        us.append(u)
-        vs.append(v)
-        hs.append(float(h_obs))
-    su = math.sqrt(math.fsum(u * u for u in us))
-    sv = math.sqrt(math.fsum(v * v for v in vs))
+    n = len(observations)
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    k = observations[0][0].k
+    for i, (inputs, _) in enumerate(observations):
+        if inputs.k != k:
+            raise ValueError(f"observation {i} has k={inputs.k}, observation 0 has k={k}")
+    u, v, h = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, _FIT_BLOCK):
+        block = observations[lo : lo + _FIT_BLOCK]
+        rows = slice(lo, lo + len(block))
+        t = np.array([inputs.t for inputs, _ in block])
+        psi = np.array([inputs.psi for inputs, _ in block])
+        w = np.array([inputs.weights for inputs, _ in block])
+        u[rows] = _evaluate(family_coefficients("C2w_ab", k, 1.0, 0.0, w), t, psi)
+        v[rows] = _evaluate(family_coefficients("C2w_ab", k, 0.0, 1.0, w), t, psi)
+        h[rows] = [h_obs for _, h_obs in block]
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(h).all()):
+        raise ValueError("observations give a non-finite basis value or H_obs")
+    su, sv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if su == 0.0 or sv == 0.0:
         raise RankDeficiencyError(
             "a basis column is identically zero; alpha and beta are not identifiable"
         )
-    un = [u / su for u in us]
-    vn = [v / sv for v in vs]
-    g11 = math.fsum(u * u for u in un)
-    g12 = math.fsum(u * v for u, v in zip(un, vn))
-    g22 = math.fsum(v * v for v in vn)
-    b1 = math.fsum(u * h for u, h in zip(un, hs))
-    b2 = math.fsum(v * h for v, h in zip(vn, hs))
-    det = g11 * g22 - g12 * g12
-    if abs(det) < 1e-12:
+    scaled, _, rank, singular = np.linalg.lstsq(np.column_stack((u / su, v / sv)), h, rcond=None)
+    if rank < 2 or singular[1] < _MIN_SINGULAR_RATIO * singular[0]:
         raise RankDeficiencyError(
             "observations are proportional in (u, v); the design matrix has rank < 2"
         )
-    a_scaled = (g22 * b1 - g12 * b2) / det
-    b_scaled = (g11 * b2 - g12 * b1) / det
-    alpha = a_scaled / su
-    beta = b_scaled / sv
-    resid = math.sqrt(
-        math.fsum(
-            (alpha * u + beta * v - h) ** 2 for u, v, h in zip(us, vs, hs)
-        )
-    )
-    return FitResult(alpha=alpha, beta=beta, residual_norm=resid, n_obs=len(observations))
+    alpha, beta = float(scaled[0]) / su, float(scaled[1]) / sv
+    resid = float(np.linalg.norm(alpha * u + beta * v - h))
+    return FitResult(alpha=alpha, beta=beta, residual_norm=resid, n_obs=n)
 
 
 def dHdt_interval(intervals: Sequence[Interval]) -> Interval:

@@ -5,7 +5,8 @@ coefficients, stored sparsely as a map from exponent vectors to
 coefficients.  Differentiation is exact coefficient arithmetic, so every
 closed-form index family can be checked against its defining model without
 numerical differentiation: a candidate solves its model iff the residual
-polynomial has all coefficients below :data:`ZERO_TOL`.
+polynomial has all coefficients below :data:`ZERO_TOL` relative to the
+size of its time derivative (see :func:`verify_solution_families`).
 
 Two models are covered.  In the *diffusion* model each factor acts
 independently::
@@ -27,8 +28,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 # A residual counts as the zero polynomial when every coefficient is below
-# this.  Coefficients are doubles; 1/k! round-trips through k differentiation
+# this, relative to max(1, |dH/dt coefficients|) in verify_solution_families.
+# Coefficients are doubles; 1/k! round-trips through k differentiation
 # steps leave at most ~1e-15 relative noise for the k <= 7 used here.
 ZERO_TOL = 1e-12
 
@@ -228,6 +232,14 @@ class SparsePolynomial:
         return cls.from_json_dict(json.loads(s))
 
 
+def check_positive(name: str, values: Iterable[float]) -> None:
+    """Raise ValueError unless every value is finite and strictly positive
+    (written so that NaN fails)."""
+    for v in values:
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
     """Identifies one closed-form index family and its parameters.
@@ -262,8 +274,7 @@ class SolutionFamily:
         if self.variant in _NEEDS_ALPHA_BETA:
             if self.alpha is None or self.beta is None:
                 raise ValueError(f"{self.variant} needs alpha and beta")
-            if self.alpha <= 0 or self.beta <= 0:
-                raise ValueError("alpha and beta must be positive")
+            check_positive("alpha and beta", (self.alpha, self.beta))
         if self.variant in _NEEDS_WEIGHTS:
             if self.weights is None:
                 raise ValueError(f"{self.variant} needs {self.k} weights")
@@ -272,8 +283,7 @@ class SolutionFamily:
                 raise ValueError(
                     f"expected {self.k} weights, got {len(self.weights)}"
                 )
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("weights must be strictly positive")
+            check_positive("weights", self.weights)
         if self.uncorrected and self.variant != "C_ab":
             raise ValueError("uncorrected form only exists for C_ab")
 
@@ -282,89 +292,73 @@ class SolutionFamily:
         return "diffusion" if self.variant in DIFFUSION_FAMILIES else "interaction"
 
 
-def _psi_pow_exps(k: int, i: int, power: int) -> tuple[int, ...]:
-    exps = [0] * (k + 1)
-    exps[i] = power
-    return tuple(exps)
+def family_coefficients(
+    variant: str,
+    k: int,
+    alpha: float | None = None,
+    beta: float | None = None,
+    weights=None,
+    uncorrected: bool = False,
+):
+    """Coefficients (c_t, a, p, b) of a family's closed form
 
+        H = c_t*t + sum_i a_i*psi_i^p + b*prod_i psi_i
 
-def build_solution(family: SolutionFamily) -> SparsePolynomial:
-    """Construct the closed-form index polynomial for a family.
-
-    The families and their shapes (k factor variables, factorial written k!):
+    The families (k factor variables, factorial written k!):
 
     ==========  ============================================================
     T1a         k*t + (1/2) sum_i psi_i^2
     T1b         2k*t + sum_i psi_i^2
-    T2a         (k+1)*t + (1/k!) sum_i psi_i^k + prod_i psi_i
-    T2b         (k!*k + 1)*t + sum_i psi_i^k + prod_i psi_i
-    C_ab        (k*alpha*k! + beta)*t + alpha sum_i psi_i^k
-                + beta prod_i psi_i          (spatially scaled form)
-    T3w         (k! sum_i w_i + prod_i w_i)*t + sum_i w_i psi_i^k
-                + prod_i (w_i psi_i)
-    C1w         (sum_i w_i + prod_i w_i)*t + (1/k!) sum_i w_i psi_i^k
-                + prod_i (w_i psi_i)
     C2w_ab      (alpha*k! sum_i w_i + beta prod_i w_i)*t
                 + alpha sum_i w_i psi_i^k + beta prod_i (w_i psi_i)
+    T2a         C2w_ab at alpha = 1/k!, beta = 1, unit weights
+    T2b         C2w_ab at alpha = beta = 1, unit weights
+    C_ab        C2w_ab with unit weights
+    T3w         C2w_ab at alpha = beta = 1
+    C1w         C2w_ab at alpha = 1/k!, beta = 1
     ==========  ============================================================
 
-    T1a and T1b solve the diffusion model; the rest solve the interaction
-    model (the C_ab ``uncorrected`` form intentionally does not).
+    T1a and T1b solve the diffusion model, the rest the interaction model.
+    The ``uncorrected`` C_ab form keeps the C_ab time coefficient but the
+    T2a spatial coefficients (1/k! and 1), so it does not.
+
+    ``weights`` may be an array of shape (..., k) holding many rows; c_t and
+    b then have shape (...) and a has shape (..., k).  Parameters are not
+    validated here (see SolutionFamily).
     """
-    k = family.k
     fact = math.factorial(k)
-    t_exps = tuple([1] + [0] * k)
-    mixed_exps = tuple([0] + [1] * k)
-    terms: dict[tuple[int, ...], float] = {}
+    if variant in DIFFUSION_FAMILIES:  # T1a is T1b halved
+        scale = 0.5 if variant == "T1a" else 1.0
+        return 2.0 * k * scale, np.full(k, scale), 2, 0.0
+    alpha, beta, weights = {
+        "T2a": (1.0 / fact, 1.0, None),
+        "T2b": (1.0, 1.0, None),
+        "C_ab": (alpha, beta, None),
+        "T3w": (1.0, 1.0, weights),
+        "C1w": (1.0 / fact, 1.0, weights),
+        "C2w_ab": (alpha, beta, weights),
+    }[variant]
+    w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
+    prod_w = np.prod(w, axis=-1)
+    c_t = alpha * fact * np.sum(w, axis=-1) + beta * prod_w
+    if uncorrected:
+        return c_t, np.full(k, 1.0 / fact), k, 1.0
+    return c_t, alpha * w, k, beta * prod_w
 
-    v = family.variant
-    if v == "T1a":
-        terms[t_exps] = float(k)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, 2)] = 0.5
-    elif v == "T1b":
-        terms[t_exps] = float(2 * k)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, 2)] = 1.0
-    elif v == "T2a":
-        terms[t_exps] = float(k + 1)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, k)] = 1.0 / fact
-        terms[mixed_exps] = 1.0
-    elif v == "T2b":
-        terms[t_exps] = float(fact * k + 1)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, k)] = 1.0
-        terms[mixed_exps] = 1.0
-    elif v == "C_ab":
-        a, b = family.alpha, family.beta
-        terms[t_exps] = k * a * fact + b
-        spatial = 1.0 / fact if family.uncorrected else a
-        mixed = 1.0 if family.uncorrected else b
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, k)] = spatial
-        terms[mixed_exps] = mixed
-    elif v == "T3w":
-        w = family.weights
-        terms[t_exps] = fact * math.fsum(w) + math.prod(w)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, k)] = w[i - 1]
-        terms[mixed_exps] = math.prod(w)
-    elif v == "C1w":
-        w = family.weights
-        terms[t_exps] = math.fsum(w) + math.prod(w)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, k)] = w[i - 1] / fact
-        terms[mixed_exps] = math.prod(w)
-    elif v == "C2w_ab":
-        w, a, b = family.weights, family.alpha, family.beta
-        terms[t_exps] = a * fact * math.fsum(w) + b * math.prod(w)
-        for i in range(1, k + 1):
-            terms[_psi_pow_exps(k, i, k)] = a * w[i - 1]
-        terms[mixed_exps] = b * math.prod(w)
-    else:  # pragma: no cover - guarded by SolutionFamily
-        raise ValueError(f"unknown family variant {v!r}")
 
+def build_solution(family: SolutionFamily) -> SparsePolynomial:
+    """The closed-form index polynomial of a family (see
+    :func:`family_coefficients` for the forms)."""
+    k = family.k
+    c_t, a, p, b = family_coefficients(
+        family.variant, k, family.alpha, family.beta, family.weights, family.uncorrected
+    )
+    terms = {(1,) + (0,) * k: c_t}
+    for i in range(1, k + 1):
+        exps = [0] * (k + 1)
+        exps[i] = p
+        terms[tuple(exps)] = a[i - 1]
+    terms[(0,) + (1,) * k] = b
     return SparsePolynomial(k, terms)
 
 
@@ -394,14 +388,6 @@ def interaction_residual(h: SparsePolynomial) -> SparsePolynomial:
     return res - mixed
 
 
-def residual_for(family: SolutionFamily) -> SparsePolynomial:
-    """Residual of a family's closed form against its own model."""
-    h = build_solution(family)
-    if family.model == "diffusion":
-        return diffusion_residual(h)
-    return interaction_residual(h)
-
-
 @dataclass
 class FamilyCheck:
     """Outcome of checking one family/parameter draw against its model."""
@@ -425,37 +411,43 @@ def verify_solution_families(
     For each k in ``k_values`` (T1a/T1b additionally run k = 1) the weighted
     and parametrised families are rebuilt ``draws`` times with random
     positive weights, alpha and beta; the worst residual coefficient over
-    all draws is reported.  A final record covers the uncorrected C_ab
-    form, whose residual is the constant (k*alpha*k! + beta) - (k + 1) and
-    is expected to be nonzero away from alpha = 1/k!, beta = 1.
+    all draws is reported.  A family passes when every residual coefficient
+    is below ``tol`` times max(1, max|coefficient of dH/dt|): the residual
+    is a difference of terms of that size, so rounding grows with it (the
+    time coefficient reaches 1e5 at k = 7).  A final record covers the
+    uncorrected C_ab form, whose residual is the constant
+    (k*alpha*k! + beta) - (k + 1) and is expected to be nonzero away from
+    alpha = 1/k!, beta = 1.
     """
     rng = random.Random(seed)
     ks = sorted(set(int(k) for k in k_values))
     if any(k < 2 for k in ks):
         raise ValueError("k_values must all be >= 2")
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     checks: list[FamilyCheck] = []
-
-    def _draw_params(variant: str, k: int) -> SolutionFamily:
-        weights = tuple(rng.uniform(0.5, 2.0) for _ in range(k))
-        alpha = rng.uniform(0.5, 2.0)
-        beta = rng.uniform(0.5, 2.0)
-        if variant in _NEEDS_WEIGHTS and variant in _NEEDS_ALPHA_BETA:
-            return SolutionFamily(variant, k, alpha=alpha, beta=beta, weights=weights)
-        if variant in _NEEDS_WEIGHTS:
-            return SolutionFamily(variant, k, weights=weights)
-        if variant in _NEEDS_ALPHA_BETA:
-            return SolutionFamily(variant, k, alpha=alpha, beta=beta)
-        return SolutionFamily(variant, k)
 
     for variant in FAMILY_VARIANTS:
         k_list = [1] + ks if variant in DIFFUSION_FAMILIES else ks
-        model = "diffusion" if variant in DIFFUSION_FAMILIES else "interaction"
         for k in k_list:
             n = draws if (variant in _NEEDS_WEIGHTS or variant in _NEEDS_ALPHA_BETA) else 1
-            worst = 0.0
+            worst = worst_ratio = 0.0
             for _ in range(n):
-                worst = max(worst, residual_for(_draw_params(variant, k)).max_abs_coeff())
-            checks.append(FamilyCheck(variant, k, model, worst, worst < tol))
+                family = SolutionFamily(
+                    variant,
+                    k,
+                    weights=tuple(rng.uniform(0.5, 2.0) for _ in range(k)),
+                    alpha=rng.uniform(0.5, 2.0),
+                    beta=rng.uniform(0.5, 2.0),
+                )
+                h = build_solution(family)
+                if family.model == "diffusion":
+                    res = diffusion_residual(h).max_abs_coeff()
+                else:
+                    res = interaction_residual(h).max_abs_coeff()
+                worst = max(worst, res)
+                worst_ratio = max(worst_ratio, res / max(1.0, h.partial(T).max_abs_coeff()))
+            checks.append(FamilyCheck(variant, k, family.model, worst, worst_ratio < tol))
 
     # Uncorrected C_ab: report that its residual is the expected nonzero
     # constant for a random (alpha, beta) away from (1/k!, 1).

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +373,106 @@ def test_cli_stdout_deterministic_across_runs():
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# -- input validation and JSON payloads ---------------------------------------------
+
+
+def test_cli_solve_rejects_zero_dt(tmp_path, capsys):
+    spec = tmp_path / "sq.json"
+    spec.write_text(
+        json.dumps({"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [9, 9], "t_end": 0.1})
+    )
+    rc = main(["solve", "--spec", str(spec), "--dt", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: dt must be positive")
+
+
+def test_cli_solve_rejects_infinite_t_end(tmp_path, capsys):
+    spec = tmp_path / "sq.json"
+    spec.write_text(
+        '{"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [9, 9], "t_end": Infinity}'
+    )
+    rc = main(["solve", "--spec", str(spec), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: t_end must be positive")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cli_verify_solutions_passes_up_to_k7(seed, capsys):
+    # The residual tolerance scales with the time coefficient, which reaches
+    # 1e5 at k = 7; an absolute 1e-12 fails there on rounding alone.
+    rc = main(["verify-solutions", "--k", "2,3,4,5,6,7", "--seed", str(seed),
+               "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert all(rec["ok"] for rec in payload)
+    uncorrected = [rec for rec in payload if rec["variant"] == "C_ab(uncorrected)"]
+    assert len(uncorrected) == 6
+    assert all(rec["max_residual_coeff"] > 1.0 for rec in uncorrected)
+
+
+def test_cli_json_payloads_match_reference_output(tmp_path, capsys):
+    # Reference files hold the output of the field-by-field serialisation
+    # that the dataclass-based one replaced.
+    data = Path(__file__).parent / "data"
+    assert main(["verify-solutions", "--k", "2", "--draws", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (data / "verify_k2_draws2.json").read_text()
+    assert main(["pavement", "table", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (data / "pavement_table.json").read_text()
+    assert main(["rs", "bound", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1",
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"holds": true, "integral": 0.5, "lhs": 1.0, "omega_nondecreasing": true, '
+        '"rhs": 0.5, "sup_f": 1.0, "sup_f_zero": false}\n'
+    )
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,psi1,psi2,omega1,omega2,H_obs\n1,0.5,0.5,1,1,3\n0.25,1,0.2,2,1,7\n")
+    assert main(["index", "fit", "--observations", str(obs), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["alpha", "beta", "n_obs", "residual_norm"]
+    assert payload["n_obs"] == 2
+
+
+def test_cli_index_eval_full_precision_matches_exact_value(capsys):
+    # Exact rational arithmetic on the float inputs is the reference; the
+    # printed double must be within 1e-15 of it, relative.
+    from fractions import Fraction
+    import random
+
+    def exact(variant, k, t, psi, w, alpha, beta):
+        fact = math.factorial(k)
+        t, alpha, beta = Fraction(t), Fraction(alpha), Fraction(beta)
+        psi = [Fraction(x) for x in psi]
+        w = [Fraction(x) for x in w]
+        if variant in ("T1a", "T1b"):
+            c = Fraction(1, 2) if variant == "T1a" else Fraction(1)
+            return 2 * c * k * t + c * sum(x * x for x in psi)
+        one = [Fraction(1)] * k
+        a, b, w = {
+            "T2a": (Fraction(1, fact), 1, one),
+            "T2b": (1, 1, one),
+            "C_ab": (alpha, beta, one),
+            "T3w": (1, 1, w),
+            "C1w": (Fraction(1, fact), 1, w),
+            "C2w_ab": (alpha, beta, w),
+        }[variant]
+        prod_w = math.prod(w)
+        return ((a * fact * sum(w) + b * prod_w) * t
+                + a * sum(wi * x**k for wi, x in zip(w, psi))
+                + b * prod_w * math.prod(psi))
+
+    rng = random.Random(11)
+    variants = ("T1a", "T1b", "T2a", "T2b", "C_ab", "T3w", "C1w", "C2w_ab")
+    for probe in range(160):
+        k, variant = rng.randint(2, 7), variants[probe % len(variants)]
+        t, alpha, beta = rng.uniform(0, 2), rng.uniform(0.2, 3), rng.uniform(0.2, 3)
+        psi = [rng.uniform(0, 1.2) for _ in range(k)]
+        w = [rng.uniform(0.1, 3) for _ in range(k)]
+        rc = main(["index", "eval", "--family", variant, "--t", repr(t),
+                   "--psi", ",".join(map(repr, psi)), "--weights", ",".join(map(repr, w)),
+                   "--alpha", repr(alpha), "--beta", repr(beta), "--precision", "full"])
+        assert rc == 0
+        got = Fraction(float(capsys.readouterr().out))
+        want = exact(variant, k, t, psi, w, alpha, beta)
+        assert abs(got - want) <= Fraction(1, 10**15) * want, (variant, k, probe)

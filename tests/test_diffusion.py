@@ -338,3 +338,89 @@ def test_scenario_from_json_rejects_unknown_rules():
         scenario_from_json({**base, "boundary": "t*s"})
     with pytest.raises(ValueError):
         scenario_from_json({**base, "initial": "ramp"})
+
+
+# -- validation, step count and the shared step -----------------------------------
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_scenario_rejects_bad_dt(dt):
+    with pytest.raises(ValueError):
+        ScenarioSpec(
+            domain=((0.0, 1.0), (0.0, 1.0)),
+            resolution=(5, 5),
+            boundary_rule=lambda c, t: 0.0,
+            initial_rule=lambda c: 0.0,
+            dt=dt,
+        )
+    spec = unit_square_spec()
+    spec.dt = dt  # set after construction, as `sustkit solve --dt` does
+    with pytest.raises(ValueError):
+        run_scenario(spec, [spec.t_end])
+    with pytest.raises(ValueError):
+        step_explicit(spec.initial_field(), spec.boundary_rule, dt)
+
+
+def test_scenario_rejects_infinite_t_end():
+    with pytest.raises(ValueError):
+        unit_square_spec(t_end=float("inf"))
+
+
+@pytest.mark.parametrize("axis", [(float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf"))])
+def test_scenario_rejects_non_finite_domain(axis):
+    with pytest.raises(ValueError):
+        ScenarioSpec(
+            domain=((0.0, 1.0), axis),
+            resolution=(5, 5),
+            boundary_rule=lambda c, t: 0.0,
+            initial_rule=lambda c: 0.0,
+        )
+
+
+def test_run_stops_at_last_requested_snapshot():
+    # fig4 panel d at t_end = 0.5: dt = 0.00225, so t_end/dt = 222.2 and the
+    # t_end snapshot is step 222; the boundary rule runs once per face (4)
+    # for the initial field and once per face for each step.
+    from dataclasses import replace
+
+    from sustkit.pavement import figure_scenarios
+
+    spec = figure_scenarios("fig4", t_end=0.5)[3]
+    calls = []
+
+    def rule(coords, t):
+        calls.append(t)
+        return 10.0 * t
+
+    fields = run_scenario(replace(spec, boundary_rule=rule), [0.0, 0.5])
+    assert len(calls) == 4 * (1 + 222)
+    assert fields[1].time == 222 * spec.resolved_dt()
+
+
+def test_run_scenario_matches_repeated_step_explicit():
+    # dt is a power of two, so step*dt (run_scenario) and the accumulated
+    # time (step_explicit) are the same doubles and the boundary rule sees
+    # the same t; the stepping itself must then agree bit for bit.
+    def rule(coords, t):
+        x, y = coords
+        return np.sin(3.0 * x + t) * np.cos(2.0 * y) + t * t
+
+    dt = 2.0**-10
+    n = 40
+    spec = ScenarioSpec(
+        domain=((0.0, 1.0), (0.0, 2.0)),
+        resolution=(13, 21),
+        boundary_rule=rule,
+        initial_rule=lambda coords: rule(coords, 0.0),
+        t_end=n * dt,
+        dt=dt,
+    )
+    via_run = run_scenario(spec, [n * dt / 2, n * dt])
+    fld = spec.initial_field()
+    for step in range(1, n + 1):
+        fld = step_explicit(fld, rule, dt)
+        if step == n // 2:
+            assert np.array_equal(fld.values, via_run[0].values)
+            assert fld.time == via_run[0].time
+    assert np.array_equal(fld.values, via_run[1].values)
+    assert fld.time == via_run[1].time

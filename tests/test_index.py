@@ -420,3 +420,98 @@ def test_fit_report_json(tmp_path):
         "residual_norm": 1e-12,
         "n_obs": 10,
     }
+
+
+# -- hand-computed oracle --------------------------------------------------------------
+
+# k = 3, t = 0.5, psi = (1, 2, 3), w = (2, 1, 0.5), alpha = 0.25, beta = 2:
+# sum psi^2 = 14, sum psi^3 = 36, prod psi = 6, sum w = 3.5, prod w = 1,
+# sum w psi^3 = 23.5, prod (w psi) = 6, k! = 6.
+ORACLE = {
+    "T1a": 8.5,  # 3*0.5 + 14/2
+    "T1b": 17.0,  # 6*0.5 + 14
+    "T2a": 14.0,  # 4*0.5 + 36/6 + 6
+    "T2b": 51.5,  # 19*0.5 + 36 + 6
+    "C_ab": 24.25,  # (3*0.25*6 + 2)*0.5 + 0.25*36 + 2*6
+    "T3w": 40.5,  # (6*3.5 + 1)*0.5 + 23.5 + 6
+    "C1w": 73 / 6,  # (3.5 + 1)*0.5 + 23.5/6 + 6
+    "C2w_ab": 21.5,  # (0.25*6*3.5 + 2*1)*0.5 + 0.25*23.5 + 2*6
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE))
+def test_families_match_hand_computed_values(variant):
+    inputs = IndexInputs(
+        k=3, t=0.5, psi=(1.0, 2.0, 3.0), weights=(2.0, 1.0, 0.5), alpha=0.25, beta=2.0
+    )
+    assert index_value(inputs, variant) == pytest.approx(ORACLE[variant], rel=1e-15)
+    poly = build_solution(family_for(inputs, variant))
+    assert poly((0.5, 1.0, 2.0, 3.0)) == pytest.approx(ORACLE[variant], rel=1e-15)
+
+
+def test_uncorrected_c_ab_matches_hand_computed_value():
+    # (3*0.25*6 + 2)*0.5 + 36/6 + 6
+    fam = SolutionFamily("C_ab", 3, alpha=0.25, beta=2.0, uncorrected=True)
+    assert build_solution(fam)((0.5, 1.0, 2.0, 3.0)) == 15.25
+
+
+# -- non-finite parameters -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_and_parameters_rejected(bad):
+    with pytest.raises(ValueError):
+        IndexInputs(k=2, t=0.0, psi=(0.0, 0.0), weights=(1.0, bad))
+    with pytest.raises(ValueError):
+        IndexInputs(k=2, t=bad, psi=(0.0, 0.0), weights=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        IndexInputs(k=2, t=0.0, psi=(bad, 0.0), weights=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        IndexInputs(k=2, t=0.0, psi=(0.0, 0.0), weights=(1.0, 1.0), alpha=bad)
+    with pytest.raises(ValueError):
+        IndexInputs(k=2, t=0.0, psi=(0.0, 0.0), weights=(1.0, 1.0), beta=bad)
+    with pytest.raises(ValueError):
+        SolutionFamily("T3w", 2, weights=(bad, 1.0))
+    with pytest.raises(ValueError):
+        SolutionFamily("C_ab", 2, alpha=bad, beta=1.0)
+    with pytest.raises(ValueError):
+        SolutionFamily("C2w_ab", 2, alpha=1.0, beta=bad, weights=(1.0, 1.0))
+
+
+# -- fit conditioning and input checks ------------------------------------------------
+
+
+def test_fit_accurate_on_nearly_collinear_columns():
+    # k = 2, unit weights, psi1 = psi2 = x: u = 4t + 2x^2 and v = t + x^2, so
+    # with t ~ 1e-4 the scaled columns are nearly parallel (condition ~1e4).
+    # The normal equations square that and lose about 1e-7 relative.
+    rng = random.Random(5)
+    obs = []
+    for _ in range(50):
+        x, t = rng.uniform(0.5, 1.0), 1e-4 * rng.uniform(0.0, 1.0)
+        h = 0.75 * (4 * t + 2 * x * x) + 1.5 * (t + x * x)
+        obs.append((IndexInputs(k=2, t=t, psi=(x, x), weights=(1.0, 1.0)), h))
+    fit = fit_alpha_beta(obs)
+    assert fit.alpha == pytest.approx(0.75, rel=1e-10)
+    assert fit.beta == pytest.approx(1.5, rel=1e-10)
+
+
+def test_fit_rejects_mixed_k():
+    obs = planted_observations(1.0, 1.0, n=4, k=3) + planted_observations(1.0, 1.0, n=2, k=2)
+    with pytest.raises(ValueError, match="observation 4 has k=2"):
+        fit_alpha_beta(obs)
+
+
+def test_fit_rejects_non_finite_observation():
+    obs = planted_observations(1.0, 1.0, n=4)
+    obs[2] = (obs[2][0], math.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_alpha_beta(obs)
+
+
+def test_fit_over_several_blocks():
+    # More rows than one evaluation block of the basis columns.
+    obs = planted_observations(1.3, 0.7, n=10_000, k=4, seed=3)
+    fit = fit_alpha_beta(obs)
+    assert fit.alpha == pytest.approx(1.3, rel=1e-12)
+    assert fit.beta == pytest.approx(0.7, rel=1e-12)
