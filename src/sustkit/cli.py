@@ -179,8 +179,7 @@ def _cmd_index(args) -> int:
         value = index.index_seven_ab(_make_inputs(args, need_k=7))
         print(_fmt(value, args.precision))
     else:  # fit
-        obs = index.read_observations(args.observations)
-        result = index.fit_alpha_beta(obs)
+        result = index.fit_alpha_beta(index.read_observations(args.observations))
         if args.out:
             index.write_fit_report(result, args.out)
         if args.format == "json":

@@ -132,6 +132,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         self.domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
+        if not all(float(n).is_integer() for n in self.resolution):
+            raise ValueError(f"resolution must be whole numbers of points, got {self.resolution}")
         self.resolution = tuple(int(n) for n in self.resolution)
         if len(self.domain) != len(self.resolution):
             raise ValueError("domain and resolution must have equal length")
@@ -399,6 +401,11 @@ def field_from_json(path: str | Path) -> ScalarField:
     )
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``true`` and ``false`` load as bool, a subclass of int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     """Build a ScenarioSpec from a JSON file or dict.
 
@@ -418,12 +425,12 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     boundary = data.get("boundary", "s*t")
     if boundary == "s*t":
         boundary_rule = lambda coords, t: s * t  # noqa: E731
-    elif isinstance(boundary, (int, float)):
+    elif _is_number(boundary):
         boundary_rule = lambda coords, t, _c=float(boundary): _c  # noqa: E731
     else:
         raise ValueError(f"unsupported boundary rule {boundary!r}")
     initial = data.get("initial", 0.0)
-    if not isinstance(initial, (int, float)):
+    if not _is_number(initial):
         raise ValueError(f"unsupported initial rule {initial!r}")
     initial_rule = lambda coords, _c=float(initial): _c  # noqa: E731
     return ScenarioSpec(

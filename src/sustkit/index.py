@@ -6,6 +6,10 @@ coefficient table, :func:`sustkit.polynomials.family_coefficients`, from
 which :mod:`sustkit.polynomials` builds the exact polynomials.  The two
 routes share their formulas; the test suite checks them against
 hand-computed values and sympy residuals.
+
+One evaluation point is an :class:`IndexInputs`.  Fit observations are the
+columns of an :class:`Observations`: the readers parse CSV or JSON straight
+into arrays and :func:`fit_alpha_beta` is the one place that validates them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +90,15 @@ class IndexInputs:
                 check_positive(name, (v,))
 
 
+class Observations(NamedTuple):
+    """Fit observations as columns: t, h_obs of shape (n,); psi, weights (n, k)."""
+
+    t: np.ndarray
+    psi: np.ndarray
+    weights: np.ndarray
+    h_obs: np.ndarray
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with finite endpoints."""
@@ -103,17 +116,9 @@ class Interval:
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
         return Interval(min(products), max(products))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def contains(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -182,34 +187,39 @@ _FIT_BLOCK = 4096
 _MIN_SINGULAR_RATIO = 1e-6
 
 
-def fit_alpha_beta(observations: Sequence[tuple[IndexInputs, float]]) -> FitResult:
+def _reject_rows(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ValueError(f"observation {int(np.argmax(bad))}: {what}")
+
+
+def fit_alpha_beta(observations: Observations) -> FitResult:
     """Least-squares fit of (alpha, beta) in H = alpha*u + beta*v.
 
     u and v are the C2w_ab closed form at (alpha, beta) = (1, 0) and (0, 1).
     Each column is scaled to unit 2-norm and the problem solved by
     ``numpy.linalg.lstsq`` (SVD), which avoids squaring the condition
     number as the normal equations do (Golub & Van Loan, Matrix
-    Computations, 5.3).  All observations must share one k.
+    Computations, 5.3).  This is the one place the columns are validated.
     """
-    n = len(observations)
+    t, psi, w, h = (np.asarray(column, dtype=float) for column in observations)
+    if not (t.ndim == 1 and psi.ndim == 2 and w.shape == psi.shape
+            and t.shape == h.shape == psi.shape[:1]):
+        raise ValueError(f"need t, h_obs of shape (n,) and psi, weights of shape (n, k); "
+                         f"got {t.shape}, {h.shape}, {psi.shape}, {w.shape}")
+    n, k = psi.shape
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    k = observations[0][0].k
-    for i, (inputs, _) in enumerate(observations):
-        if inputs.k != k:
-            raise ValueError(f"observation {i} has k={inputs.k}, observation 0 has k={k}")
-    u, v, h = np.empty(n), np.empty(n), np.empty(n)
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    finite = np.isfinite(t) & np.isfinite(psi).all(axis=1) & np.isfinite(h)
+    _reject_rows(~finite, "non-finite t, psi or H_obs")
+    _reject_rows(~((w > 0) & np.isfinite(w)).all(axis=1), "weights must be positive and finite")
+    u, v = np.empty(n), np.empty(n)
     for lo in range(0, n, _FIT_BLOCK):
-        block = observations[lo : lo + _FIT_BLOCK]
-        rows = slice(lo, lo + len(block))
-        t = np.array([inputs.t for inputs, _ in block])
-        psi = np.array([inputs.psi for inputs, _ in block])
-        w = np.array([inputs.weights for inputs, _ in block])
-        u[rows] = _evaluate(family_coefficients("C2w_ab", k, 1.0, 0.0, w), t, psi)
-        v[rows] = _evaluate(family_coefficients("C2w_ab", k, 0.0, 1.0, w), t, psi)
-        h[rows] = [h_obs for _, h_obs in block]
-    if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(h).all()):
-        raise ValueError("observations give a non-finite basis value or H_obs")
+        rows = slice(lo, lo + _FIT_BLOCK)
+        u[rows] = _evaluate(family_coefficients("C2w_ab", k, 1.0, 0.0, w[rows]), t[rows], psi[rows])
+        v[rows] = _evaluate(family_coefficients("C2w_ab", k, 0.0, 1.0, w[rows]), t[rows], psi[rows])
+    _reject_rows(~(np.isfinite(u) & np.isfinite(v)), "non-finite basis value")
     su, sv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if su == 0.0 or sv == 0.0:
         raise RankDeficiencyError(
@@ -232,8 +242,7 @@ def dHdt_interval(intervals: Sequence[Interval]) -> Interval:
     ivs = list(intervals)
     if len(ivs) < 2:
         raise ValueError(f"need k >= 2 intervals, got {len(ivs)}")
-    total_sum = ivs[0]
-    total_prod = ivs[0]
+    total_sum = total_prod = ivs[0]
     for iv in ivs[1:]:
         total_sum = total_sum + iv
         total_prod = total_prod * iv
@@ -261,65 +270,56 @@ def weight_from_function(
 # -- IO ----------------------------------------------------------------------
 
 
-def read_observations_csv(path: str | Path) -> list[tuple[IndexInputs, float]]:
+def _columns(table: np.ndarray, k: int) -> Observations:
+    """Split rows laid out as t, psi1..psik, omega1..omegak, H_obs."""
+    return Observations(table[:, 0], table[:, 1 : 1 + k], table[:, 1 + k : 1 + 2 * k], table[:, -1])
+
+
+def read_observations_csv(path: str | Path) -> Observations:
     """Read fit observations from CSV with header
     t, psi1..psik, omega1..omegak, H_obs (k inferred from the header)."""
-    path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(csv.reader([fh.readline()]))]
         k = sum(1 for h in header if h.startswith("psi"))
-        expected = (
-            ["t"]
-            + [f"psi{i}" for i in range(1, k + 1)]
-            + [f"omega{i}" for i in range(1, k + 1)]
-            + ["H_obs"]
-        )
+        numbers = range(1, k + 1)
+        expected = ["t", *(f"psi{i}" for i in numbers), *(f"omega{i}" for i in numbers), "H_obs"]
         if k == 0 or header != expected:
-            raise ValueError(
-                f"{path}: expected header t, psi1..psik, omega1..omegak, H_obs, "
-                f"got {header}"
-            )
-        obs = []
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(x) for x in row]
-            if len(vals) != 2 * k + 2:
-                raise ValueError(f"{path}: row has {len(vals)} fields, expected {2 * k + 2}")
-            inputs = IndexInputs(
-                k=k,
-                t=vals[0],
-                psi=tuple(vals[1 : 1 + k]),
-                weights=tuple(vals[1 + k : 1 + 2 * k]),
-            )
-            obs.append((inputs, vals[-1]))
-    return obs
+            raise ValueError(f"{path}: expected header t, psi1..psik, omega1..omegak, "
+                             f"H_obs, got {header}")
+        try:
+            with warnings.catch_warnings():  # a body with no rows is reported by the fit
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # drop numpy's usecols hint: usecols would hide extra fields
+            raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from exc
+    if data.size and data.shape[1] != 2 * k + 2:
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected {2 * k + 2}")
+    return _columns(data, k)
 
 
-def read_observations_json(path: str | Path) -> list[tuple[IndexInputs, float]]:
+def read_observations_json(path: str | Path) -> Observations:
     """Read fit observations from JSON: a list of objects with fields
-    t, psi (length-k array), omega (length-k array) and H_obs."""
-    path = Path(path)
+    t, psi (length-k array), omega (length-k array) and H_obs; k is set by
+    record 0."""
     with open(path) as fh:
         records = json.load(fh)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of observations")
-    obs = []
+    rows, k = [], 0
     for i, rec in enumerate(records):
         try:
-            psi = tuple(float(x) for x in rec["psi"])
-            weights = tuple(float(w) for w in rec["omega"])
-            inputs = IndexInputs(
-                k=len(psi), t=float(rec["t"]), psi=psi, weights=weights
-            )
-            obs.append((inputs, float(rec["H_obs"])))
+            psi, omega = [float(x) for x in rec["psi"]], [float(w) for w in rec["omega"]]
+            k = len(psi) if i == 0 else k
+            if len(psi) != k or len(omega) != k:
+                raise ValueError(f"psi and omega must each have the length k={k} of "
+                                 f"record 0, got {len(psi)} and {len(omega)}")
+            rows.append([float(rec["t"]), *psi, *omega, float(rec["H_obs"])])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}, record {i}: {exc}") from exc
-    return obs
+    return _columns(np.array(rows, dtype=float).reshape(len(rows), 2 * k + 2), k)
 
 
-def read_observations(path: str | Path) -> list[tuple[IndexInputs, float]]:
+def read_observations(path: str | Path) -> Observations:
     """Dispatch on extension: .json records or the CSV column layout."""
     if str(path).endswith(".json"):
         return read_observations_json(path)

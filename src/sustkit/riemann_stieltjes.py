@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from .polynomials import check_positive
+
 TAG_RULES = ("left", "right", "midpoint")
 
 #: default cap on dyadic refinement (finest partition has 2**24 intervals)
@@ -49,9 +51,12 @@ class NonFiniteValueError(ValueError):
 class NonConvergenceError(RuntimeError):
     """Refinement did not settle within the allowed depth.
 
-    Signals that the integrand is not Riemann-Stieltjes integrable with
-    respect to the weight function at the requested tolerance (for example
-    when both share a discontinuity).
+    The message gives the last midpoint gap and tag spread.  A tag spread
+    that stops decaying signals that the integrand is not Riemann-Stieltjes
+    integrable with respect to the weight function (for example when both
+    share a discontinuity); a decaying spread with a gap stuck at the
+    rounding error of the sums signals an ``eta`` too small for double
+    precision.
     """
 
 
@@ -253,11 +258,19 @@ def _level_sums(f_eval, w_eval, lo: float, hi: float, n: int):
     )
 
 
+def _check_refinement(lo, hi, max_refinements, **tolerances) -> None:
+    """Validate the arguments of the dyadic refinements: finite lo < hi,
+    positive finite tolerances (eta, tol) and max_refinements >= 1."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    for name, value in tolerances.items():
+        check_positive(name, (value,))
+    if not max_refinements >= 1:
+        raise ValueError(f"max_refinements must be at least 1, got {max_refinements!r}")
+
+
 def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_refinement(lo, hi, max_refinements, eta=eta)
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
 
@@ -268,22 +281,26 @@ def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
     tag_tol = max(eta, math.sqrt(eta))
     min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
 
-    prev_mid = None
+    prev_mid, spread = None, math.inf
     for level in range(max_refinements + 1):
         n = 1 << level
         mid, left, right, _ = _level_sums(f_eval, w_eval, lo, hi, n)
-        if (
-            level >= min_level
-            and prev_mid is not None
-            and abs(mid - prev_mid) < eta
-            and abs(left - right) < tag_tol
-        ):
+        prev_spread, spread = spread, abs(left - right)
+        gap = math.inf if prev_mid is None else abs(mid - prev_mid)
+        if level >= min_level and gap < eta and spread < tag_tol:
             return mid, n
         prev_mid = mid
+    # An integrable pair's tag spread falls like O(h), halving per level.
+    if spread < tag_tol or spread <= 0.75 * prev_spread:
+        cause = ("the sums are still converging: raise eta or max_refinements "
+                 "(an eta below the rounding error of the sums is never reached)")
+    else:
+        cause = ("the tag spread is not decaying: the integrand may not be integrable "
+                 "against this weight (e.g. shared discontinuity)")
     raise NonConvergenceError(
         f"Riemann-Stieltjes refinement did not converge to eta={eta} within "
-        f"{max_refinements} dyadic refinements; the integrand may not be "
-        f"integrable against this weight (e.g. shared discontinuity)"
+        f"{max_refinements} dyadic refinements: last midpoint gap {gap:.3g}, "
+        f"tag spread {spread:.3g} (tag tolerance {tag_tol:.3g}); {cause}"
     )
 
 
@@ -331,8 +348,7 @@ def variation_sup(
     cap is reached) and the largest sum is returned.  The estimate is a
     lower bound on the true variation.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_refinement(lo, hi, max_refinements, tol=tol)
     w_eval = _as_callable(omega, lo, hi, "weight")
     min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
     prev = None

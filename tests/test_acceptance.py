@@ -21,7 +21,14 @@ from sustkit.diffusion import (
     manufactured_quadratic,
     run_scenario,
 )
-from sustkit.index import Interval, IndexInputs, dHdt_interval, fit_alpha_beta, index_value
+from sustkit.index import (
+    Interval,
+    IndexInputs,
+    Observations,
+    dHdt_interval,
+    fit_alpha_beta,
+    index_value,
+)
 from sustkit.pavement import figure_scenarios, load_mix_table, run_demo_figures, thickness_reduction
 from sustkit.polynomials import (
     DIFFUSION_FAMILIES,
@@ -218,7 +225,14 @@ def test_criterion_6_index_and_fitting():
             k=7, t=base.t, psi=base.psi, weights=base.weights, alpha=2.5, beta=0.5
         )
         obs.append((base, index_value(truth, "C2w_ab")))
-    fit = fit_alpha_beta(obs)
+    fit = fit_alpha_beta(
+        Observations(
+            np.array([inputs.t for inputs, _ in obs]),
+            np.array([inputs.psi for inputs, _ in obs]),
+            np.array([inputs.weights for inputs, _ in obs]),
+            np.array([h for _, h in obs]),
+        )
+    )
     ok = ok and abs(fit.alpha - 2.5) <= 1e-9 and abs(fit.beta - 0.5) <= 1e-9
     ok = ok and fit.residual_norm <= 1e-9
     detail += f", fit ({fit.alpha:.12g}, {fit.beta:.12g})"

@@ -476,3 +476,59 @@ def test_cli_index_eval_full_precision_matches_exact_value(capsys):
         got = Fraction(float(capsys.readouterr().out))
         want = exact(variant, k, t, psi, w, alpha, beta)
         assert abs(got - want) <= Fraction(1, 10**15) * want, (variant, k, probe)
+
+
+# -- bad input: exit 1 with one error line -------------------------------------------
+
+FIT_HEADER = "t,psi1,psi2,omega1,omega2,H_obs\n"
+SPEC = {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [5, 5], "t_end": 0.1}
+RS = ["rs", "integrate", "--omega", "x", "--lo", "0", "--hi", "1"]
+
+BAD_INPUT = {
+    "variation_negative_refinements": (
+        None, ["rs", "variation", "--omega", "x", "--lo", "0", "--hi", "1",
+               "--max-refinements", "-1"]),
+    "integrate_zero_refinements": (None, RS + ["--max-refinements", "0"]),
+    "integrate_nan_eta": (None, RS + ["--eta", "nan"]),
+    "bound_negative_eta": (None, ["rs", "bound"] + RS[2:] + ["--eta", "-1"]),
+    "integrate_unreachable_eta": (
+        None, ["rs", "integrate", "--f", "1+0.1*x", "--omega", "0.7*x", "--lo", "-1.3",
+               "--hi", "4.1", "--eta", "1e-300", "--max-refinements", "8"]),
+    "integrate_shared_jump": (
+        None, ["rs", "integrate", "--f", "step(x-0.5)", "--omega", "step(x-0.5)",
+               "--lo", "0", "--hi", "1", "--max-refinements", "8"]),
+    "spec_fractional_resolution": ({**SPEC, "resolution": [3.7, 5]}, ["solve"]),
+    "spec_boolean_boundary": ({**SPEC, "boundary": True}, ["solve"]),
+    "spec_boolean_initial": ({**SPEC, "initial": False}, ["solve"]),
+    "fit_empty_file": ("", ["index", "fit"]),
+    "fit_header_only": (FIT_HEADER, ["index", "fit"]),
+    "fit_too_few_fields": (FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.3,1,1,0.5\n", ["index", "fit"]),
+    "fit_too_many_fields": (
+        FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.2,0.3,1,1,0.5,7\n", ["index", "fit"]),
+    "fit_nan_weight": (
+        FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.2,0.3,nan,1,0.5\n0.3,0.1,0.2,1,1,0.4\n",
+        ["index", "fit"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, capsys):
+    import warnings
+
+    content, argv = BAD_INPUT[case]
+    if isinstance(content, dict):  # a scenario spec
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(content))
+        argv = argv + ["--spec", str(spec), "--out", str(tmp_path / "out")]
+    elif isinstance(content, str):  # an observations CSV
+        obs = tmp_path / "obs.csv"
+        obs.write_text(content)
+        argv = argv + ["--observations", str(obs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert err.count("\n") == 1

@@ -424,3 +424,28 @@ def test_run_scenario_matches_repeated_step_explicit():
             assert fld.time == via_run[0].time
     assert np.array_equal(fld.values, via_run[1].values)
     assert fld.time == via_run[1].time
+
+
+def test_spec_rejects_fractional_resolution():
+    with pytest.raises(ValueError, match="whole numbers"):
+        ScenarioSpec(
+            domain=((0.0, 1.0), (0.0, 1.0)),
+            resolution=(3.7, 5),
+            boundary_rule=lambda coords, t: 0.0,
+            initial_rule=lambda coords: 0.0,
+        )
+    base = {"domain": [[0.0, 1.0], [0.0, 1.0]], "t_end": 0.1}
+    with pytest.raises(ValueError, match="whole numbers"):
+        scenario_from_json({**base, "resolution": [9.5, 9]})
+    assert scenario_from_json({**base, "resolution": [9.0, 9]}).resolution == (9, 9)
+
+
+@pytest.mark.parametrize("field", ["boundary", "initial"])
+@pytest.mark.parametrize("value", [True, False])
+def test_scenario_from_json_rejects_boolean_rules(tmp_path, field, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [5, 5], "t_end": 0.1, field: value}
+    ))
+    with pytest.raises(ValueError, match=f"unsupported {field} rule"):
+        scenario_from_json(path)

@@ -10,6 +10,7 @@ from sustkit.index import (
     FitResult,
     IndexInputs,
     Interval,
+    Observations,
     PsiRangeWarning,
     RankDeficiencyError,
     dHdt_interval,
@@ -197,6 +198,16 @@ def test_seven_ab_warns_on_out_of_band_psi():
 # -- fitting ---------------------------------------------------------------------
 
 
+def as_observations(pairs):
+    """Columns of a list of (IndexInputs, H_obs) pairs."""
+    return Observations(
+        np.array([inputs.t for inputs, _ in pairs]),
+        np.array([inputs.psi for inputs, _ in pairs]),
+        np.array([inputs.weights for inputs, _ in pairs]),
+        np.array([h for _, h in pairs]),
+    )
+
+
 def planted_observations(alpha, beta, n=10, k=7, seed=12345):
     rng = random.Random(seed)
     obs = []
@@ -206,7 +217,7 @@ def planted_observations(alpha, beta, n=10, k=7, seed=12345):
             k=k, t=base.t, psi=base.psi, weights=base.weights, alpha=alpha, beta=beta
         )
         obs.append((base, index_value(truth, "C2w_ab")))
-    return obs
+    return as_observations(obs)
 
 
 def test_fit_recovers_planted_parameters():
@@ -239,20 +250,20 @@ def test_fit_handles_ill_scaled_columns():
             k=7, t=base.t, psi=base.psi, weights=base.weights, alpha=0.03, beta=40.0
         )
         obs.append((base, index_value(truth, "C2w_ab")))
-    fit = fit_alpha_beta(obs)
+    fit = fit_alpha_beta(as_observations(obs))
     assert fit.alpha == pytest.approx(0.03, rel=1e-8)
     assert fit.beta == pytest.approx(40.0, rel=1e-8)
 
 
 def test_fit_requires_two_observations():
     with pytest.raises(ValueError):
-        fit_alpha_beta(planted_observations(1.0, 1.0)[:1])
+        fit_alpha_beta(planted_observations(1.0, 1.0, n=1))
 
 
 def test_fit_rejects_zero_design():
     origin = IndexInputs(k=2, t=0.0, psi=(0.0, 0.0), weights=(1.0, 1.0))
     with pytest.raises(RankDeficiencyError):
-        fit_alpha_beta([(origin, 0.0), (origin, 0.0), (origin, 0.0)])
+        fit_alpha_beta(as_observations([(origin, 0.0), (origin, 0.0), (origin, 0.0)]))
 
 
 def test_fit_rejects_proportional_observations():
@@ -262,7 +273,7 @@ def test_fit_rejects_proportional_observations():
         "C2w_ab",
     )
     with pytest.raises(RankDeficiencyError):
-        fit_alpha_beta([(one, h)] * 5)
+        fit_alpha_beta(as_observations([(one, h)] * 5))
 
 
 # -- interval arithmetic ------------------------------------------------------------
@@ -354,16 +365,16 @@ def test_observation_csv_round_trip(tmp_path):
     header = ["t"] + [f"psi{i}" for i in range(1, k + 1)]
     header += [f"omega{i}" for i in range(1, k + 1)] + ["H_obs"]
     rows = [header]
-    for inputs, h in obs:
+    for t, psi, weights, h in zip(*obs):
         rows.append(
-            [repr(inputs.t)]
-            + [repr(x) for x in inputs.psi]
-            + [repr(w) for w in inputs.weights]
-            + [repr(h)]
+            [repr(float(t))]
+            + [repr(float(x)) for x in psi]
+            + [repr(float(w)) for w in weights]
+            + [repr(float(h))]
         )
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
     loaded = read_observations_csv(path)
-    assert len(loaded) == 6
+    assert len(loaded.t) == 6
     fit = fit_alpha_beta(loaded)
     assert fit.alpha == pytest.approx(2.5, abs=1e-9)
     assert fit.beta == pytest.approx(0.5, abs=1e-9)
@@ -377,13 +388,13 @@ def test_observation_json_round_trip(tmp_path):
     path.write_text(
         json.dumps(
             [
-                {"t": i.t, "psi": list(i.psi), "omega": list(i.weights), "H_obs": h}
-                for i, h in obs
+                {"t": t, "psi": list(psi), "omega": list(weights), "H_obs": h}
+                for t, psi, weights, h in zip(*(column.tolist() for column in obs))
             ]
         )
     )
     loaded = read_observations_json(path)
-    assert loaded == read_observations(path)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded, read_observations(path)))
     fit = fit_alpha_beta(loaded)
     assert fit.alpha == pytest.approx(2.5, abs=1e-9)
     assert fit.beta == pytest.approx(0.5, abs=1e-9)
@@ -491,20 +502,30 @@ def test_fit_accurate_on_nearly_collinear_columns():
         x, t = rng.uniform(0.5, 1.0), 1e-4 * rng.uniform(0.0, 1.0)
         h = 0.75 * (4 * t + 2 * x * x) + 1.5 * (t + x * x)
         obs.append((IndexInputs(k=2, t=t, psi=(x, x), weights=(1.0, 1.0)), h))
-    fit = fit_alpha_beta(obs)
+    fit = fit_alpha_beta(as_observations(obs))
     assert fit.alpha == pytest.approx(0.75, rel=1e-10)
     assert fit.beta == pytest.approx(1.5, rel=1e-10)
 
 
-def test_fit_rejects_mixed_k():
-    obs = planted_observations(1.0, 1.0, n=4, k=3) + planted_observations(1.0, 1.0, n=2, k=2)
-    with pytest.raises(ValueError, match="observation 4 has k=2"):
-        fit_alpha_beta(obs)
+def test_fit_rejects_mixed_k(tmp_path):
+    # Columns cannot mix k; the JSON reader names the first record whose
+    # psi/omega length differs from record 0.
+    import json
+
+    records = [
+        {"t": float(t), "psi": psi.tolist(), "omega": w.tolist(), "H_obs": float(h)}
+        for n, k in ((4, 3), (2, 2))
+        for t, psi, w, h in zip(*planted_observations(1.0, 1.0, n=n, k=k))
+    ]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(records))
+    with pytest.raises(ValueError, match="record 4: .*k=3"):
+        read_observations_json(path)
 
 
 def test_fit_rejects_non_finite_observation():
     obs = planted_observations(1.0, 1.0, n=4)
-    obs[2] = (obs[2][0], math.nan)
+    obs.h_obs[2] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
         fit_alpha_beta(obs)
 
@@ -515,3 +536,113 @@ def test_fit_over_several_blocks():
     fit = fit_alpha_beta(obs)
     assert fit.alpha == pytest.approx(1.3, rel=1e-12)
     assert fit.beta == pytest.approx(0.7, rel=1e-12)
+
+
+# -- observation columns ----------------------------------------------------------------
+
+
+def test_fit_validates_shapes_and_k():
+    obs = planted_observations(1.0, 1.0, n=5, k=3)
+    with pytest.raises(ValueError, match="shape"):
+        fit_alpha_beta(obs._replace(h_obs=obs.h_obs[:4]))
+    with pytest.raises(ValueError, match="shape"):
+        fit_alpha_beta(obs._replace(weights=obs.weights[:, :2]))
+    with pytest.raises(ValueError, match="shape"):
+        fit_alpha_beta(obs._replace(psi=obs.psi[:, 0]))
+    with pytest.raises(ValueError, match="k >= 2"):
+        fit_alpha_beta(obs._replace(psi=obs.psi[:, :1], weights=obs.weights[:, :1]))
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("t", math.inf, "non-finite"),
+        ("psi", math.nan, "non-finite"),
+        ("h_obs", -math.inf, "non-finite"),
+        ("weights", math.nan, "positive and finite"),
+        ("weights", math.inf, "positive and finite"),
+        ("weights", 0.0, "positive and finite"),
+        ("weights", -1.0, "positive and finite"),
+    ],
+)
+def test_fit_names_first_bad_observation(column, value, message):
+    obs = planted_observations(1.0, 1.0, n=8, k=3)
+    values = getattr(obs, column)
+    for row in (5, 3):  # the error names the first of the two
+        values[(row, -1) if values.ndim == 2 else row] = value
+    with pytest.raises(ValueError, match=f"observation 3: .*{message}"):
+        fit_alpha_beta(obs)
+
+
+def test_fit_rejects_basis_overflow():
+    obs = planted_observations(1.0, 1.0, n=4, k=3)
+    obs.psi[1] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="observation 1: non-finite basis value"):
+            fit_alpha_beta(obs)
+
+
+def write_csv(path, k, rows):
+    header = ["t"] + [f"psi{i}" for i in range(1, k + 1)]
+    header += [f"omega{i}" for i in range(1, k + 1)] + ["H_obs"]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+
+
+def test_observation_csv_matches_per_field_parse(tmp_path):
+    # Reference: split each row with the csv module and float() every field.
+    import csv
+
+    rng = np.random.default_rng(8)
+    k = 4
+    table = np.column_stack(
+        [rng.uniform(0, 1, 50), rng.uniform(-1e3, 1e3, (50, k)),
+         rng.uniform(1e-9, 9.0, (50, k)), rng.normal(0, 1e6, 50)]
+    )
+    path = tmp_path / "obs.csv"
+    # repr, %.17g and %.6e spellings, blank lines and CRLF endings
+    lines = [",".join(repr(float(v)) for v in row) for row in table[:20]]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in table[20:35]]
+    lines += [""] + [",".join(f"{v:.6e}" for v in row) for row in table[35:]]
+    write_csv(path, k, lines)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with open(path, newline="") as fh:
+        expected = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:] if row])
+    loaded = read_observations_csv(path)
+    assert np.array_equal(loaded.t, expected[:, 0])
+    assert np.array_equal(loaded.psi, expected[:, 1 : 1 + k])
+    assert np.array_equal(loaded.weights, expected[:, 1 + k : 1 + 2 * k])
+    assert np.array_equal(loaded.h_obs, expected[:, -1])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.1,0.2,0.3,1,1,0.5", "0.1,0.2,0.3,1,1"], "columns changed"),
+        (["0.1,0.2,0.3,1,1,0.5", "0.1,0.2,0.3,1,1,0.5,9"], "columns changed"),
+        (["0.1,0.2,0.3,1,1,0.5,9", "0.2,0.2,0.3,1,1,0.5,9"], "7 fields, expected 6"),
+        (["0.1,0.2,0.3,1", "0.2,0.2,0.3,1"], "4 fields, expected 6"),
+        (["0.1,0.2,x,1,1,0.5"], "could not convert"),
+    ],
+)
+def test_observation_csv_rejects_wrong_field_count(tmp_path, rows, message):
+    path = tmp_path / "obs.csv"
+    write_csv(path, 2, rows)
+    with pytest.raises(ValueError, match=message):
+        read_observations_csv(path)
+
+
+def test_observation_csv_without_rows_reaches_the_fit(tmp_path):
+    path = tmp_path / "obs.csv"
+    write_csv(path, 2, [])
+    with pytest.raises(ValueError, match="at least 2 observations, got 0"):
+        fit_alpha_beta(read_observations_csv(path))
+    path.write_text("")
+    with pytest.raises(ValueError, match="expected header"):
+        read_observations_csv(path)
+
+
+def test_observation_json_without_records_reaches_the_fit(tmp_path):
+    path = tmp_path / "obs.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="at least 2 observations, got 0"):
+        fit_alpha_beta(read_observations_json(path))

@@ -386,3 +386,67 @@ def test_lower_bound_randomized_suite():
             f"case {case}: lhs={report.lhs} rhs={report.rhs} "
             f"integral={report.integral} sup_f={report.sup_f}"
         )
+
+
+# -- argument checks and non-convergence diagnosis ------------------------------------
+
+
+def _linear(slope, offset=0.0):
+    return lambda x: offset + slope * np.asarray(x, float)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"eta": math.nan}, "eta must be positive and finite"),
+        ({"eta": math.inf}, "eta must be positive and finite"),
+        ({"eta": 0.0}, "eta must be positive and finite"),
+        ({"max_refinements": 0}, "max_refinements must be at least 1"),
+        ({"max_refinements": -1}, "max_refinements must be at least 1"),
+        ({"hi": math.inf}, "need finite lo < hi"),
+        ({"lo": math.nan}, "need finite lo < hi"),
+        ({"hi": 0.0}, "need finite lo < hi"),
+    ],
+)
+def test_refinement_arguments_checked_in_one_place(kwargs, message):
+    f, omega = _linear(1.0), _linear(2.0)
+    lo, hi = kwargs.get("lo", 0.0), kwargs.get("hi", 1.0)
+    eta, levels = kwargs.get("eta", 1e-6), kwargs.get("max_refinements", 10)
+    with pytest.raises(ValueError, match=message):
+        rs_integrate(f, omega, lo, hi, eta=eta, max_refinements=levels)
+    with pytest.raises(ValueError, match=message):
+        variation_lower_bound_check(f, omega, lo, hi, eta=eta, max_refinements=levels)
+    with pytest.raises(ValueError, match=message.replace("eta", "tol")):
+        variation_sup(omega, lo, hi, max_refinements=levels, tol=eta)
+
+
+def _gap_and_spread(message):
+    import re
+
+    found = re.search(r"last midpoint gap (\S+), tag spread (\S+) ", message)
+    return float(found.group(1)), float(found.group(2))
+
+
+def test_non_convergence_reports_rounding_floor_gap():
+    # A linear pair is integrated exactly by every midpoint sum, so the gap
+    # is rounding alone; eta = 1e-300 cannot be reached and the tag spread
+    # is still halving, so integrability is not blamed.
+    with pytest.raises(NonConvergenceError) as info:
+        rs_integrate(_linear(0.1, 1.0), _linear(0.7), -1.3, 4.1, eta=1e-300, max_refinements=8)
+    gap, spread = _gap_and_spread(str(info.value))
+    assert gap <= 1e-14
+    assert 0.0 < spread < 0.01
+    assert "still converging" in str(info.value)
+    assert "not be integrable" not in str(info.value)
+
+
+def test_non_convergence_reports_shared_jump_spread():
+    # Jumps of 2 in F and 1.5 in omega at x = 0.5: the left and right tags
+    # differ by 2 * 1.5 on the interval that holds the jump, at every level.
+    f = lambda x: np.where(np.asarray(x, float) >= 0.5, 2.0, 0.0)  # noqa: E731
+    omega = lambda x: np.where(np.asarray(x, float) >= 0.5, 1.5, 0.0)  # noqa: E731
+    with pytest.raises(NonConvergenceError) as info:
+        rs_integrate(f, omega, 0.0, 1.0, eta=1e-6, max_refinements=8)
+    _, spread = _gap_and_spread(str(info.value))
+    assert spread == pytest.approx(3.0)
+    assert "not be integrable" in str(info.value)
