@@ -12,13 +12,26 @@ where ``coords`` is a tuple of broadcastable coordinate arrays (one per
 axis) and must return an array broadcastable to their common shape, or a
 scalar.  ``lambda coords, t: s * t`` and numpy expressions both qualify.
 
-Stepping double-buffers (reads the previous level, writes the next), and
-scenario runs share no state, so independent runs may execute concurrently.
+:func:`run_scenario` takes one of two paths, chosen from the rule types:
+
+* **closed form**, when the boundary rule is an :class:`AffineRule`
+  ``a + s*t`` and the initial rule an :class:`AffineRule` constant ``c``
+  (JSON specs and the pavement figures build these).  With
+  ``v = H - (a + s*t)`` the FTCS update is ``v <- (I + dt*A) v - s*dt`` under
+  zero Dirichlet data, and the discrete sine basis diagonalises the
+  interior Laplacian ``A``, so the n-th iterate is a geometric series in
+  each mode and every snapshot is computed directly, without the steps in
+  between;
+* **stepping**, for every other callable: one FTCS step at a time,
+  double-buffered (reads the previous level, writes the next).
+
+Both paths snap snapshots to the same steps and write boundary nodes with
+the rule itself.  Scenario runs share no state, so independent runs may
+execute concurrently.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,6 +49,25 @@ class StabilityError(ValueError):
 
 class NonFiniteFieldError(RuntimeError):
     """A step produced NaN or infinity; the run is aborted."""
+
+
+@dataclass(frozen=True)
+class AffineRule:
+    """Spatially constant data ``a + s*t``.
+
+    ``rule(coords, t)`` is a boundary rule and ``rule(coords)``, which gives
+    ``a``, an initial rule.  :func:`run_scenario` computes scenarios built
+    from these in closed form.  An omitted term is -0.0, the additive
+    identity of IEEE arithmetic (``x + -0.0`` is ``x`` for every ``x``, the
+    zeros included), so ``AffineRule(c)`` gives exactly ``c`` and
+    ``AffineRule(s=s)`` exactly ``s * t``.
+    """
+
+    a: float = -0.0
+    s: float = -0.0
+
+    def __call__(self, coords, t=None):
+        return self.a if t is None else self.a + self.s * t
 
 
 def stable_dt(spacings: Sequence[float]) -> float:
@@ -253,7 +285,15 @@ def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> Sca
 def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[ScalarField]:
     """Advance a scenario from t=0 to the last requested snapshot time,
     returning one field per requested time (nearest completed step, at
-    most ceil(t_end/dt); dt is not adjusted to hit the times exactly)."""
+    most ceil(t_end/dt); dt is not adjusted to hit the times exactly).
+
+    With an :class:`AffineRule` boundary ``a + s*t`` and an
+    :class:`AffineRule` constant initial rule, each snapshot is the exact
+    FTCS iterate in closed form (see :func:`_affine_iterates`); interior
+    values agree with stepping to rounding error.  Any other rule is
+    stepped.  Either way the boundary nodes come from the rule and every
+    snapshot is checked for non-finite values.
+    """
     snapshot_times = [float(t) for t in snapshot_times]
     for t in snapshot_times:
         if not 0.0 <= t <= spec.t_end * (1.0 + 1e-12):
@@ -270,15 +310,73 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     for pos in want.get(0, ()):
         out[pos] = field.copy()
 
+    steps = sorted(step for step in want if step > 0)
+    if isinstance(spec.boundary_rule, AffineRule) and isinstance(spec.initial_rule, AffineRule):
+        iterates = _affine_iterates(field, faces, spec.boundary_rule, spec.initial_rule.a, dt, steps)
+    else:
+        iterates = _stepped_iterates(field, faces, spec.boundary_rule, dt, steps)
+    for step, values in iterates:
+        for pos in want[step]:
+            out[pos] = replace(field, values=values.copy(), time=step * dt)
+    return out  # type: ignore[return-value]
+
+
+def _stepped_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
+    """Yield ``(step, values)`` for each of the ascending ``steps`` by FTCS
+    stepping from ``field``; ``values`` is a buffer reused by later steps."""
     # Double buffering: each step reads u and overwrites every node of nxt.
     u, nxt = field.values, np.empty_like(field.values)
-    for step in range(1, max(want, default=0) + 1):
-        t_new = step * dt
-        _ftcs_step(u, nxt, faces, field.spacings, spec.boundary_rule, dt, t_new)
+    wanted = set(steps)
+    for step in range(1, max(steps, default=0) + 1):
+        _ftcs_step(u, nxt, faces, field.spacings, boundary_rule, dt, step * dt)
         u, nxt = nxt, u
-        for pos in want.get(step, ()):
-            out[pos] = replace(field, values=u.copy(), time=t_new)
-    return out  # type: ignore[return-value]
+        if step in wanted:
+            yield step, u
+
+
+def _affine_iterates(field, faces, boundary_rule: AffineRule, c: float, dt: float, steps):
+    """Yield ``(step, values)``: the exact n-step FTCS iterate for each of
+    ``steps``, from interior ``c`` with boundary ``a + s*t``.
+
+    ``v = H - (a + s*t)`` obeys ``v_{n+1} = (I + dt*A) v_n - s*dt`` with zero
+    Dirichlet data.  In the sine basis ``A`` is diagonal with eigenvalues
+    ``mu = sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so each mode is
+    ``r^n (c - a) - s*dt (1 - r^n) / (-dt*mu)`` times the projected ones,
+    with ``r = 1 + dt*mu`` (LeVeque, Finite Difference Methods for ODEs and
+    PDEs, 2007, sec. 2.10); ``-dt*mu`` is ``1 - r`` without its rounding.
+    The interior is clipped to the discrete maximum-principle range of the
+    data, which the exact iterate obeys for stable dt, so the clip removes
+    only rounding excursions.
+    """
+    a, s = boundary_rule.a, boundary_rule.s
+    k = field.k
+    core = tuple(slice(1, -1) for _ in range(k))
+    bases, mu, ones_hat = [], np.zeros(()), np.ones(())
+    for axis, (n, h) in enumerate(zip(field.extents, field.spacings)):
+        m = n - 2
+        j = np.arange(1, m + 1)
+        shape = [1] * k
+        shape[axis] = m
+        mu = mu + (-(4.0 / h**2) * np.sin(j * np.pi / (2 * (m + 1))) ** 2).reshape(shape)
+        # Orthonormal DST-I, symmetric and its own inverse; j*l is reduced
+        # modulo the period 2(m+1) so that sin sees small arguments.
+        basis = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
+        ones_hat = np.multiply.outer(ones_hat, basis.sum(axis=1))
+        bases.append(basis)
+    growth = 1.0 + dt * mu
+    for step in steps:
+        t = step * dt
+        power = growth**step
+        v = (power * (c - a) - s * dt * (1.0 - power) / (-dt * mu)) * ones_hat
+        for axis, basis in enumerate(bases):
+            v = np.moveaxis(np.tensordot(basis, v, axes=([1], [axis])), 0, axis)
+        g = boundary_rule(None, t)
+        values = np.empty(field.extents)
+        values[core] = np.clip(v + g, min(c, a, g), max(c, a, g))
+        _apply_boundary(values, faces, boundary_rule, t)
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteFieldError(f"non-finite values at t={t:g}")
+        yield step, values
 
 
 # -- verification ------------------------------------------------------------
@@ -362,16 +460,17 @@ def convergence_study(
 
 
 def field_to_csv(field: ScalarField, path: str | Path) -> None:
-    """One row per lattice point: psi coordinates then the value."""
+    """One row per lattice point: psi coordinates then the value, each as
+    ``%.17g``, comma-separated with CRLF line ends (the bytes the csv
+    module's default dialect writes), formatted in one call per grid."""
     grids = np.meshgrid(
         *(field.axis_coords(a) for a in range(field.k)), indexing="ij"
     )
-    cols = [g.ravel() for g in grids] + [field.values.ravel()]
+    table = np.column_stack([g.ravel() for g in grids] + [field.values.ravel()])
+    header = ",".join([f"psi{a + 1}" for a in range(field.k)] + ["value"]) + "\r\n"
+    row = "%.17g," * field.k + "%.17g\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"psi{a + 1}" for a in range(field.k)] + ["value"])
-        for row in zip(*cols):
-            writer.writerow([f"{x:.17g}" for x in row])
+        fh.write(header + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def field_to_json(field: ScalarField, path: str | Path) -> None:
@@ -411,7 +510,9 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
 
     Recognised fields: domain [[lo, hi], ...], resolution [n, ...],
     s (default 10), t_end, dt (number or "auto"), boundary ("s*t" or a
-    number, default "s*t") and initial (a number, default 0).
+    number, default "s*t") and initial (a number, default 0).  Both rules
+    become :class:`AffineRule` objects, so :func:`run_scenario` computes
+    the scenario in closed form.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -421,24 +522,35 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     missing = [k for k in ("domain", "resolution", "t_end") if k not in data]
     if missing:
         raise ValueError(f"scenario spec is missing required fields {missing}")
-    s = float(data.get("s", 10.0))
+    domain, resolution = data["domain"], data["resolution"]
+    if not (isinstance(domain, (list, tuple)) and all(
+            isinstance(ax, (list, tuple)) and len(ax) == 2 and all(map(_is_number, ax))
+            for ax in domain)):
+        raise ValueError(f"domain must be a list of [lo, hi] number pairs, got {domain!r}")
+    if not (isinstance(resolution, (list, tuple)) and all(map(_is_number, resolution))):
+        raise ValueError(f"resolution must be a list of numbers, got {resolution!r}")
+    s, t_end, dt = data.get("s", 10.0), data["t_end"], data.get("dt", "auto")
+    for name, value in (("s", s), ("t_end", t_end), ("dt", dt)):
+        if not (_is_number(value) or (name == "dt" and value == "auto")):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     boundary = data.get("boundary", "s*t")
     if boundary == "s*t":
-        boundary_rule = lambda coords, t: s * t  # noqa: E731
+        boundary_rule = AffineRule(s=float(s))
     elif _is_number(boundary):
-        boundary_rule = lambda coords, t, _c=float(boundary): _c  # noqa: E731
+        boundary_rule = AffineRule(float(boundary))
     else:
         raise ValueError(f"unsupported boundary rule {boundary!r}")
     initial = data.get("initial", 0.0)
     if not _is_number(initial):
         raise ValueError(f"unsupported initial rule {initial!r}")
-    initial_rule = lambda coords, _c=float(initial): _c  # noqa: E731
     return ScenarioSpec(
-        domain=tuple((lo, hi) for lo, hi in data["domain"]),
-        resolution=tuple(data["resolution"]),
+        domain=tuple((lo, hi) for lo, hi in domain),
+        resolution=tuple(resolution),
         boundary_rule=boundary_rule,
-        initial_rule=initial_rule,
-        s=s,
-        t_end=float(data["t_end"]),
-        dt=data.get("dt", "auto"),
+        initial_rule=AffineRule(float(initial)),
+        s=float(s),
+        t_end=float(t_end),
+        dt=dt,
     )

@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import riemann_stieltjes as rs
+from .diffusion import _is_number
 from .polynomials import SolutionFamily, check_positive, family_coefficients
 
 #: the seven factor variables of the headline index: (symbol, name, what the
@@ -299,8 +300,8 @@ def read_observations_csv(path: str | Path) -> Observations:
 
 def read_observations_json(path: str | Path) -> Observations:
     """Read fit observations from JSON: a list of objects with fields
-    t, psi (length-k array), omega (length-k array) and H_obs; k is set by
-    record 0."""
+    t, psi (length-k array), omega (length-k array) and H_obs, all JSON
+    numbers; k is set by record 0."""
     with open(path) as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -308,12 +309,17 @@ def read_observations_json(path: str | Path) -> Observations:
     rows, k = [], 0
     for i, rec in enumerate(records):
         try:
-            psi, omega = [float(x) for x in rec["psi"]], [float(w) for w in rec["omega"]]
+            t, psi, omega, h_obs = rec["t"], rec["psi"], rec["omega"], rec["H_obs"]
+            if not (isinstance(psi, list) and isinstance(omega, list)
+                    and all(map(_is_number, psi + omega))):
+                raise ValueError(f"psi and omega must be arrays of numbers, got {psi!r} and {omega!r}")
+            if not (_is_number(t) and _is_number(h_obs)):
+                raise ValueError(f"t and H_obs must be numbers, got {t!r} and {h_obs!r}")
             k = len(psi) if i == 0 else k
             if len(psi) != k or len(omega) != k:
                 raise ValueError(f"psi and omega must each have the length k={k} of "
                                  f"record 0, got {len(psi)} and {len(omega)}")
-            rows.append([float(rec["t"]), *psi, *omega, float(rec["H_obs"])])
+            rows.append([t, *psi, *omega, h_obs])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}, record {i}: {exc}") from exc
     return _columns(np.array(rows, dtype=float).reshape(len(rows), 2 * k + 2), k)

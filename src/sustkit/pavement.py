@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .diffusion import ScenarioSpec, field_to_csv, run_scenario
+from .diffusion import AffineRule, ScenarioSpec, field_to_csv, run_scenario
 
 DESIGN_NOTES = {
     "design_traffic_msa": 20,
@@ -253,8 +253,8 @@ def figure_scenarios(
         ScenarioSpec(
             domain=dom,
             resolution=_panel_resolution(dom, resolution),
-            boundary_rule=lambda coords, t, _s=s: _s * t,
-            initial_rule=lambda coords: 0.0,
+            boundary_rule=AffineRule(s=s),
+            initial_rule=AffineRule(0.0),
             s=s,
             t_end=t_end,
             dt="auto",

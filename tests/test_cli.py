@@ -500,6 +500,20 @@ BAD_INPUT = {
     "spec_fractional_resolution": ({**SPEC, "resolution": [3.7, 5]}, ["solve"]),
     "spec_boolean_boundary": ({**SPEC, "boundary": True}, ["solve"]),
     "spec_boolean_initial": ({**SPEC, "initial": False}, ["solve"]),
+    "spec_scalar_resolution": ({**SPEC, "resolution": 9}, ["solve"]),
+    "spec_scalar_domain": ({**SPEC, "domain": 5}, ["solve"]),
+    "spec_boolean_s": ({**SPEC, "s": True}, ["solve"]),
+    "spec_string_t_end": ({**SPEC, "t_end": "0.5"}, ["solve"]),
+    "spec_string_dt": ({**SPEC, "dt": "0.01"}, ["solve"]),
+    "spec_nan_s": ({**SPEC, "s": float("nan")}, ["solve"]),
+    "spec_infinite_s": ({**SPEC, "s": float("inf")}, ["solve"]),
+    "fit_json_string_psi": (
+        [{"t": 0.1 * i, "psi": "12", "omega": [1, 1], "H_obs": 0.5 + i} for i in range(3)],
+        ["index", "fit"]),
+    "fit_json_string_t": (
+        [{"t": str(0.1 * i), "psi": [0.2 * i, 0.3 + i * i], "omega": [1, 2], "H_obs": 0.5 + i}
+         for i in range(3)],
+        ["index", "fit"]),
     "fit_empty_file": ("", ["index", "fit"]),
     "fit_header_only": (FIT_HEADER, ["index", "fit"]),
     "fit_too_few_fields": (FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.3,1,1,0.5\n", ["index", "fit"]),
@@ -523,6 +537,10 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, capsys):
     elif isinstance(content, str):  # an observations CSV
         obs = tmp_path / "obs.csv"
         obs.write_text(content)
+        argv = argv + ["--observations", str(obs)]
+    elif isinstance(content, list):  # observation records in JSON
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would reach stderr

@@ -1,9 +1,12 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sustkit.diffusion import (
+    AffineRule,
     NonFiniteFieldError,
     ScalarField,
     ScenarioSpec,
@@ -449,3 +452,131 @@ def test_scenario_from_json_rejects_boolean_rules(tmp_path, field, value):
     ))
     with pytest.raises(ValueError, match=f"unsupported {field} rule"):
         scenario_from_json(path)
+
+
+# -- closed form for affine data against stepping ----------------------------------
+
+
+def test_affine_rule_equals_the_plain_rules_bit_for_bit():
+    # -0.0 marks an omitted term, so the values (signed zeros included) are
+    # those of ``lambda coords, t: s * t`` and ``lambda coords, t: c``.
+    for s in (10.0, -3.5, 0.0, -0.0):
+        for t in (0.0, 0.00225, 7.0):
+            got, want = AffineRule(s=s)((), t), s * t
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    for c in (2.0, -1.25, 0.0, -0.0):
+        for got in (AffineRule(c)((), 0.0), AffineRule(c)((), 3.0), AffineRule(c)(())):
+            assert got == c and math.copysign(1.0, got) == math.copysign(1.0, c)
+    assert AffineRule(1.5, 2.0)((), 0.25) == 2.0
+
+
+def stepped(spec: ScenarioSpec) -> ScenarioSpec:
+    """The same scenario with its rules wrapped in plain callables, which
+    run_scenario steps one FTCS step at a time."""
+    boundary, initial = spec.boundary_rule, spec.initial_rule
+    return replace(spec, boundary_rule=lambda coords, t: boundary(coords, t),
+                   initial_rule=lambda coords: initial(coords))
+
+
+# (domain, resolution, a, s, c, dt as a fraction of the stability bound);
+# at the bound (1.0) the fastest modes have 1 + dt*mu < 0.
+AFFINE_CASES = {
+    "k1_n3": (((0.0, 1.0),), (3,), -0.0, 10.0, 0.0, 1.0),
+    "k1_n31_offset": (((-1.0, 2.0),), (31,), 2.5, -3.0, -1.0, 1.0),
+    "k1_n17_small_dt": (((0.0, 1.0),), (17,), 0.0, 4.0, 1.0, 0.3),
+    "k2_square_fig": (((0.0, 9.0), (0.0, 9.0)), (19, 19), -0.0, 10.0, 0.0, 1.0),
+    "k2_rectangle_offset": (((0.0, 4.0), (0.0, 6.0)), (21, 31), -1.5, 4.0, 3.0, 0.5),
+    "k2_rectangle_n3": (((0.0, 1.0), (0.0, 2.0)), (3, 5), 1.0, -2.0, 1.0, 1.0),
+    "k2_constant": (((0.0, 2.0), (-1.0, 1.0)), (7, 13), 1.25, 0.0, 1.25, 1.0),
+    "k3_cube_negative_s": (((0.0, 1.0),) * 3, (9, 9, 9), -0.0, -2.0, 0.5, 1.0),
+    "k3_box_offset": (((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), (5, 9, 13), 0.25, 7.0, -2.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_closed_form_matches_stepping(case):
+    domain, resolution, a, s, c, dt_fraction = AFFINE_CASES[case]
+    spacings = [(hi - lo) / (n - 1) for (lo, hi), n in zip(domain, resolution)]
+    dt = dt_fraction * stable_dt(spacings)
+    spec = ScenarioSpec(domain=domain, resolution=resolution, boundary_rule=AffineRule(a, s),
+                        initial_rule=AffineRule(c), s=s, t_end=150 * dt, dt=dt)
+    times = [0.0, dt, 7 * dt, 40.4 * dt, 150 * dt]
+    closed, reference = run_scenario(spec, times), run_scenario(stepped(spec), times)
+    boundary = reference[0].boundary_mask()
+    assert np.array_equal(closed[0].values, reference[0].values)
+    for got, want in zip(closed, reference):
+        assert got.time == want.time
+        assert np.array_equal(got.values[boundary], want.values[boundary])
+        scale = float(np.max(np.abs(want.values)))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+        g = a + s * got.time
+        assert got.values.min() >= min(c, a, g) and got.values.max() <= max(c, a, g)
+    if s == 0.0 and c == a:
+        assert all(np.all(f.values == c) for f in closed)
+
+
+def test_affine_closed_form_reaches_full_scale_horizon():
+    # fig4 panel a at t_end = 1000 is about 36 M steps: far past every mode's
+    # decay, so the interior is the steady offset s * w with -lap w = 1.
+    from sustkit.pavement import figure_scenarios
+
+    spec = figure_scenarios("fig4")[0]
+    final = run_scenario(spec, [spec.t_end])[0]
+    assert final.time == round(spec.t_end / spec.resolved_dt()) * spec.resolved_dt()
+    h = final.spacings[0]
+    core = final.values[1:-1, 1:-1]
+    u = final.values
+    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 4 * core) / h**2
+    # The stencil differences of values near 1e4 over h^2 = 1.2e-4 carry
+    # rounding of about 4e-9 relative to s = 10.
+    assert np.allclose(lap, 10.0, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_affine_non_finite_slope_is_rejected(s):
+    spec = unit_square_spec(boundary=AffineRule(s=s), initial=AffineRule(0.0))
+    with pytest.raises(NonFiniteFieldError):
+        run_scenario(spec, [spec.t_end])
+    base = {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [5, 5], "t_end": 0.1}
+    with pytest.raises(ValueError, match="s must be finite"):
+        scenario_from_json({**base, "s": s})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolution", 9), ("resolution", [9, "9"]), ("domain", 5), ("domain", [[0.0, 1.0], 1.0]),
+    ("domain", [[0.0, 1.0], [0.0, 1.0, 2.0]]), ("domain", [[0.0, 1.0], [0.0, "1"]]),
+    ("s", True), ("s", "10"), ("t_end", "0.5"), ("dt", "0.01"), ("dt", None),
+])
+def test_scenario_from_json_requires_json_numbers(field, value):
+    base = {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [9, 9], "t_end": 0.1}
+    with pytest.raises(ValueError, match=field):
+        scenario_from_json({**base, field: value})
+
+
+def test_json_and_figure_specs_take_the_closed_form():
+    from sustkit.pavement import figure_scenarios
+
+    base = {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [9, 9], "t_end": 0.1}
+    for spec in [scenario_from_json(base), scenario_from_json({**base, "boundary": 2.0}),
+                 *figure_scenarios("fig4"), *figure_scenarios("fig5")]:
+        assert isinstance(spec.boundary_rule, AffineRule)
+        assert isinstance(spec.initial_rule, AffineRule)
+
+
+def test_field_csv_bytes_match_csv_writer(tmp_path):
+    import csv
+    import io
+
+    values = [-0.0, 5e-324, 1.0 / 3.0, 1e16, -2.5e-300, 123456789.125, 0.0, 7.0, 1e300]
+    for k, extents in ((1, (9,)), (2, (3, 3)), (3, (3, 3, 1))):
+        fld = ScalarField(k=k, extents=extents, spacings=(1.0 / 3.0,) * k, origin=(-0.0,) * k,
+                          values=np.array(values).reshape(extents))
+        path = tmp_path / f"k{k}.csv"
+        field_to_csv(fld, path)
+        grids = np.meshgrid(*(fld.axis_coords(a) for a in range(k)), indexing="ij")
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow([f"psi{a + 1}" for a in range(k)] + ["value"])
+        for row in zip(*(g.ravel() for g in grids), fld.values.ravel()):
+            writer.writerow([f"{x:.17g}" for x in row])
+        assert path.read_bytes() == buf.getvalue().encode()
