@@ -179,11 +179,13 @@ def _cmd_index(args) -> int:
         value = index.index_seven_ab(_make_inputs(args, need_k=7))
         print(_fmt(value, args.precision))
     else:  # fit
+        if args.observations is None:
+            raise ValueError("index fit needs --observations")
         result = index.fit_alpha_beta(index.read_observations(args.observations))
         if args.out:
             index.write_fit_report(result, args.out)
         if args.format == "json":
-            print(json.dumps(result.to_json_dict(), sort_keys=True))
+            print(json.dumps(asdict(result), sort_keys=True))
         else:
             print(
                 f"alpha={_fmt(result.alpha, args.precision)} "

@@ -134,14 +134,8 @@ class ScalarField:
         return self.values[tuple(slice(1, -1) for _ in range(self.k))]
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.extents, dtype=bool)
-        for a in range(self.k):
-            idx_lo = [slice(None)] * self.k
-            idx_lo[a] = 0
-            mask[tuple(idx_lo)] = True
-            idx_hi = [slice(None)] * self.k
-            idx_hi[a] = -1
-            mask[tuple(idx_hi)] = True
+        mask = np.ones(self.extents, dtype=bool)
+        mask[tuple(slice(1, -1) for _ in range(self.k))] = False
         return mask
 
 
@@ -158,7 +152,6 @@ class ScenarioSpec:
     resolution: tuple[int, ...]
     boundary_rule: Callable
     initial_rule: Callable
-    s: float = 10.0
     t_end: float = 1.0
     dt: float | str = "auto"
 
@@ -200,10 +193,7 @@ class ScenarioSpec:
             values=np.zeros(self.resolution),
             time=0.0,
         )
-        grids = fld.coordinate_grids()
-        fld.values[...] = np.broadcast_to(
-            np.asarray(self.initial_rule(grids), dtype=float), fld.extents
-        )
+        fld.values[...] = self.initial_rule(fld.coordinate_grids())
         _apply_boundary(fld.values, _boundary_faces(fld), self.boundary_rule, 0.0)
         if not np.all(np.isfinite(fld.values)):
             raise NonFiniteFieldError("initial data is not finite")
@@ -211,34 +201,17 @@ class ScenarioSpec:
 
 
 def _boundary_faces(field: ScalarField):
-    """Precompute (index, coords) for every boundary face of a lattice."""
-    faces = []
-    coords_full = [field.axis_coords(a) for a in range(field.k)]
-    for a in range(field.k):
-        for side, fixed in ((0, field.origin[a]),
-                            (-1, field.origin[a] + field.spacings[a] * (field.extents[a] - 1))):
-            idx = [slice(None)] * field.k
-            idx[a] = side
-            coords = []
-            for b in range(field.k):
-                if b == a:
-                    coords.append(np.asarray(fixed))
-                else:
-                    shape = [1] * (field.k - 1)
-                    shape[b if b < a else b - 1] = field.extents[b]
-                    coords.append(coords_full[b].reshape(shape))
-            faces.append((tuple(idx), tuple(coords)))
-    return faces
+    """(index, coords) for every boundary face of a lattice: the face's
+    index and its slice of each coordinate grid."""
+    grids = field.coordinate_grids()
+    indices = [tuple(side if b == a else slice(None) for b in range(field.k))
+               for a in range(field.k) for side in (0, -1)]
+    return [(idx, tuple(g[idx] for g in grids)) for idx in indices]
 
 
 def _apply_boundary(values: np.ndarray, faces, boundary_rule: Callable, t: float) -> None:
     for idx, coords in faces:
-        val = np.asarray(boundary_rule(coords, t), dtype=float)
-        face = values[idx]
-        if np.ndim(face) == 0:  # k=1: a face is a single point
-            values[idx] = float(val)
-        else:
-            face[...] = np.broadcast_to(val, face.shape)
+        values[idx] = boundary_rule(coords, t)
 
 
 def _interior_laplacian(u: np.ndarray, spacings: Sequence[float]) -> np.ndarray:
@@ -550,7 +523,6 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
         resolution=tuple(resolution),
         boundary_rule=boundary_rule,
         initial_rule=AffineRule(float(initial)),
-        s=float(s),
         t_end=float(t_end),
         dt=dt,
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import riemann_stieltjes as rs
 from .diffusion import _is_number
-from .polynomials import SolutionFamily, check_positive, family_coefficients
+from .polynomials import SolutionFamily, check_positive, family_coefficients, whole_number
 
 #: the seven factor variables of the headline index: (symbol, name, what the
 #: value measures).  Proportions and levels are normalised to [0, 1] by
@@ -74,8 +74,7 @@ class IndexInputs:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got {self.k}")
+        self.k = whole_number("k", self.k, 2)
         self.psi = tuple(float(x) for x in self.psi)
         self.weights = tuple(float(w) for w in self.weights)
         if len(self.psi) != self.k or len(self.weights) != self.k:
@@ -174,9 +173,6 @@ class FitResult:
     beta: float
     residual_norm: float
     n_obs: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 # Rows per block when the fit evaluates its basis columns: bounds the
@@ -334,5 +330,5 @@ def read_observations(path: str | Path) -> Observations:
 
 def write_fit_report(result: FitResult, path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, sort_keys=True)
+        json.dump(asdict(result), fh, sort_keys=True)
         fh.write("\n")

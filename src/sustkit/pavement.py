@@ -3,9 +3,7 @@ reductions and the two demonstration figure scenarios.
 
 The embedded design table covers eight mixes (layer thicknesses in mm,
 resilient modulus of the base in MPa).  Mr values are carried as metadata
-only; no formula links them to the index.  The design context (20 msa
-traffic; 30 MPa subgrade in the narrative vs 50 MPa in the table note) is
-recorded in :data:`DESIGN_NOTES` and not used in any computation.
+only; no formula links them to the index.
 """
 
 from __future__ import annotations
@@ -18,13 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .diffusion import AffineRule, ScenarioSpec, field_to_csv, run_scenario
-
-DESIGN_NOTES = {
-    "design_traffic_msa": 20,
-    "subgrade_mr_mpa_narrative": 30,
-    "subgrade_mr_mpa_table_note": 50,
-    "layer_mr_mpa": {"subbase": 250, "drainage": 450, "ac": 3000},
-}
+from .polynomials import whole_number
 
 
 class MixTableError(ValueError):
@@ -65,42 +57,6 @@ class MixDesign:
             layers["drainage"] = self.drainage_mm
         return layers
 
-
-@dataclass(frozen=True)
-class VariableRange:
-    """Name, description and admissible values of one design variable."""
-
-    name: str
-    description: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError(f"{self.name}: empty value list")
-
-
-DESIGN_VARIABLES = (
-    VariableRange(
-        "RAP",
-        "reclaimed asphalt pavement material, milled from distressed pavements",
-        (50.0, 60.0, 80.0),
-    ),
-    VariableRange(
-        "VA",
-        "natural virgin aggregates used for road construction",
-        (50.0, 40.0, 20.0),
-    ),
-    VariableRange(
-        "FA",
-        "fly ash from coal combustion in power plants",
-        (20.0, 30.0),
-    ),
-    VariableRange(
-        "Mr",
-        "resilient modulus, stiffness parameter for layer thickness design",
-        (350.0, 1350.0),  # range endpoints
-    ),
-)
 
 # label, ac, drainage (None = no layer), subbase, base, total, base Mr, reference
 _MIX_ROWS = (
@@ -242,7 +198,9 @@ def figure_scenarios(
 ) -> list[ScenarioSpec]:
     """The four panels of one demonstration figure as solver scenarios:
     H = 0 initially and H = s*t on every boundary edge.  fig4 uses the
-    symmetric square domains, fig5 the asymmetric rectangles."""
+    symmetric square domains, fig5 the asymmetric rectangles.
+    ``resolution`` (points on the longest axis) must be at least 3."""
+    resolution = whole_number("resolution", resolution, 3)
     if which == "fig4":
         domains = FIG4_DOMAINS
     elif which == "fig5":
@@ -255,7 +213,6 @@ def figure_scenarios(
             resolution=_panel_resolution(dom, resolution),
             boundary_rule=AffineRule(s=s),
             initial_rule=AffineRule(0.0),
-            s=s,
             t_end=t_end,
             dt="auto",
         )
@@ -277,12 +234,14 @@ def run_demo_figures(
     runs.
 
     With ``normalized`` an additional grid divided by s*t is written for
-    every snapshot with t > 0.
+    every snapshot with t > 0, so ``s`` must then be nonzero.
     """
+    if normalized and s == 0:
+        raise ValueError("normalized grids are divided by s*t, so they need s != 0")
+    specs = figure_scenarios(which, resolution=resolution, s=s, t_end=t_end)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     times = [0.0, t_end] if snapshot_times is None else [float(t) for t in snapshot_times]
-    specs = figure_scenarios(which, resolution=resolution, s=s, t_end=t_end)
     manifest = {
         "figure": which,
         "s": s,

@@ -22,8 +22,8 @@ Polynomials have value semantics; all operations are pure and reentrant.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -40,9 +40,8 @@ T = 0  # variable id of t; psi_i has id i (1-based)
 
 FAMILY_VARIANTS = ("T1a", "T1b", "T2a", "T2b", "C_ab", "T3w", "C1w", "C2w_ab")
 
-# Families split by which model they solve.
+# The families solving the diffusion model; the rest solve the interaction model.
 DIFFUSION_FAMILIES = ("T1a", "T1b")
-INTERACTION_FAMILIES = ("T2a", "T2b", "C_ab", "T3w", "C1w", "C2w_ab")
 
 _NEEDS_WEIGHTS = ("T3w", "C1w", "C2w_ab")
 _NEEDS_ALPHA_BETA = ("C_ab", "C2w_ab")
@@ -84,25 +83,6 @@ class SparsePolynomial:
             else:
                 clean[key] = c
         self.terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "SparsePolynomial":
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, value: float, arity: int) -> "SparsePolynomial":
-        return cls(arity, {tuple([0] * (arity + 1)): value})
-
-    @classmethod
-    def variable(cls, var: int, arity: int) -> "SparsePolynomial":
-        """The monomial t (var=0) or psi_var (1-based)."""
-        if not 0 <= var <= arity:
-            raise ValueError(f"variable id {var} out of range for arity {arity}")
-        exps = [0] * (arity + 1)
-        exps[var] = 1
-        return cls(arity, {tuple(exps): 1.0})
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coefficient: float) -> "SparsePolynomial":
@@ -192,9 +172,6 @@ class SparsePolynomial:
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"SparsePolynomial(arity={self.arity}, 0)"
@@ -206,30 +183,13 @@ class SparsePolynomial:
             bits.append(f"{c:g}*" + "*".join(names) if names else f"{c:g}")
         return f"SparsePolynomial(arity={self.arity}, {' + '.join(bits)})"
 
-    # -- JSON round trip (golden-file friendly) ------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "terms": [
-                {"exponents": list(e), "coefficient": self.terms[e]}
-                for e in sorted(self.terms)
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePolynomial":
+        """Read ``{"arity": k, "terms": [{"exponents": [...], "coefficient": c}]}``."""
         return cls(
             data["arity"],
             {tuple(t["exponents"]): t["coefficient"] for t in data["terms"]},
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "SparsePolynomial":
-        return cls.from_json_dict(json.loads(s))
 
 
 def check_positive(name: str, values: Iterable[float]) -> None:
@@ -238,6 +198,16 @@ def check_positive(name: str, values: Iterable[float]) -> None:
     for v in values:
         if not (v > 0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int, rejected with ValueError unless it is a whole
+    number of at least ``minimum`` (a whole-valued float counts; NaN, inf
+    and bool do not)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and value >= minimum and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -269,8 +239,7 @@ class SolutionFamily:
         if self.variant not in FAMILY_VARIANTS:
             raise ValueError(f"unknown family variant {self.variant!r}")
         min_k = 1 if self.variant in DIFFUSION_FAMILIES else 2
-        if self.k < min_k:
-            raise ValueError(f"{self.variant} needs k >= {min_k}, got {self.k}")
+        object.__setattr__(self, "k", whole_number(f"{self.variant} k", self.k, min_k))
         if self.variant in _NEEDS_ALPHA_BETA:
             if self.alpha is None or self.beta is None:
                 raise ValueError(f"{self.variant} needs alpha and beta")

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import check_positive
+from .polynomials import check_positive, whole_number
 
 TAG_RULES = ("left", "right", "midpoint")
 
@@ -38,6 +38,9 @@ MAX_REFINEMENTS = 24
 MIN_REFINEMENTS = 6
 
 _DOMAIN_TOL = 1e-12
+
+#: rounding slack in the variation lower bound: it holds when lhs >= rhs - this
+BOUND_TOLERANCE = 1e-9
 
 
 class DomainMismatchError(ValueError):
@@ -133,27 +136,28 @@ class WeightFunction:
     @classmethod
     def from_csv(cls, path: str | Path, label: str | None = None) -> "WeightFunction":
         """Load a function from a two-column CSV (x, value); linear
-        interpolation between samples.  A single header row is tolerated."""
+        interpolation between samples.  Line 1 may be a header (a row that
+        is not all numbers) and blank lines are skipped; every other row
+        must be exactly two numbers."""
         path = Path(path)
-        xs: list[float] = []
-        ys: list[float] = []
+        samples: list[list[float]] = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if len(row) < 2:
-                    continue
+            for line_no, row in enumerate(csv.reader(fh), start=1):
                 try:
-                    x, y = float(row[0]), float(row[1])
+                    values = [float(v) for v in row]
                 except ValueError:
-                    if xs:
-                        raise ValueError(f"malformed row {row!r} in {path}")
-                    continue  # header
-                xs.append(x)
-                ys.append(y)
-        if len(xs) < 2:
+                    if line_no == 1:
+                        continue  # header
+                    values = []
+                if len(values) == 2:
+                    samples.append(values)
+                elif row:  # a blank line has no fields
+                    raise ValueError(f"{path}, line {line_no}: expected two numbers x,value, "
+                                     f"got {row!r}")
+        if len(samples) < 2:
             raise ValueError(f"{path}: need at least two samples")
-        order = np.argsort(xs, kind="stable")
-        x_arr = np.asarray(xs, dtype=float)[order]
-        y_arr = np.asarray(ys, dtype=float)[order]
+        table = np.asarray(samples)
+        x_arr, y_arr = table[np.argsort(table[:, 0], kind="stable")].T
         if np.any(np.diff(x_arr) <= 0):
             raise ValueError(f"{path}: sample abscissae must be strictly increasing")
         return cls(
@@ -202,6 +206,11 @@ def _finite_or_raise(vals: np.ndarray, role: str) -> np.ndarray:
     return vals
 
 
+def _check_interval(lo, hi) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+
+
 def make_uniform_partition(
     lo: float,
     hi: float,
@@ -210,10 +219,8 @@ def make_uniform_partition(
     region_id: int | None = None,
 ) -> TaggedPartition:
     """Uniform n-interval tagged partition of [lo, hi]."""
-    if n < 1:
-        raise ValueError(f"need at least one subinterval, got n={n}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    n = whole_number("n", n, 1)
+    _check_interval(lo, hi)
     if tag_rule not in TAG_RULES:
         raise ValueError(f"tag_rule must be one of {TAG_RULES}, got {tag_rule!r}")
     xs = np.linspace(lo, hi, n + 1)
@@ -241,9 +248,9 @@ def rs_sum(f, omega, partition: TaggedPartition) -> float:
 def _level_sums(f_eval, w_eval, lo: float, hi: float, n: int):
     """Midpoint, left and right R-S sums on the uniform n-interval grid.
 
-    Returns (midpoint_sum, left_sum, right_sum, breakpoints).  Left/right
-    sums reuse the breakpoint evaluations, so the extra cost over the
-    midpoint sum alone is one array evaluation.
+    Returns (midpoint_sum, left_sum, right_sum).  Left/right sums reuse the
+    breakpoint evaluations, so the extra cost over the midpoint sum alone is
+    one array evaluation.
     """
     xs = np.linspace(lo, hi, n + 1)
     wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
@@ -254,15 +261,13 @@ def _level_sums(f_eval, w_eval, lo: float, hi: float, n: int):
         float(np.dot(f_mid, dw)),
         float(np.dot(f_nodes[:-1], dw)),
         float(np.dot(f_nodes[1:], dw)),
-        xs,
     )
 
 
 def _check_refinement(lo, hi, max_refinements, **tolerances) -> None:
     """Validate the arguments of the dyadic refinements: finite lo < hi,
     positive finite tolerances (eta, tol) and max_refinements >= 1."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    _check_interval(lo, hi)
     for name, value in tolerances.items():
         check_positive(name, (value,))
     if not max_refinements >= 1:
@@ -284,7 +289,7 @@ def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
     prev_mid, spread = None, math.inf
     for level in range(max_refinements + 1):
         n = 1 << level
-        mid, left, right, _ = _level_sums(f_eval, w_eval, lo, hi, n)
+        mid, left, right = _level_sums(f_eval, w_eval, lo, hi, n)
         prev_spread, spread = spread, abs(left - right)
         gap = math.inf if prev_mid is None else abs(mid - prev_mid)
         if level >= min_level and gap < eta and spread < tag_tol:
@@ -389,7 +394,6 @@ def variation_lower_bound_check(
     hi: float,
     eta: float = 1e-6,
     max_refinements: int = MAX_REFINEMENTS,
-    tolerance: float = 1e-9,
 ) -> VariationBoundReport:
     """Check variation(omega) >= |integral F d(omega)| / sup|F| on [lo, hi].
 
@@ -407,22 +411,13 @@ def variation_lower_bound_check(
     lhs = variation_sup(omega, lo, hi, max_refinements)
     w_samples = _finite_or_raise(_eval_on(w_eval, xs), "weight")
     nondecreasing = bool(np.all(np.diff(w_samples) >= -1e-12))
-    if sup_f == 0.0:
-        return VariationBoundReport(
-            lhs=lhs,
-            rhs=0.0,
-            holds=True,
-            sup_f=0.0,
-            integral=integral,
-            sup_f_zero=True,
-            omega_nondecreasing=nondecreasing,
-        )
-    rhs = abs(integral) / sup_f
+    rhs = 0.0 if sup_f == 0.0 else abs(integral) / sup_f
     return VariationBoundReport(
         lhs=lhs,
         rhs=rhs,
-        holds=lhs >= rhs - tolerance,
+        holds=lhs >= rhs - BOUND_TOLERANCE,
         sup_f=sup_f,
         integral=integral,
+        sup_f_zero=sup_f == 0.0,
         omega_nondecreasing=nondecreasing,
     )

@@ -522,13 +522,20 @@ BAD_INPUT = {
     "fit_nan_weight": (
         FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.2,0.3,nan,1,0.5\n0.3,0.1,0.2,1,1,0.4\n",
         ["index", "fit"]),
+    "fit_without_observations": (None, ["index", "fit"]),
+    "figures_normalized_zero_s": (
+        None, ["figures", "--which", "fig4", "--s", "0", "--normalized", "--resolution", "11",
+               "--t-end", "0.01"]),
+    "figures_resolution_one": (None, ["figures", "--which", "fig5", "--resolution", "1"]),
+    "figures_resolution_zero": (None, ["figures", "--which", "fig5", "--resolution", "0"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, capsys):
+def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, capsys, monkeypatch):
     import warnings
 
+    monkeypatch.chdir(tmp_path)  # where a figures case would write its grids
     content, argv = BAD_INPUT[case]
     if isinstance(content, dict):  # a scenario spec
         spec = tmp_path / "spec.json"

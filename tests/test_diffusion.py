@@ -499,7 +499,7 @@ def test_affine_closed_form_matches_stepping(case):
     spacings = [(hi - lo) / (n - 1) for (lo, hi), n in zip(domain, resolution)]
     dt = dt_fraction * stable_dt(spacings)
     spec = ScenarioSpec(domain=domain, resolution=resolution, boundary_rule=AffineRule(a, s),
-                        initial_rule=AffineRule(c), s=s, t_end=150 * dt, dt=dt)
+                        initial_rule=AffineRule(c), t_end=150 * dt, dt=dt)
     times = [0.0, dt, 7 * dt, 40.4 * dt, 150 * dt]
     closed, reference = run_scenario(spec, times), run_scenario(stepped(spec), times)
     boundary = reference[0].boundary_mask()

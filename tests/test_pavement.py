@@ -6,7 +6,6 @@ import pytest
 
 from sustkit.pavement import (
     BASELINE_LABEL,
-    DESIGN_VARIABLES,
     MixDesign,
     MixTableError,
     figure_scenarios,
@@ -127,14 +126,6 @@ def test_csv_missing_columns(tmp_path):
         load_mix_table(path)
 
 
-def test_design_variable_ranges():
-    by_name = {v.name: v for v in DESIGN_VARIABLES}
-    assert by_name["RAP"].values == (50.0, 60.0, 80.0)
-    assert by_name["VA"].values == (50.0, 40.0, 20.0)
-    assert by_name["FA"].values == (20.0, 30.0)
-    assert by_name["Mr"].values == (350.0, 1350.0)
-
-
 # -- reductions -------------------------------------------------------------------
 
 
@@ -197,6 +188,19 @@ def test_figure_scenarios_domains():
     ]
     with pytest.raises(ValueError):
         figure_scenarios("fig6")
+
+
+@pytest.mark.parametrize("resolution", [2, 1, 0, -5, 2.5, math.nan])
+def test_figures_reject_resolution_below_three(resolution):
+    with pytest.raises(ValueError, match="resolution must be a whole number >= 3"):
+        figure_scenarios("fig5", resolution=resolution)
+
+
+def test_normalized_figures_need_nonzero_s(tmp_path):
+    with pytest.raises(ValueError, match="s != 0"):
+        run_demo_figures("fig4", tmp_path / "out", resolution=5, s=0.0, t_end=0.01,
+                         normalized=True)
+    assert not (tmp_path / "out").exists()
 
 
 def test_figure_resolution_equalises_spacing():

@@ -330,12 +330,6 @@ def test_verify_solution_families_all_pass():
 # -- serialisation ---------------------------------------------------------------
 
 
-def test_json_round_trip():
-    fam = SolutionFamily("C2w_ab", 3, alpha=1.2, beta=0.8, weights=(0.5, 1.0, 2.0))
-    h = build_solution(fam)
-    assert SparsePolynomial.loads(h.dumps()) == h
-
-
 def test_golden_file_t3w_k3():
     h = build_solution(SolutionFamily("T3w", 3, weights=(0.5, 1.0, 2.0)))
     with open(DATA / "t3w_k3_weights_0.5_1_2.json") as fh:

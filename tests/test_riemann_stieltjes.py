@@ -116,6 +116,31 @@ def test_weight_function_from_csv_rejects_duplicates(tmp_path):
         WeightFunction.from_csv(path)
 
 
+@pytest.mark.parametrize("body, line", [
+    ("x,w\n0,0\n0.5\n1,1\n", 3),  # one field
+    ("x,w\n0,0\n0.5,1,7\n1,1\n", 3),  # an extra field
+    ("x,w\nunits,none\n0,0\n1,1\n", 2),  # a second header row
+    ("0,0\nx,w\n1,1\n", 2),  # a header below line 1
+    ("0,0\n0.5,abc\n1,1\n", 2),
+    ("0.5\n0,0\n1,1\n", 1),  # an all-number line 1 is a data row
+])
+def test_weight_function_from_csv_rejects_bad_rows(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"line {line}: expected two numbers"):
+        WeightFunction.from_csv(path)
+
+
+def test_weight_function_from_csv_header_and_blank_lines(tmp_path):
+    rows = "0,0\r\n\r\n0.5,1\r\n1,1\r\n\r\n"
+    for name, text in (("plain.csv", rows), ("headed.csv", "x,value,note\r\n" + rows)):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        w = WeightFunction.from_csv(path)
+        assert (w.domain_lo, w.domain_hi) == (0.0, 1.0)
+        assert w(np.array([0.25, 0.75])).tolist() == [0.5, 1.0]
+
+
 # -- Riemann-Stieltjes sums --------------------------------------------------------
 
 
