@@ -51,6 +51,16 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.replace(",", " ").split()]
 
 
+def _number_option(args, name: str, kind=float):
+    """Parse a numeric ``rs`` option: a malformed number exits 1, not argparse's 2."""
+    text = getattr(args, name)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "a whole number" if kind is int else "a number"
+        raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {text!r}") from None
+
+
 def _default_outdir() -> str:
     return os.environ.get(OUTPUT_DIR_ENV, ".")
 
@@ -76,28 +86,28 @@ def _cmd_verify_solutions(args) -> int:
 
 
 def _cmd_rs(args) -> int:
+    lo, hi, eta = (_number_option(args, name) for name in ("lo", "hi", "eta"))
+    max_refinements = _number_option(args, "max_refinements", int)
     f = _function_arg(args.f)
     omega = _function_arg(args.omega)
     if args.verb == "sum":
         if args.n is None:
             raise ValueError("rs sum needs --n (number of subintervals)")
-        p = rs.make_uniform_partition(args.lo, args.hi, args.n, args.tag_rule)
+        p = rs.make_uniform_partition(lo, hi, args.n, args.tag_rule)
         print(_fmt(rs.rs_sum(f, omega, p), args.precision))
     elif args.verb == "integrate":
-        value = rs.rs_integrate(
-            f, omega, args.lo, args.hi, eta=args.eta, max_refinements=args.max_refinements
-        )
+        value = rs.rs_integrate(f, omega, lo, hi, eta=eta, max_refinements=max_refinements)
         print(_fmt(value, args.precision))
     elif args.verb == "variation":
         if args.n is not None:
-            p = rs.make_uniform_partition(args.lo, args.hi, args.n, args.tag_rule)
+            p = rs.make_uniform_partition(lo, hi, args.n, args.tag_rule)
             value = rs.total_variation(omega, p)
         else:
-            value = rs.variation_sup(omega, args.lo, args.hi, args.max_refinements)
+            value = rs.variation_sup(omega, lo, hi, max_refinements)
         print(_fmt(value, args.precision))
     else:  # bound
         report = rs.variation_lower_bound_check(
-            f, omega, args.lo, args.hi, eta=args.eta, max_refinements=args.max_refinements
+            f, omega, lo, hi, eta=eta, max_refinements=max_refinements
         )
         if args.format == "json":
             print(json.dumps(asdict(report), sort_keys=True))
@@ -243,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("verb", choices=("sum", "integrate", "variation", "bound"))
     p.add_argument("--f", default="1", help="integrand expression or table:FILE")
     p.add_argument("--omega", required=True, help="weight expression or table:FILE")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--lo", required=True)
+    p.add_argument("--hi", required=True)
     p.add_argument("--n", type=int, default=None, help="subintervals (sum/variation)")
     p.add_argument("--tag-rule", choices=rs.TAG_RULES, default="midpoint")
-    p.add_argument("--eta", type=float, default=1e-6)
-    p.add_argument("--max-refinements", type=int, default=rs.MAX_REFINEMENTS)
+    p.add_argument("--eta", default=1e-6)
+    p.add_argument("--max-refinements", default=rs.MAX_REFINEMENTS)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--precision", choices=("default", "full"), default="default")
     p.set_defaults(handler=_cmd_rs)

@@ -37,6 +37,10 @@ MAX_REFINEMENTS = 24
 #: variation of sin over a full period starts at 0 on those grids)
 MIN_REFINEMENTS = 6
 
+#: levels in a row past MIN_REFINEMENTS with a tag spread >= the tag tolerance
+#: and > 3/4 of the level before that end the refinement as non-integrable
+STALL_LEVELS = 8
+
 _DOMAIN_TOL = 1e-12
 
 #: rounding slack in the variation lower bound: it holds when lhs >= rhs - this
@@ -54,13 +58,21 @@ class NonFiniteValueError(ValueError):
 class NonConvergenceError(RuntimeError):
     """Refinement did not settle within the allowed depth.
 
-    The message gives the last midpoint gap and tag spread.  A tag spread
+    ``level`` is the last dyadic level reached, ``gap`` and ``spread`` its
+    midpoint gap and tag spread; the message gives all three.  A tag spread
     that stops decaying signals that the integrand is not Riemann-Stieltjes
     integrable with respect to the weight function (for example when both
     share a discontinuity); a decaying spread with a gap stuck at the
     rounding error of the sums signals an ``eta`` too small for double
     precision.
     """
+
+    def __init__(self, message: str, level: int, gap: float, spread: float):
+        super().__init__(message)
+        self.level, self.gap, self.spread = level, gap, spread
+
+    def __reduce__(self):  # pickling (e.g. out of a worker process) keeps the attributes
+        return type(self), (self.args[0], self.level, self.gap, self.spread)
 
 
 @dataclass(frozen=True)
@@ -120,14 +132,10 @@ class WeightFunction:
         if not (math.isfinite(self.domain_lo) and math.isfinite(self.domain_hi)):
             raise ValueError("domain endpoints must be finite")
         if self.domain_lo >= self.domain_hi:
-            raise ValueError(
-                f"empty domain [{self.domain_lo}, {self.domain_hi}]"
-            )
+            raise ValueError(f"empty domain [{self.domain_lo}, {self.domain_hi}]")
         probe = _eval_on(self.evaluator, np.linspace(self.domain_lo, self.domain_hi, 17))
         if not np.all(np.isfinite(probe)):
-            raise NonFiniteValueError(
-                f"weight function {self.label!r} is not finite on its domain"
-            )
+            raise NonFiniteValueError(f"weight function {self.label!r} is not finite on its domain")
 
     def __call__(self, x):
         out = _eval_on(self.evaluator, x)
@@ -245,37 +253,51 @@ def rs_sum(f, omega, partition: TaggedPartition) -> float:
     return float(np.dot(fv, np.diff(wv)))
 
 
-def _level_sums(f_eval, w_eval, lo: float, hi: float, n: int):
-    """Midpoint, left and right R-S sums on the uniform n-interval grid.
-
-    Returns (midpoint_sum, left_sum, right_sum).  Left/right sums reuse the
-    breakpoint evaluations, so the extra cost over the midpoint sum alone is
-    one array evaluation.
-    """
-    xs = np.linspace(lo, hi, n + 1)
-    wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
-    dw = np.diff(wv)
-    f_nodes = _finite_or_raise(_eval_on(f_eval, xs), "integrand")
-    f_mid = _finite_or_raise(_eval_on(f_eval, 0.5 * (xs[:-1] + xs[1:])), "integrand")
-    return (
-        float(np.dot(f_mid, dw)),
-        float(np.dot(f_nodes[:-1], dw)),
-        float(np.dot(f_nodes[1:], dw)),
-    )
+def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    out = np.empty(nodes.size + mids.size)
+    out[0::2], out[1::2] = nodes, mids
+    return out
 
 
-def _check_refinement(lo, hi, max_refinements, **tolerances) -> None:
-    """Validate the arguments of the dyadic refinements: finite lo < hi,
-    positive finite tolerances (eta, tol) and max_refinements >= 1."""
+def _dyadic_levels(w_eval, f_eval, lo: float, hi: float, max_refinements: int):
+    """Yield (level, w_nodes, f_nodes, f_mids) for level = 0..max_refinements
+    (f arrays None when f_eval is None).  Node j is lo + j*(hi-lo)/2**level, the
+    last hi, so a level's nodes are the last level's nodes and midpoints, bit for
+    bit: it evaluates the weight at those midpoints and the integrand at its own."""
+    w_nodes = _finite_or_raise(_eval_on(w_eval, np.array([lo, hi])), "weight")
+    f_nodes = f_mids = None
+    if f_eval is not None:
+        f_nodes = _finite_or_raise(_eval_on(f_eval, np.array([lo, hi])), "integrand")
+    for level in range(max_refinements + 1):
+        if level:
+            w_nodes = _interleave(w_nodes, _finite_or_raise(_eval_on(w_eval, mids), "weight"))
+            f_nodes = None if f_eval is None else _interleave(f_nodes, f_mids)
+        mids = lo + np.arange(1.0, 2 << level, 2.0) * ((hi - lo) / (2 << level))
+        if f_eval is not None:
+            f_mids = _finite_or_raise(_eval_on(f_eval, mids), "integrand")
+        yield level, w_nodes, f_nodes, f_mids
+
+
+def _tagged_sums(w_nodes, f_nodes, f_mids):
+    """Midpoint, left and right R-S sums of one level."""
+    dw = np.diff(w_nodes)
+    return tuple(float(np.dot(f_tags, dw)) for f_tags in (f_mids, f_nodes[:-1], f_nodes[1:]))
+
+
+def _check_refinement(lo, hi, max_refinements, **tolerances) -> int:
+    """Validate finite lo < hi, positive finite tolerances (eta, tol) and
+    max_refinements >= 1; return the first level that may count as converged."""
     _check_interval(lo, hi)
     for name, value in tolerances.items():
         check_positive(name, (value,))
     if not max_refinements >= 1:
         raise ValueError(f"max_refinements must be at least 1, got {max_refinements!r}")
+    return min(MIN_REFINEMENTS, max(1, max_refinements - 1))
 
 
 def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
-    _check_refinement(lo, hi, max_refinements, eta=eta)
+    """The integral and the (w_nodes, f_nodes, f_mids) of its last level."""
+    min_level = _check_refinement(lo, hi, max_refinements, eta=eta)
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
 
@@ -284,28 +306,35 @@ def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
     # criteria on the same grid scale.  A pair whose tag spread never decays
     # (e.g. integrand and weight sharing a jump) is reported non-integrable.
     tag_tol = max(eta, math.sqrt(eta))
-    min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
 
-    prev_mid, spread = None, math.inf
-    for level in range(max_refinements + 1):
-        n = 1 << level
-        mid, left, right = _level_sums(f_eval, w_eval, lo, hi, n)
+    prev_mid, spread, stalled = None, math.inf, 0
+    for level, *arrays in _dyadic_levels(w_eval, f_eval, lo, hi, max_refinements):
+        mid, left, right = _tagged_sums(*arrays)
         prev_spread, spread = spread, abs(left - right)
         gap = math.inf if prev_mid is None else abs(mid - prev_mid)
         if level >= min_level and gap < eta and spread < tag_tol:
-            return mid, n
+            return mid, arrays
+        # An integrable pair's tag spread falls like O(h), halving per level.
+        decaying = spread < tag_tol or spread <= 0.75 * prev_spread
+        stalled = 0 if decaying or level <= min_level else stalled + 1
+        if stalled == STALL_LEVELS:
+            break
         prev_mid = mid
-    # An integrable pair's tag spread falls like O(h), halving per level.
-    if spread < tag_tol or spread <= 0.75 * prev_spread:
+    if decaying:
         cause = ("the sums are still converging: raise eta or max_refinements "
                  "(an eta below the rounding error of the sums is never reached)")
     else:
         cause = ("the tag spread is not decaying: the integrand may not be integrable "
                  "against this weight (e.g. shared discontinuity)")
+    if stalled == STALL_LEVELS:
+        limit = MIN_REFINEMENTS + STALL_LEVELS
+        cause += (f"; stopped after {STALL_LEVELS} levels without decay, so jumps closer than "
+                  f"(hi-lo)/2^{limit} = {(hi - lo) / 2**limit:.3g} are taken for a shared jump")
     raise NonConvergenceError(
-        f"Riemann-Stieltjes refinement did not converge to eta={eta} within "
-        f"{max_refinements} dyadic refinements: last midpoint gap {gap:.3g}, "
-        f"tag spread {spread:.3g} (tag tolerance {tag_tol:.3g}); {cause}"
+        f"Riemann-Stieltjes refinement did not converge to eta={eta} by dyadic "
+        f"level {level}: last midpoint gap {gap:.3g}, tag spread {spread:.3g} "
+        f"(tag tolerance {tag_tol:.3g}); {cause}",
+        level, gap, spread,
     )
 
 
@@ -324,7 +353,8 @@ def rs_integrate(
     and the left/right tag choice moves the sum by less than
     ``max(eta, sqrt(eta))``; the second check rejects pairs that are not
     integrable (a shared jump keeps the tag spread from decaying).  Raises
-    :class:`NonConvergenceError` when the cap is hit first.
+    :class:`NonConvergenceError` when the cap is hit first or the tag spread
+    stalls for ``STALL_LEVELS`` levels (jumps closer than (hi-lo)/2**14 look shared).
     """
     value, _ = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
     return value
@@ -353,14 +383,11 @@ def variation_sup(
     cap is reached) and the largest sum is returned.  The estimate is a
     lower bound on the true variation.
     """
-    _check_refinement(lo, hi, max_refinements, tol=tol)
+    min_level = _check_refinement(lo, hi, max_refinements, tol=tol)
     w_eval = _as_callable(omega, lo, hi, "weight")
-    min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
     prev = None
-    for level in range(max_refinements + 1):
-        xs = np.linspace(lo, hi, (1 << level) + 1)
-        wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
-        cur = float(np.sum(np.abs(np.diff(wv))))
+    for level, w_nodes, _, _ in _dyadic_levels(w_eval, None, lo, hi, max_refinements):
+        cur = float(np.sum(np.abs(np.diff(w_nodes))))
         if level >= min_level and prev is not None and cur - prev < tol:
             return cur
         prev = cur
@@ -402,15 +429,10 @@ def variation_lower_bound_check(
     is 0 the bound is vacuous: rhs is defined as 0 and the report is
     flagged instead of raising.
     """
-    f_eval = _as_callable(f, lo, hi, "integrand")
-    w_eval = _as_callable(omega, lo, hi, "weight")
-    integral, n_final = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
-    xs = np.linspace(lo, hi, n_final + 1)
-    grid = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
-    sup_f = float(np.max(np.abs(_finite_or_raise(_eval_on(f_eval, grid), "integrand"))))
+    integral, (w_nodes, *f_tags) = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
+    sup_f = float(max(np.max(np.abs(f_values)) for f_values in f_tags))
     lhs = variation_sup(omega, lo, hi, max_refinements)
-    w_samples = _finite_or_raise(_eval_on(w_eval, xs), "weight")
-    nondecreasing = bool(np.all(np.diff(w_samples) >= -1e-12))
+    nondecreasing = bool(np.all(np.diff(w_nodes) >= -1e-12))
     rhs = 0.0 if sup_f == 0.0 else abs(integral) / sup_f
     return VariationBoundReport(
         lhs=lhs,

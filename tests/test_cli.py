@@ -1,12 +1,17 @@
+import contextlib
 import filecmp
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from sustkit.cli import main
@@ -531,10 +536,20 @@ BAD_INPUT = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, capsys, monkeypatch):
-    import warnings
+def _assert_exits_one_with_error_line(argv):
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")  # a warning would reach stderr
+        rc = main(argv)
+    err = stderr.getvalue()
+    assert rc == 1, argv
+    assert err.startswith("error:"), (argv, err)
+    assert "Traceback" not in err
+    assert err.count("\n") == 1, (argv, err)
 
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where a figures case would write its grids
     content, argv = BAD_INPUT[case]
     if isinstance(content, dict):  # a scenario spec
@@ -549,11 +564,44 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, capsys, monkeyp
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning would reach stderr
-        rc = main(argv)
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-    assert err.count("\n") == 1
+    _assert_exits_one_with_error_line(argv)
+
+
+def _parses(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+NON_FINITE_TEXT = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
+NOT_A_NUMBER = st.text(max_size=8).filter(lambda t: not _parses(float, t))
+BAD_ETA = st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER, st.sampled_from(["0", "-0", "0.0"]),
+                    st.floats(max_value=0.0, allow_nan=False).map(repr))
+BAD_INTERVAL = st.one_of(
+    # lo >= hi
+    st.tuples(st.floats(-1e300, 1e300), st.floats(0.0, 1e300)).map(
+        lambda p: (repr(p[0]), repr(p[0] - p[1]))),
+    st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER).map(lambda v: (v, "1")),
+    st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER).map(lambda v: ("0", v)),
+)
+BAD_REFINEMENTS = st.one_of(
+    NON_FINITE_TEXT, st.integers(max_value=0).map(str),
+    st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr),
+    st.text(max_size=8).filter(lambda t: not _parses(int, t)),
+)
+RS_VERBS = st.sampled_from(["integrate", "variation", "bound"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    # eta is read by integrate and bound only
+    st.tuples(st.sampled_from(["integrate", "bound"]), BAD_ETA.map(lambda v: [f"--eta={v}"])),
+    st.tuples(RS_VERBS, BAD_INTERVAL.map(lambda p: [f"--lo={p[0]}", f"--hi={p[1]}"])),
+    st.tuples(RS_VERBS, BAD_REFINEMENTS.map(lambda v: [f"--max-refinements={v}"])),
+))
+def test_cli_rs_drawn_bad_numbers_exit_one(case):
+    verb, options = case
+    _assert_exits_one_with_error_line(
+        ["rs", verb, "--f", "x", "--omega", "x^2", "--lo=0", "--hi=1", *options])

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -7,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sustkit.expressions import compile_expression
 from sustkit.riemann_stieltjes import (
+    MIN_REFINEMENTS,
+    STALL_LEVELS,
     DomainMismatchError,
     NonConvergenceError,
     NonFiniteValueError,
     TaggedPartition,
     WeightFunction,
+    _as_callable,
+    _dyadic_levels,
+    _eval_on,
+    _finite_or_raise,
+    _rs_integrate_info,
+    _tagged_sums,
     make_uniform_partition,
     rs_integrate,
     rs_sum,
@@ -389,6 +399,18 @@ def test_lower_bound_flags_non_monotone_weight():
     assert report.holds
 
 
+def test_lower_bound_reads_the_finest_level():
+    # F = 1 telescopes and a constant weight sums to 0, so both pairs stop at
+    # level 6 (h = 1/64), whose midpoints are the odd multiples of 1/128.
+    peak = lambda x: 1.0 - np.abs(np.asarray(x, float) - 1 / 128)  # noqa: E731
+    flat = lambda x: np.full_like(np.asarray(x, float), 2.0)  # noqa: E731
+    assert variation_lower_bound_check(peak, flat, 0.0, 1.0).sup_f == 1.0  # at a midpoint
+    # nondecreasing on the level-5 nodes j/32 but not on the level-6 nodes j/64
+    wiggle = lambda x: x + 0.05 * np.sin(32 * np.pi * np.asarray(x, float))  # noqa: E731
+    one = lambda x: np.ones_like(np.asarray(x, float))  # noqa: E731
+    assert not variation_lower_bound_check(one, wiggle, 0.0, 1.0).omega_nondecreasing
+
+
 def random_bound_case(rng: random.Random):
     """One (polynomial F, piecewise-monotone omega) draw; F kept away from
     the vacuous sup|F| = 0 case, which is tested separately."""
@@ -475,3 +497,193 @@ def test_non_convergence_reports_shared_jump_spread():
     _, spread = _gap_and_spread(str(info.value))
     assert spread == pytest.approx(3.0)
     assert "not be integrable" in str(info.value)
+
+
+def test_non_convergence_names_the_level_reached():
+    with pytest.raises(NonConvergenceError) as info:
+        rs_integrate(_linear(0.1, 1.0), _linear(0.7), -1.3, 4.1, eta=1e-300, max_refinements=8)
+    exc = info.value
+    assert exc.level == 8
+    assert _gap_and_spread(str(exc)) == pytest.approx((exc.gap, exc.spread), rel=5e-3)
+    assert "by dyadic level 8:" in str(exc)
+    assert "2^14" not in str(exc)  # no early stop, so no resolution limit
+    copy = pickle.loads(pickle.dumps(exc))
+    assert (str(copy), copy.level, copy.gap, copy.spread) == (str(exc), 8, exc.gap, exc.spread)
+
+
+# -- nested refinement: evaluation counts and early failure -----------------------------
+
+
+class Counting:
+    """Callable that records how many points each call evaluates."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.fn(x)
+
+
+def test_each_level_evaluates_only_new_points():
+    f, w = Counting(np.exp), Counting(np.sin)
+    seen_f = seen_w = 0
+    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w, f, 0.0, 2.0, 12):
+        if level:
+            assert f.points - seen_f <= 2**level
+            assert w.points - seen_w <= 2 ** (level - 1) + 1
+        seen_f, seen_w = f.points, w.points
+        xs = np.linspace(0.0, 2.0, 2**level + 1)
+        assert np.array_equal(w_nodes, np.sin(xs))
+        assert np.array_equal(f_nodes, np.exp(xs))
+        assert np.allclose(f_mids, np.exp(0.5 * (xs[:-1] + xs[1:])), rtol=1e-15, atol=0)
+    # the finest level's nodes and midpoints, each evaluated once
+    assert f.points == 2**13 + 1
+    assert w.points == 2**12 + 1
+
+
+def test_weight_only_levels_skip_the_integrand():
+    w = Counting(np.cos)
+    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w, None, -1.0, 3.0, 9):
+        assert f_nodes is None and f_mids is None
+        assert np.array_equal(w_nodes, np.cos(np.linspace(-1.0, 3.0, 2**level + 1)))
+    assert w.points == 2**9 + 1
+
+
+def test_shared_jump_fails_early():
+    step = compile_expression("step(x-0.5)")
+    f, w = Counting(step), Counting(step)
+    with pytest.raises(NonConvergenceError) as info:
+        rs_integrate(f, w, 0.0, 1.0)
+    exc = info.value
+    assert exc.level == MIN_REFINEMENTS + STALL_LEVELS == 14
+    assert (exc.gap, exc.spread) == (0.0, 1.0)
+    assert f.points + w.points < 2**16
+    assert "by dyadic level 14:" in str(exc)
+    assert "not be integrable" in str(exc)
+    assert "(hi-lo)/2^14 = 6.1e-05" in str(exc)
+
+
+@pytest.mark.parametrize("distance, integrable", [
+    (2.0**-13, True),
+    (2.0**-14, True),  # resolved at level 14, the last before the stall rule fires
+    (2.0**-16, False),  # closer than (hi-lo)/2^14: taken for a shared jump
+])
+def test_near_jumps_and_the_resolution_limit(distance, integrable):
+    # F jumps at 1/3 and omega at 1/3 + distance; F is 1 at omega's jump.
+    f = lambda x: np.where(np.asarray(x, float) >= 1 / 3, 1.0, 0.0)  # noqa: E731
+    omega = lambda x: np.where(np.asarray(x, float) >= 1 / 3 + distance, 1.0, 0.0)  # noqa: E731
+    if integrable:
+        assert rs_integrate(f, omega, 0.0, 1.0) == 1.0
+    else:
+        with pytest.raises(NonConvergenceError) as info:
+            rs_integrate(f, omega, 0.0, 1.0)
+        assert info.value.level == 14
+        assert "jumps closer than (hi-lo)/2^14" in str(info.value)
+
+
+# -- nested refinement against the per-level reference --------------------------------
+
+
+def _level_sums(f_eval, w_eval, lo, hi, n):
+    """Reference: midpoint, left and right R-S sums on the uniform n-interval
+    grid with every point evaluated afresh, as before levels were nested."""
+    xs = np.linspace(lo, hi, n + 1)
+    wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
+    dw = np.diff(wv)
+    f_nodes = _finite_or_raise(_eval_on(f_eval, xs), "integrand")
+    f_mid = _finite_or_raise(_eval_on(f_eval, 0.5 * (xs[:-1] + xs[1:])), "integrand")
+    return (
+        float(np.dot(f_mid, dw)),
+        float(np.dot(f_nodes[:-1], dw)),
+        float(np.dot(f_nodes[1:], dw)),
+    )
+
+
+def _check_against_reference(name, f, omega, lo, hi, eta=1e-6, max_refinements=24):
+    """Every level the refinement reaches has the reference's sums within
+    1e-13 * sum|f dw|, and the stopping rule applied to the reference sums
+    stops on the same level (or never, when the refinement raised)."""
+    try:
+        _, (w_nodes, _, _) = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
+        reached, converged = (w_nodes.size - 1).bit_length() - 1, True
+    except NonConvergenceError as exc:
+        reached, converged = exc.level, False
+    f_eval = _as_callable(f, lo, hi, "integrand")
+    w_eval = _as_callable(omega, lo, hi, "weight")
+    tag_tol = max(eta, math.sqrt(eta))
+    min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
+    prev_mid, reference_stop = math.inf, None
+    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi, reached):
+        got = _tagged_sums(w_nodes, f_nodes, f_mids)
+        want = _level_sums(f_eval, w_eval, lo, hi, 2**level)
+        abs_dw = np.abs(np.diff(w_nodes))
+        scale = max(np.abs(f_mids) @ abs_dw, np.abs(f_nodes[:-1]) @ abs_dw,
+                    np.abs(f_nodes[1:]) @ abs_dw)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * scale, (name, level, got, want)
+        mid, left, right = want
+        if (reference_stop is None and level >= min_level and abs(mid - prev_mid) < eta
+                and abs(left - right) < tag_tol):
+            reference_stop = level
+        prev_mid = mid
+    assert reference_stop == (reached if converged else None), (name, reached, reference_stop)
+
+
+def test_nested_sums_match_reference_on_suite_pairs(tmp_path):
+    step = lambda x: np.where(np.asarray(x, float) >= 0.5, 1.0, 0.0)  # noqa: E731
+    table = tmp_path / "w.csv"
+    table.write_text("x,value\n0,0\n0.25,2\n0.75,1\n1,3\n")
+    pairs = [
+        ("x_x2", lambda x: x, lambda x: x * x, 0.0, 1.0, 1e-6),
+        ("const_exp", lambda x: np.full_like(np.asarray(x, float), 4.0), np.exp, 0.0, 1.0, 1e-3),
+        ("shared_jump", step, step, 0.0, 1.0, 1e-9, 16),
+        ("jump_smooth", step, lambda x: x, 0.0, 1.0, 1e-4),
+        ("exp_sin", np.exp, np.sin, 0.0, 2.0, 1e-7),
+        ("cubic_quadratic", lambda x: x**3 - x, lambda x: x**2 + 0.5 * x, -1.0, 1.5, 1e-7),
+        ("cos_exp", np.cos, lambda x: np.exp(-x), 0.0, 3.0, 1e-7),
+        ("x_table", lambda x: x, WeightFunction.from_csv(table), 0.0, 1.0, 1e-7),
+        ("oscillatory", lambda x: np.sin(TWO_PI * x), lambda x: np.cos(TWO_PI * x), 0.0, 1.0),
+        ("bound_identity", lambda x: x, lambda x: x, 0.0, 1.0),
+        ("bound_constant_weight", lambda x: x,
+         lambda x: np.full_like(np.asarray(x, float), 2.0), 0.0, 1.0),
+        ("bound_zero_integrand", lambda x: np.zeros_like(np.asarray(x, float)),
+         lambda x: x, 0.0, 1.0),
+        ("bound_sine_weight", lambda x: x, np.sin, 0.0, TWO_PI),
+        ("rounding_floor", _linear(0.1, 1.0), _linear(0.7), -1.3, 4.1, 1e-300, 8),
+        ("jumps_2_and_1.5",
+         lambda x: np.where(np.asarray(x, float) >= 0.5, 2.0, 0.0),
+         lambda x: np.where(np.asarray(x, float) >= 0.5, 1.5, 0.0), 0.0, 1.0, 1e-6, 8),
+    ]
+    rng = random.Random(20240817)  # the draws of test_lower_bound_randomized_suite
+    pairs += [(f"random_{case}", *random_bound_case(rng), 0.0, 1.0) for case in range(100)]
+    for name, *pair in pairs:
+        _check_against_reference(name, *pair)
+
+
+def test_nested_sums_match_reference_on_benchmark_pairs(tmp_path):
+    # the integrand/weight pairs of the benchmark's rs_weights operations,
+    # with the offsets it draws fixed at cf = 0.3, cw = 0.7
+    rng = random.Random(7)
+    xs = [j / 32 for j in range(33)]
+    ys = np.cumsum([0.2] + [rng.uniform(0.5, 2.0) / 32 for _ in xs[1:]]).tolist()
+    table = tmp_path / "weight_table.csv"
+    table.write_text("x,value\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+
+    def scalar_exp(x):
+        if not isinstance(x, float):
+            raise TypeError("scalar input only")
+        return math.exp(x) + 0.3
+
+    pairs = [
+        ("exp_x3", "exp(x) + 0.3", "x^3 + 0.7", 1e-9),
+        ("sin_x2", "sin(2*pi*x) + 0.3", "x^2 + 0.7", 1e-8),
+        ("x2_table", "x^2 + 0.3", WeightFunction.from_csv(table), 1e-8),
+        ("exp_step", "exp(x) + 0.3", "step(x-0.5) + 0.7", 1e-6),
+        ("linear_x2", "50*x + 0.3", "x^2 + 0.7", 1e-6),
+        ("scalar_x2", scalar_exp, "x^2 + 0.7", 1e-8),
+    ]
+    for name, f, omega, eta in pairs:
+        f, omega = (compile_expression(g) if isinstance(g, str) else g for g in (f, omega))
+        _check_against_reference(name, f, omega, 0.0, 1.0, eta)
