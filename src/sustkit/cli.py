@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import diffusion, index, pavement, polynomials
@@ -43,22 +43,22 @@ def _function_arg(text: str):
     return compile_expression(text)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
+def _list_of(kind):
+    """Parser of a comma- or space-separated list; argparse names it in errors."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.replace(",", " ").split()]
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.replace(",", " ").split()]
+_float_list, _int_list = _list_of(float), _list_of(int)
 
 
-def _number_option(args, name: str, kind=float):
-    """Parse a numeric ``rs`` option: a malformed number exits 1, not argparse's 2."""
-    text = getattr(args, name)
-    try:
-        return kind(text)
-    except ValueError:
-        what = "a whole number" if kind is int else "a number"
-        raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {text!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so they exit 1 like every other error."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _default_outdir() -> str:
@@ -86,8 +86,7 @@ def _cmd_verify_solutions(args) -> int:
 
 
 def _cmd_rs(args) -> int:
-    lo, hi, eta = (_number_option(args, name) for name in ("lo", "hi", "eta"))
-    max_refinements = _number_option(args, "max_refinements", int)
+    lo, hi, eta, max_refinements = args.lo, args.hi, args.eta, args.max_refinements
     f = _function_arg(args.f)
     omega = _function_arg(args.omega)
     if args.verb == "sum":
@@ -124,31 +123,16 @@ def _cmd_rs(args) -> int:
 def _cmd_solve(args) -> int:
     spec = diffusion.scenario_from_json(args.spec)
     if args.dt is not None:
-        spec.dt = args.dt
+        spec = replace(spec, dt=args.dt)
     times = args.snapshots if args.snapshots is not None else [spec.t_end]
     fields = diffusion.run_scenario(spec, times)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.spec).stem
-    manifest = {
-        "spec": str(args.spec),
-        "dt": spec.resolved_dt(),
-        "snapshot_note": "snapshots snap to the nearest completed step; dt is not adjusted",
-        "files": [],
-    }
-    for requested, fld in zip(times, fields):
-        name = f"{stem}_t{requested:g}.{args.format}"
-        if args.format == "csv":
-            diffusion.field_to_csv(fld, out / name)
-        else:
-            diffusion.field_to_json(fld, out / name)
-        manifest["files"].append(
-            {"file": name, "time_requested": requested, "time_actual": fld.time}
-        )
-    with open(out / f"{stem}_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(manifest['files'])} snapshot(s) to {out}")
+    files = diffusion.export_snapshots(out, stem, times, fields, args.format)
+    diffusion.write_manifest({"spec": str(args.spec), "dt": spec.resolved_dt(), "files": files},
+                             out / f"{stem}_manifest.json")
+    print(f"wrote {len(files)} snapshot(s) to {out}")
     return 0
 
 
@@ -234,7 +218,7 @@ def _cmd_pavement(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sustkit",
         description="Sustainability-index toolkit: closed-form PDE index "
         "families, Riemann-Stieltjes weights, an explicit diffusion solver "
@@ -253,12 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("verb", choices=("sum", "integrate", "variation", "bound"))
     p.add_argument("--f", default="1", help="integrand expression or table:FILE")
     p.add_argument("--omega", required=True, help="weight expression or table:FILE")
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
+    p.add_argument("--lo", type=float, required=True)
+    p.add_argument("--hi", type=float, required=True)
     p.add_argument("--n", type=int, default=None, help="subintervals (sum/variation)")
     p.add_argument("--tag-rule", choices=rs.TAG_RULES, default="midpoint")
-    p.add_argument("--eta", default=1e-6)
-    p.add_argument("--max-refinements", default=rs.MAX_REFINEMENTS)
+    p.add_argument("--eta", type=float, default=1e-6)
+    p.add_argument("--max-refinements", type=int, default=rs.MAX_REFINEMENTS)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--precision", choices=("default", "full"), default="default")
     p.set_defaults(handler=_cmd_rs)
@@ -314,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except (
         ValueError,

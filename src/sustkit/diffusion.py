@@ -40,6 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import check_interval, check_positive, is_number, whole_number
+
 CFL_SAFETY = 0.9
 
 
@@ -79,8 +81,7 @@ def _checked_dt(dt: float, spacings: Sequence[float]) -> float:
     """``dt`` as a float, rejected unless it is positive, finite and within
     the stability bound for ``spacings``."""
     dt = float(dt)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    check_positive("dt", (dt,))
     bound = stable_dt(spacings)
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
@@ -109,8 +110,9 @@ class ScalarField:
         self.origin = tuple(float(o) for o in self.origin)
         if not (len(self.extents) == len(self.spacings) == len(self.origin) == self.k):
             raise ValueError("extents, spacings and origin must all have length k")
-        if any(h <= 0 for h in self.spacings):
-            raise ValueError("spacings must be positive")
+        check_positive("spacings", self.spacings)
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.shape != self.extents:
             raise ValueError(
@@ -157,17 +159,12 @@ class ScenarioSpec:
 
     def __post_init__(self):
         self.domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
-        if not all(float(n).is_integer() for n in self.resolution):
-            raise ValueError(f"resolution must be whole numbers of points, got {self.resolution}")
-        self.resolution = tuple(int(n) for n in self.resolution)
+        for lo, hi in self.domain:
+            check_interval(lo, hi)
+        self.resolution = tuple(whole_number("resolution", n, 3) for n in self.resolution)
         if len(self.domain) != len(self.resolution):
             raise ValueError("domain and resolution must have equal length")
-        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in self.domain):
-            raise ValueError("each axis needs finite lo < hi")
-        if any(n < 3 for n in self.resolution):
-            raise ValueError("need at least 3 points per axis")
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise ValueError("t_end must be positive and finite")
+        check_positive("t_end", (self.t_end,))
         self.resolved_dt()
 
     @property
@@ -460,6 +457,26 @@ def field_to_json(field: ScalarField, path: str | Path) -> None:
         fh.write("\n")
 
 
+def export_snapshots(out_dir: Path, stem: str, times, fields, fmt: str = "csv") -> list[dict]:
+    """Write each snapshot as ``{stem}_t{requested:g}.{fmt}`` (csv or json)
+    and return its manifest entry: file name, requested and actual time."""
+    write = field_to_csv if fmt == "csv" else field_to_json
+    entries = []
+    for requested, fld in zip(times, fields):
+        name = f"{stem}_t{requested:g}.{fmt}"
+        write(fld, out_dir / name)
+        entries.append({"file": name, "time_requested": requested, "time_actual": fld.time})
+    return entries
+
+
+def write_manifest(manifest: dict, path: str | Path) -> None:
+    """Add the snapshot note to ``manifest`` and write it as indented JSON."""
+    manifest["snapshot_note"] = "snapshots snap to the nearest completed step; dt is not adjusted"
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def field_from_json(path: str | Path) -> ScalarField:
     with open(path) as fh:
         data = json.load(fh)
@@ -471,11 +488,6 @@ def field_from_json(path: str | Path) -> ScalarField:
         values=np.asarray(data["values"], dtype=float).reshape(data["extents"]),
         time=data["time"],
     )
-
-
-def _is_number(value) -> bool:
-    """A JSON number; ``true`` and ``false`` load as bool, a subclass of int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
@@ -497,26 +509,26 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
         raise ValueError(f"scenario spec is missing required fields {missing}")
     domain, resolution = data["domain"], data["resolution"]
     if not (isinstance(domain, (list, tuple)) and all(
-            isinstance(ax, (list, tuple)) and len(ax) == 2 and all(map(_is_number, ax))
+            isinstance(ax, (list, tuple)) and len(ax) == 2 and all(map(is_number, ax))
             for ax in domain)):
         raise ValueError(f"domain must be a list of [lo, hi] number pairs, got {domain!r}")
-    if not (isinstance(resolution, (list, tuple)) and all(map(_is_number, resolution))):
+    if not (isinstance(resolution, (list, tuple)) and all(map(is_number, resolution))):
         raise ValueError(f"resolution must be a list of numbers, got {resolution!r}")
     s, t_end, dt = data.get("s", 10.0), data["t_end"], data.get("dt", "auto")
     for name, value in (("s", s), ("t_end", t_end), ("dt", dt)):
-        if not (_is_number(value) or (name == "dt" and value == "auto")):
+        if not (is_number(value) or (name == "dt" and value == "auto")):
             raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
     boundary = data.get("boundary", "s*t")
     if boundary == "s*t":
         boundary_rule = AffineRule(s=float(s))
-    elif _is_number(boundary):
+    elif is_number(boundary):
         boundary_rule = AffineRule(float(boundary))
     else:
         raise ValueError(f"unsupported boundary rule {boundary!r}")
     initial = data.get("initial", 0.0)
-    if not _is_number(initial):
+    if not is_number(initial):
         raise ValueError(f"unsupported initial rule {initial!r}")
     return ScenarioSpec(
         domain=tuple((lo, hi) for lo, hi in domain),

@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import riemann_stieltjes as rs
-from .diffusion import _is_number
-from .polynomials import SolutionFamily, check_positive, family_coefficients, whole_number
+from ._checks import check_positive, is_number, whole_number
+from .polynomials import SolutionFamily, family_coefficients
 
 #: the seven factor variables of the headline index: (symbol, name, what the
 #: value measures).  Proportions and levels are normalised to [0, 1] by
@@ -307,9 +307,9 @@ def read_observations_json(path: str | Path) -> Observations:
         try:
             t, psi, omega, h_obs = rec["t"], rec["psi"], rec["omega"], rec["H_obs"]
             if not (isinstance(psi, list) and isinstance(omega, list)
-                    and all(map(_is_number, psi + omega))):
+                    and all(map(is_number, psi + omega))):
                 raise ValueError(f"psi and omega must be arrays of numbers, got {psi!r} and {omega!r}")
-            if not (_is_number(t) and _is_number(h_obs)):
+            if not (is_number(t) and is_number(h_obs)):
                 raise ValueError(f"t and H_obs must be numbers, got {t!r} and {h_obs!r}")
             k = len(psi) if i == 0 else k
             if len(psi) != k or len(omega) != k:

@@ -9,14 +9,14 @@ only; no formula links them to the index.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .diffusion import AffineRule, ScenarioSpec, field_to_csv, run_scenario
-from .polynomials import whole_number
+from ._checks import whole_number
+from .diffusion import (AffineRule, ScenarioSpec, export_snapshots, field_to_csv, run_scenario,
+                        write_manifest)
 
 
 class MixTableError(ValueError):
@@ -40,16 +40,16 @@ class MixDesign:
 
     def __post_init__(self):
         layers = self.present_layers()
-        if any(v < 0 for v in layers.values()):
-            raise MixTableError(f"{self.label}: negative layer thickness")
+        if not all(0 <= v < math.inf for v in layers.values()):
+            raise MixTableError(f"{self.label}: layer thicknesses must be finite and >= 0")
         layer_sum = math.fsum(layers.values())
-        if abs(layer_sum - self.total_mm) > 1e-9:
+        if not abs(layer_sum - self.total_mm) <= 1e-9:  # a NaN total fails too
             raise MixTableError(
                 f"{self.label}: layers sum to {layer_sum:g} mm but total is "
                 f"{self.total_mm:g} mm"
             )
-        if not self.base_mr_mpa > 0:
-            raise MixTableError(f"{self.label}: base Mr must be positive")
+        if not 0 < self.base_mr_mpa < math.inf:
+            raise MixTableError(f"{self.label}: base Mr must be positive and finite")
 
     def present_layers(self) -> dict[str, float]:
         layers = {"ac": self.ac_mm, "subbase": self.subbase_mm, "base": self.base_mm}
@@ -248,35 +248,22 @@ def run_demo_figures(
         "t_end": t_end,
         "resolution_longest_axis": resolution,
         "snapshot_times_requested": times,
-        "snapshot_note": "snapshots snap to the nearest completed step; dt is not adjusted",
         "panels": [],
     }
     for label, spec in zip(PANEL_LABELS, specs):
         fields = run_scenario(spec, times)
-        panel = {
+        files = export_snapshots(out, f"{which}_{label}", times, fields)
+        for entry, fld in zip(files, fields):
+            if normalized and fld.time > 0:
+                norm_name = f"{which}_{label}_t{entry['time_requested']:g}_normalized.csv"
+                field_to_csv(replace(fld, values=fld.values / (s * fld.time)), out / norm_name)
+                entry["normalized_file"] = norm_name
+        manifest["panels"].append({
             "label": label,
             "domain": [list(ax) for ax in spec.domain],
             "resolution": list(spec.resolution),
             "dt": spec.resolved_dt(),
-            "files": [],
-        }
-        for requested, fld in zip(times, fields):
-            name = f"{which}_{label}_t{requested:g}.csv"
-            field_to_csv(fld, out / name)
-            entry = {
-                "file": name,
-                "time_requested": requested,
-                "time_actual": fld.time,
-            }
-            if normalized and fld.time > 0:
-                norm = fld.copy()
-                norm.values = norm.values / (s * fld.time)
-                norm_name = f"{which}_{label}_t{requested:g}_normalized.csv"
-                field_to_csv(norm, out / norm_name)
-                entry["normalized_file"] = norm_name
-            panel["files"].append(entry)
-        manifest["panels"].append(panel)
-    with open(out / f"{which}_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            "files": files,
+        })
+    write_manifest(manifest, out / f"{which}_manifest.json")
     return manifest

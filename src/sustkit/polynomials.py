@@ -23,12 +23,13 @@ Polynomials have value semantics; all operations are pure and reentrant.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from ._checks import check_positive, whole_number
 
 # A residual counts as the zero polynomial when every coefficient is below
 # this, relative to max(1, |dH/dt coefficients|) in verify_solution_families.
@@ -190,24 +191,6 @@ class SparsePolynomial:
             data["arity"],
             {tuple(t["exponents"]): t["coefficient"] for t in data["terms"]},
         )
-
-
-def check_positive(name: str, values: Iterable[float]) -> None:
-    """Raise ValueError unless every value is finite and strictly positive
-    (written so that NaN fails)."""
-    for v in values:
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
-def whole_number(name: str, value, minimum: int) -> int:
-    """``value`` as an int, rejected with ValueError unless it is a whole
-    number of at least ``minimum`` (a whole-valued float counts; NaN, inf
-    and bool do not)."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Real) and value >= minimum and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

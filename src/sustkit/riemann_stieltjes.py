@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import check_positive, whole_number
+from ._checks import check_interval, check_positive, whole_number
 
 TAG_RULES = ("left", "right", "midpoint")
 
@@ -129,10 +129,7 @@ class WeightFunction:
     label: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.domain_lo) and math.isfinite(self.domain_hi)):
-            raise ValueError("domain endpoints must be finite")
-        if self.domain_lo >= self.domain_hi:
-            raise ValueError(f"empty domain [{self.domain_lo}, {self.domain_hi}]")
+        check_interval(self.domain_lo, self.domain_hi)
         probe = _eval_on(self.evaluator, np.linspace(self.domain_lo, self.domain_hi, 17))
         if not np.all(np.isfinite(probe)):
             raise NonFiniteValueError(f"weight function {self.label!r} is not finite on its domain")
@@ -214,11 +211,6 @@ def _finite_or_raise(vals: np.ndarray, role: str) -> np.ndarray:
     return vals
 
 
-def _check_interval(lo, hi) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-
-
 def make_uniform_partition(
     lo: float,
     hi: float,
@@ -228,7 +220,7 @@ def make_uniform_partition(
 ) -> TaggedPartition:
     """Uniform n-interval tagged partition of [lo, hi]."""
     n = whole_number("n", n, 1)
-    _check_interval(lo, hi)
+    check_interval(lo, hi)
     if tag_rule not in TAG_RULES:
         raise ValueError(f"tag_rule must be one of {TAG_RULES}, got {tag_rule!r}")
     xs = np.linspace(lo, hi, n + 1)
@@ -284,20 +276,20 @@ def _tagged_sums(w_nodes, f_nodes, f_mids):
     return tuple(float(np.dot(f_tags, dw)) for f_tags in (f_mids, f_nodes[:-1], f_nodes[1:]))
 
 
-def _check_refinement(lo, hi, max_refinements, **tolerances) -> int:
-    """Validate finite lo < hi, positive finite tolerances (eta, tol) and
-    max_refinements >= 1; return the first level that may count as converged."""
-    _check_interval(lo, hi)
+def _check_refinement(lo, hi, max_refinements, **tolerances) -> tuple[int, int]:
+    """Validate finite lo < hi, positive finite tolerances (eta, tol) and a
+    whole max_refinements >= 1; return it as an int with the first level
+    that may count as converged."""
+    check_interval(lo, hi)
     for name, value in tolerances.items():
         check_positive(name, (value,))
-    if not max_refinements >= 1:
-        raise ValueError(f"max_refinements must be at least 1, got {max_refinements!r}")
-    return min(MIN_REFINEMENTS, max(1, max_refinements - 1))
+    max_refinements = whole_number("max_refinements", max_refinements, 1)
+    return max_refinements, min(MIN_REFINEMENTS, max(1, max_refinements - 1))
 
 
 def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
     """The integral and the (w_nodes, f_nodes, f_mids) of its last level."""
-    min_level = _check_refinement(lo, hi, max_refinements, eta=eta)
+    max_refinements, min_level = _check_refinement(lo, hi, max_refinements, eta=eta)
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
 
@@ -383,7 +375,7 @@ def variation_sup(
     cap is reached) and the largest sum is returned.  The estimate is a
     lower bound on the true variation.
     """
-    min_level = _check_refinement(lo, hi, max_refinements, tol=tol)
+    max_refinements, min_level = _check_refinement(lo, hi, max_refinements, tol=tol)
     w_eval = _as_callable(omega, lo, hi, "weight")
     prev = None
     for level, w_nodes, _, _ in _dyadic_levels(w_eval, None, lo, hi, max_refinements):

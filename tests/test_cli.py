@@ -605,3 +605,78 @@ def test_cli_rs_drawn_bad_numbers_exit_one(case):
     verb, options = case
     _assert_exits_one_with_error_line(
         ["rs", verb, "--f", "x", "--omega", "x^2", "--lo=0", "--hi=1", *options])
+
+
+def _bad_whole(minimum):
+    """Texts a whole-number option with this minimum must refuse."""
+    return st.one_of(
+        NON_FINITE_TEXT, st.integers(max_value=minimum - 1).map(str),
+        st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr),
+        st.text(max_size=8).filter(lambda t: not _parses(int, t)),
+    )
+
+
+def _int_list(text):
+    return [int(v) for v in text.replace(",", " ").split()]
+
+
+# the last occurrence of an option wins, so a drawn value overrides these
+FIGURES = ["figures", "--which", "fig5", "--resolution=5", "--t-end=0.01"]
+INDEX_EVAL = ["index", "eval", "--family", "C2w_ab", "--psi", "0.1,0.2", "--alpha=1", "--beta=1"]
+BAD_POSITIVE = BAD_ETA  # non-numbers, NaN, infinities, zero and negatives
+OTHER_VERB_CASES = st.one_of(
+    st.tuples(st.just(["rs", "sum", "--f", "x", "--omega", "x^2", "--lo=0", "--hi=1"]),
+              st.just("--n"), _bad_whole(1)),
+    # the spec's stability bound is 0.9 / (2 * 2 / 0.25^2) = 0.0141
+    st.tuples(st.just(["solve"]), st.just("--dt"),
+              st.one_of(BAD_POSITIVE, st.floats(0.015, 1e300).map(repr))),
+    st.tuples(st.just(FIGURES), st.just("--s"), st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER)),
+    st.tuples(st.just(FIGURES + ["--normalized"]), st.just("--s"),
+              st.sampled_from(["0", "-0", "0.0"])),
+    st.tuples(st.just(FIGURES), st.just("--t-end"), BAD_POSITIVE),
+    st.tuples(st.just(FIGURES), st.just("--resolution"), _bad_whole(3)),
+    st.tuples(st.just(INDEX_EVAL), st.just("--t"), st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER)),
+    st.tuples(st.just(INDEX_EVAL), st.just("--k"), _bad_whole(2)),
+    st.tuples(st.just(INDEX_EVAL), st.just("--alpha"), BAD_POSITIVE),
+    st.tuples(st.just(["verify-solutions"]), st.just("--k"), st.one_of(
+        NON_FINITE_TEXT, st.integers(max_value=1).map(str),
+        st.text(max_size=8).filter(lambda t: not _parses(_int_list, t))).map(lambda v: "2," + v)),
+    st.tuples(st.just(["verify-solutions"]), st.just("--draws"), _bad_whole(1)),
+)
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("drawn")
+    (path / "spec.json").write_text(json.dumps(SPEC))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(OTHER_VERB_CASES)
+def test_cli_other_verbs_drawn_bad_numbers_exit_one(drawn_dir, case):
+    argv, option, value = case
+    if argv[0] == "solve":
+        argv = argv + ["--spec", str(drawn_dir / "spec.json")]
+    if argv[0] in ("solve", "figures"):
+        argv = argv + ["--out", str(drawn_dir / "out")]
+    _assert_exits_one_with_error_line([*argv, f"{option}={value}"])
+
+
+@pytest.mark.parametrize("row", [
+    "nantotal,70,100,100,185,nan,1344,-", "infdrain,70,inf,100,185,inf,1344,-",
+])
+def test_cli_non_finite_mix_row_exits_one(tmp_path, row):
+    table = tmp_path / "mixes.csv"
+    table.write_text("label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference\n"
+                     f"0R:100VA,80,,200,275,555,350,x\n{row}\n")
+    _assert_exits_one_with_error_line(["pavement", "reduction", "--table", str(table)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["rs", "integrate", "--omega", "x", "--lo", "0"],  # --hi missing
+    ["index", "frobnicate"],
+    [],
+])
+def test_cli_usage_errors_exit_one(argv):
+    _assert_exits_one_with_error_line(argv)

@@ -430,7 +430,7 @@ def test_run_scenario_matches_repeated_step_explicit():
 
 
 def test_spec_rejects_fractional_resolution():
-    with pytest.raises(ValueError, match="whole numbers"):
+    with pytest.raises(ValueError, match="resolution must be a whole number >= 3"):
         ScenarioSpec(
             domain=((0.0, 1.0), (0.0, 1.0)),
             resolution=(3.7, 5),
@@ -438,7 +438,7 @@ def test_spec_rejects_fractional_resolution():
             initial_rule=lambda coords: 0.0,
         )
     base = {"domain": [[0.0, 1.0], [0.0, 1.0]], "t_end": 0.1}
-    with pytest.raises(ValueError, match="whole numbers"):
+    with pytest.raises(ValueError, match="resolution must be a whole number >= 3"):
         scenario_from_json({**base, "resolution": [9.5, 9]})
     assert scenario_from_json({**base, "resolution": [9.0, 9]}).resolution == (9, 9)
 

@@ -2,6 +2,7 @@
 fractional counts and out-of-domain numbers are rejected with ValueError
 (or a subclass of it) when the object is built, not later."""
 
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sustkit.diffusion import AffineRule, ScenarioSpec
+from sustkit.diffusion import AffineRule, ScalarField, ScenarioSpec, field_from_json
 from sustkit.index import IndexInputs, index_value
 from sustkit.polynomials import FAMILY_VARIANTS, SolutionFamily, build_solution
-from sustkit.riemann_stieltjes import WeightFunction, make_uniform_partition
+from sustkit.riemann_stieltjes import (WeightFunction, make_uniform_partition, rs_integrate,
+                                      variation_sup)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NON_POSITIVE = st.floats(max_value=0.0)  # zero, negatives and -inf
@@ -159,3 +161,56 @@ def test_uniform_partition_rejects(args):
 
 def test_uniform_partition_normalises_whole_n():
     assert make_uniform_partition(0.0, 1.0, 4.0) == make_uniform_partition(0.0, 1.0, 4)
+
+
+# -- ScalarField -------------------------------------------------------------------
+
+FIELD = dict(k=2, extents=(3, 4), spacings=(0.5, 0.25), origin=(0.0, 1.0))
+
+
+def bad_field():
+    """ScalarField arguments with one spacing NaN, infinite, zero or negative,
+    or one origin coordinate non-finite."""
+    return st.one_of(
+        st.tuples(st.integers(0, 1), st.one_of(NON_FINITE, NON_POSITIVE)).map(
+            lambda p: {"spacings": tuple(p[1] if i == p[0] else 0.5 for i in range(2))}),
+        st.tuples(st.integers(0, 1), NON_FINITE).map(
+            lambda p: {"origin": tuple(p[1] if i == p[0] else 0.0 for i in range(2))}),
+    )
+
+
+@GUARD_SETTINGS
+@given(bad_field())
+def test_scalar_field_rejects(changes):
+    with pytest.raises(ValueError):
+        ScalarField(**{**FIELD, **changes}, values=np.zeros(FIELD["extents"]))
+
+
+@pytest.fixture(scope="module")
+def field_json(tmp_path_factory):
+    return tmp_path_factory.mktemp("field") / "field.json"
+
+
+@GUARD_SETTINGS
+@given(bad_field())
+def test_field_from_json_rejects(field_json, changes):
+    # json writes NaN and Infinity as the non-standard literals it reads back
+    data = {**FIELD, **changes, "time": 0.0, "values": [0.0] * 12}
+    field_json.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        field_from_json(field_json)
+
+
+# -- refinement depth ----------------------------------------------------------------
+
+BAD_DEPTH = st.one_of(st.floats(1.0, 60.0).filter(lambda x: not x.is_integer()),
+                      st.just(math.inf), st.just(True))
+
+
+@GUARD_SETTINGS
+@given(BAD_DEPTH)
+def test_refinement_depth_must_be_whole(depth):
+    with pytest.raises(ValueError, match="max_refinements must be a whole number >= 1"):
+        rs_integrate(lambda x: x, lambda x: x, 0.0, 1.0, max_refinements=depth)
+    with pytest.raises(ValueError, match="max_refinements must be a whole number >= 1"):
+        variation_sup(lambda x: x, 0.0, 1.0, max_refinements=depth)

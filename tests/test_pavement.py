@@ -119,6 +119,20 @@ def test_csv_bad_row_reported_with_line(tmp_path):
         load_mix_table(path)
 
 
+@pytest.mark.parametrize("row", [
+    "nantotal,70,100,100,185,nan,1344,-",  # a NaN total passed the layer-sum test
+    "infdrain,70,inf,100,185,inf,1344,-",  # inf - inf is NaN, so this one did too
+])
+def test_csv_non_finite_row_reported_with_line(tmp_path, row):
+    path = tmp_path / "mixes.csv"
+    path.write_text(
+        "label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference\n"
+        f"0R:100VA,80,,200,275,555,350,x\n{row}\n"
+    )
+    with pytest.raises(MixTableError, match="line 3"):
+        load_mix_table(path)
+
+
 def test_csv_missing_columns(tmp_path):
     path = tmp_path / "mixes.csv"
     path.write_text("label,total_mm\nx,555\n")

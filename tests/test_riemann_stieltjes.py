@@ -448,8 +448,8 @@ def _linear(slope, offset=0.0):
         ({"eta": math.nan}, "eta must be positive and finite"),
         ({"eta": math.inf}, "eta must be positive and finite"),
         ({"eta": 0.0}, "eta must be positive and finite"),
-        ({"max_refinements": 0}, "max_refinements must be at least 1"),
-        ({"max_refinements": -1}, "max_refinements must be at least 1"),
+        ({"max_refinements": 0}, "max_refinements must be a whole number >= 1"),
+        ({"max_refinements": -1}, "max_refinements must be a whole number >= 1"),
         ({"hi": math.inf}, "need finite lo < hi"),
         ({"lo": math.nan}, "need finite lo < hi"),
         ({"hi": 0.0}, "need finite lo < hi"),
