@@ -154,7 +154,7 @@ def _cmd_figures(args) -> int:
 def _make_inputs(args, need_k: int | None = None) -> index.IndexInputs:
     psi = _float_list(args.psi)
     weights = _float_list(args.weights) if args.weights else [1.0] * len(psi)
-    k = need_k if need_k is not None else (args.k if args.k else len(psi))
+    k = need_k if need_k is not None else (args.k if args.k is not None else len(psi))
     return index.IndexInputs(
         k=k,
         t=args.t,

@@ -23,7 +23,8 @@ scalar.  ``lambda coords, t: s * t`` and numpy expressions both qualify.
   each mode and every snapshot is computed directly, without the steps in
   between;
 * **stepping**, for every other callable: one FTCS step at a time,
-  double-buffered (reads the previous level, writes the next).
+  double-buffered (reads the previous level, writes the next), with the
+  scratch arrays of one run allocated once, before its first step.
 
 Both paths snap snapshots to the same steps and write boundary nodes with
 the rule itself.  Scenario runs share no state, so independent runs may
@@ -211,28 +212,40 @@ def _apply_boundary(values: np.ndarray, faces, boundary_rule: Callable, t: float
         values[idx] = boundary_rule(coords, t)
 
 
-def _interior_laplacian(u: np.ndarray, spacings: Sequence[float]) -> np.ndarray:
-    k = u.ndim
-    core = tuple(slice(1, -1) for _ in range(k))
-    lap = np.zeros_like(u[core])
-    for a in range(k):
-        lo = list(core)
-        lo[a] = slice(0, -2)
-        hi = list(core)
-        hi[a] = slice(2, None)
-        lap += (u[tuple(hi)] - 2.0 * u[core] + u[tuple(lo)]) / spacings[a] ** 2
-    return lap
+def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable:
+    """The FTCS step for one run on a lattice of ``extents``.
 
+    The returned ``step(u, out, faces, boundary_rule, dt, t_new)`` writes
+    the successor of ``u`` into ``out`` (a distinct array of the same shape):
+    interior from the discrete Laplacian, then every boundary node from the
+    rule at ``t_new``.  Slices, ``h**2`` and scratch arrays are built here,
+    once per stepper, so a step allocates nothing; each step evaluates
+    ``u + dt * sum_i (u[i+1] - 2u + u[i-1]) / h_i**2`` in that order, with
+    in-place ufuncs.  Steppers share no buffers.
+    """
+    core = (slice(1, -1),) * len(extents)
+    axes = [(core[:a] + (slice(2, None),) + core[a + 1:],
+             core[:a] + (slice(0, -2),) + core[a + 1:],
+             h**2) for a, h in enumerate(spacings)]
+    interior = tuple(n - 2 for n in extents)
+    lap, two, tmp = np.empty(interior), np.empty(interior), np.empty(interior)
+    finite = np.empty(extents, dtype=bool)
 
-def _ftcs_step(u, out, faces, spacings, boundary_rule: Callable, dt: float, t_new: float) -> None:
-    """Write the FTCS successor of ``u`` into ``out`` (a distinct array of
-    the same shape): interior from the discrete Laplacian, then every
-    boundary node from the rule at ``t_new``."""
-    core = tuple(slice(1, -1) for _ in range(u.ndim))
-    out[core] = u[core] + dt * _interior_laplacian(u, spacings)
-    _apply_boundary(out, faces, boundary_rule, t_new)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
+    def step(u, out, faces, boundary_rule: Callable, dt: float, t_new: float) -> None:
+        lap.fill(0.0)
+        np.multiply(u[core], 2.0, out=two)
+        for hi, lo, h2 in axes:
+            np.subtract(u[hi], two, out=tmp)
+            np.add(tmp, u[lo], out=tmp)
+            np.divide(tmp, h2, out=tmp)
+            np.add(lap, tmp, out=lap)
+        np.multiply(lap, dt, out=lap)
+        np.add(u[core], lap, out=out[core])
+        _apply_boundary(out, faces, boundary_rule, t_new)
+        if not np.isfinite(out, out=finite).all():
+            raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
+
+    return step
 
 
 def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> ScalarField:
@@ -248,7 +261,8 @@ def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> Sca
     dt = _checked_dt(dt, field.spacings)
     t_new = field.time + dt
     out = np.empty_like(field.values)
-    _ftcs_step(field.values, out, _boundary_faces(field), field.spacings, boundary_rule, dt, t_new)
+    step = _ftcs_stepper(field.extents, field.spacings)
+    step(field.values, out, _boundary_faces(field), boundary_rule, dt, t_new)
     return replace(field, values=out, time=t_new)
 
 
@@ -296,9 +310,10 @@ def _stepped_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
     stepping from ``field``; ``values`` is a buffer reused by later steps."""
     # Double buffering: each step reads u and overwrites every node of nxt.
     u, nxt = field.values, np.empty_like(field.values)
+    ftcs_step = _ftcs_stepper(field.extents, field.spacings)
     wanted = set(steps)
     for step in range(1, max(steps, default=0) + 1):
-        _ftcs_step(u, nxt, faces, field.spacings, boundary_rule, dt, step * dt)
+        ftcs_step(u, nxt, faces, boundary_rule, dt, step * dt)
         u, nxt = nxt, u
         if step in wanted:
             yield step, u

@@ -236,6 +236,8 @@ def run_demo_figures(
     With ``normalized`` an additional grid divided by s*t is written for
     every snapshot with t > 0, so ``s`` must then be nonzero.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     if normalized and s == 0:
         raise ValueError("normalized grids are divided by s*t, so they need s != 0")
     specs = figure_scenarios(which, resolution=resolution, s=s, t_end=t_end)

@@ -373,6 +373,8 @@ def verify_solution_families(
     """
     rng = random.Random(seed)
     ks = sorted(set(int(k) for k in k_values))
+    if not ks:
+        raise ValueError("k_values must name at least one k")
     if any(k < 2 for k in ks):
         raise ValueError("k_values must all be >= 2")
     if draws < 1:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
@@ -533,6 +533,7 @@ BAD_INPUT = {
                "--t-end", "0.01"]),
     "figures_resolution_one": (None, ["figures", "--which", "fig5", "--resolution", "1"]),
     "figures_resolution_zero": (None, ["figures", "--which", "fig5", "--resolution", "0"]),
+    "verify_empty_k": (None, ["verify-solutions", "--k", ""]),
 }
 
 
@@ -546,6 +547,7 @@ def _assert_exits_one_with_error_line(argv):
     assert err.startswith("error:"), (argv, err)
     assert "Traceback" not in err
     assert err.count("\n") == 1, (argv, err)
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -565,6 +567,15 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
         obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
     _assert_exits_one_with_error_line(argv)
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_cli_figures_non_finite_s_names_s_and_writes_nothing(tmp_path, s):
+    out = tmp_path / "out"
+    err = _assert_exits_one_with_error_line(
+        ["figures", "--which", "fig4", "--resolution", "5", f"--s={s}", "--out", str(out)])
+    assert err.startswith("error: s must be finite")
+    assert not out.exists()
 
 
 def _parses(kind, text):
@@ -654,6 +665,7 @@ def drawn_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(OTHER_VERB_CASES)
+@example((INDEX_EVAL, "--k", "0"))
 def test_cli_other_verbs_drawn_bad_numbers_exit_one(drawn_dir, case):
     argv, option, value = case
     if argv[0] == "solve":

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,12 @@ from sustkit.diffusion import (
     scenario_from_json,
     stable_dt,
     step_explicit,
+)
+from sustkit.diffusion import (
+    _apply_boundary,
+    _boundary_faces,
+    _ftcs_stepper,
+    _stepped_iterates,
 )
 
 
@@ -101,6 +109,196 @@ def test_boundary_nodes_equal_rule_after_step():
     stepped = step_explicit(fld, spec.boundary_rule, dt)
     mask = stepped.boundary_mask()
     assert np.all(stepped.values[mask] == 10.0 * stepped.time)
+
+
+# -- the in-place stepping kernel against the allocating reference -----------------
+
+
+def _interior_laplacian(u, spacings):
+    """Reference: the discrete Laplacian of the interior as computed before
+    the in-place stepper, with fresh arrays for every term."""
+    k = u.ndim
+    core = tuple(slice(1, -1) for _ in range(k))
+    lap = np.zeros_like(u[core])
+    for a in range(k):
+        lo = list(core)
+        lo[a] = slice(0, -2)
+        hi = list(core)
+        hi[a] = slice(2, None)
+        lap += (u[tuple(hi)] - 2.0 * u[core] + u[tuple(lo)]) / spacings[a] ** 2
+    return lap
+
+
+def _reference_step(u, faces, spacings, rule, dt, t_new):
+    """Reference FTCS successor of ``u``: ``u + dt*lap`` inside, the rule on
+    the boundary."""
+    core = tuple(slice(1, -1) for _ in range(u.ndim))
+    out = np.empty_like(u)
+    out[core] = u[core] + dt * _interior_laplacian(u, spacings)
+    _apply_boundary(out, faces, rule, t_new)
+    return out
+
+
+def _bits(values):
+    return values.view(np.int64)
+
+
+def _wavy_rule(coords, t):
+    return sum(np.sin((a + 1.0) * c + t) for a, c in enumerate(coords)) * (1.0 + t)
+
+
+# Non-square lattices, 3-point axes (a one-node interior) and k = 1, 2, 3.
+KERNEL_LATTICES = [
+    ((7,), ((0.0, 1.0),)),
+    ((3,), ((-1.0, 2.0),)),
+    ((9, 5), ((0.0, 1.0), (-1.0, 2.0))),
+    ((3, 6), ((0.0, 0.5), (0.0, 3.0))),
+    ((4, 3, 6), ((0.0, 1.0), (0.0, 0.2), (-2.0, 1.0))),
+    ((3, 3, 3), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))),
+]
+
+
+def _rough_field(extents, domain, seed):
+    """Values over nine decades with signed zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(extents) * 10.0 ** rng.integers(-4, 5, extents)
+    values[rng.random(extents) < 0.15] = -0.0
+    values[rng.random(extents) < 0.15] = 0.0
+    return ScalarField(
+        k=len(extents),
+        extents=extents,
+        spacings=tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(domain, extents)),
+        origin=tuple(lo for lo, _ in domain),
+        values=values,
+    )
+
+
+@pytest.mark.parametrize("dt_factor", [1.0, 0.37], ids=["at_bound", "below_bound"])
+@pytest.mark.parametrize("extents, domain", KERNEL_LATTICES, ids=str)
+def test_stepper_matches_reference_bit_for_bit(extents, domain, dt_factor):
+    fld = _rough_field(extents, domain, seed=sum(extents))
+    faces = _boundary_faces(fld)
+    dt = dt_factor * stable_dt(fld.spacings)
+    step = _ftcs_stepper(fld.extents, fld.spacings)
+    ref, u, out = fld.values.copy(), fld.values.copy(), np.empty_like(fld.values)
+    for n in range(1, 31):
+        ref = _reference_step(ref, faces, fld.spacings, _wavy_rule, dt, n * dt)
+        step(u, out, faces, _wavy_rule, dt, n * dt)
+        assert np.array_equal(_bits(out), _bits(ref)), n
+        u, out = out, u
+    # step_explicit builds its own stepper per call and gives the same bits
+    one = step_explicit(fld, _wavy_rule, dt)
+    assert np.array_equal(
+        _bits(one.values), _bits(_reference_step(fld.values, faces, fld.spacings, _wavy_rule, dt, dt)))
+
+
+@pytest.mark.parametrize("extents, domain", KERNEL_LATTICES, ids=str)
+def test_stepper_keeps_signed_zeros_as_the_reference(extents, domain):
+    fld = _rough_field(extents, domain, seed=1)
+    faces = _boundary_faces(fld)
+    dt = stable_dt(fld.spacings)
+    for fill in (-0.0, 0.0):
+        for rule in (lambda coords, t: -0.0, lambda coords, t: 0.0):
+            u = np.full(fld.extents, fill)
+            u[np.indices(fld.extents).sum(axis=0) % 2 == 1] = -fill  # checkerboard of zeros
+            out = np.empty_like(u)
+            _ftcs_stepper(fld.extents, fld.spacings)(u, out, faces, rule, dt, dt)
+            want = _reference_step(u, faces, fld.spacings, rule, dt, dt)
+            assert np.array_equal(_bits(out), _bits(want))
+
+
+def test_run_scenario_matches_reference_over_200_steps():
+    dt = 2.0**-12
+    spec = ScenarioSpec(
+        domain=((0.0, 1.0), (-1.0, 1.5)),
+        resolution=(17, 26),
+        boundary_rule=_wavy_rule,
+        initial_rule=lambda coords: _wavy_rule(coords, 0.0),
+        t_end=200 * dt,
+        dt=dt,
+    )
+    got = run_scenario(spec, [100 * dt, 200 * dt])
+    fld = spec.initial_field()
+    faces = _boundary_faces(fld)
+    ref = fld.values
+    for n in range(1, 201):
+        ref = _reference_step(ref, faces, fld.spacings, _wavy_rule, dt, n * dt)
+        if n in (100, 200):
+            assert np.array_equal(_bits(got[n // 100 - 1].values), _bits(ref)), n
+
+
+def test_interleaved_runs_share_no_buffers():
+    # Two runs on the same lattice, advanced alternately, each give the
+    # iterates they give when run alone.
+    spec = unit_square_spec(resolution=13)
+    dt = spec.resolved_dt()
+    steps = list(range(1, 41))
+
+    def run(rule, scale):
+        fld = spec.initial_field()
+        fld.values[...] = scale * _rough_field(fld.extents, spec.domain, seed=scale).values
+        return _stepped_iterates(fld, _boundary_faces(fld), rule, dt, steps)
+
+    def slow(coords, t):
+        return np.cos(coords[0] * coords[1] + t)
+
+    alone_a = [values.copy() for _, values in run(_wavy_rule, 1)]
+    alone_b = [values.copy() for _, values in run(slow, 2)]
+    for n, ((_, a), (_, b)) in enumerate(zip(run(_wavy_rule, 1), run(slow, 2))):
+        assert np.array_equal(_bits(a), _bits(alone_a[n]))
+        assert np.array_equal(_bits(b), _bits(alone_b[n]))
+
+
+def test_concurrent_runs_share_no_buffers():
+    # Scenario runs may execute concurrently: four threads stepping the same
+    # lattice, switching every microsecond, each get the run-alone result.
+    def spec_for(shift):
+        return unit_square_spec(
+            resolution=15, t_end=0.02,
+            boundary=lambda coords, t: np.sin(coords[0] + shift * t) + coords[1] * t,
+            initial=lambda coords: shift * coords[0] * coords[1])
+
+    shifts = [1.0, 2.0, 3.0, 4.0]
+    alone = [run_scenario(spec_for(c), [0.02])[0].values for c in shifts]
+    results = [None] * len(shifts)
+
+    def work(i):
+        results[i] = run_scenario(spec_for(shifts[i]), [0.02])[0].values
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(shifts))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, alone):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_overflowing_step_raises_at_the_reference_time():
+    # The boundary jumps to 1e308 after step 5; the next step's differences
+    # over h^2 = 0.01 overflow next to the boundary.
+    def rule(coords, t):
+        return 1e308 if t > 5.5 * dt else 0.0
+
+    spec = unit_square_spec(boundary=rule, initial=lambda coords: 0.0, t_end=0.5)
+    dt = spec.resolved_dt()
+    fld = spec.initial_field()
+    faces = _boundary_faces(fld)
+    ref, n = fld.values, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.all(np.isfinite(ref)):
+            n += 1
+            ref = _reference_step(ref, faces, fld.spacings, rule, dt, n * dt)
+        assert n == 7
+        with pytest.raises(NonFiniteFieldError) as via_run:
+            run_scenario(spec, [spec.t_end])
+    assert str(via_run.value) == f"non-finite values after step to t={n * dt:g}"
 
 
 # -- scenarios --------------------------------------------------------------------

@@ -217,6 +217,13 @@ def test_normalized_figures_need_nonzero_s(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_figures_reject_non_finite_s_before_writing(tmp_path, s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        run_demo_figures("fig4", tmp_path / "out", resolution=5, s=s, t_end=0.01)
+    assert not (tmp_path / "out").exists()
+
+
 def test_figure_resolution_equalises_spacing():
     fig5 = figure_scenarios("fig5", resolution=91)
     for spec in fig5:

@@ -327,6 +327,11 @@ def test_verify_solution_families_all_pass():
     assert all(c.max_residual_coeff > ZERO_TOL for c in uncorrected)
 
 
+def test_verify_solution_families_needs_a_k():
+    with pytest.raises(ValueError, match="at least one k"):
+        verify_solution_families(k_values=())
+
+
 # -- serialisation ---------------------------------------------------------------
 
 
