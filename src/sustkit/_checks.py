@@ -1,39 +1,61 @@
-"""Scalar input checks shared by every constructor, JSON reader and CLI verb.
+"""Number checks shared by every constructor, JSON reader and CLI verb.
 
-Each check raises ValueError naming the input and the bound, and is written
-so that NaN fails it.
+A number is an int or a float, numpy scalars included, but never a bool
+(JSON ``true`` loads as one), a string or None.  Each check raises
+ValueError naming the input, returns the validated value(s) as float (int
+for counts) and is written so that NaN fails it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable
+from typing import Sequence
 
 
 def is_number(value) -> bool:
-    """A JSON number; ``true`` and ``false`` load as bool, a subclass of int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """The one test of what counts as a number (see the module docstring)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_positive(name: str, values: Iterable[float]) -> None:
-    """Raise ValueError unless every value is finite and strictly positive."""
-    for v in values:
-        if not (v > 0 and math.isfinite(v)):
+def _real(value) -> float:
+    """``value`` as a float if it is a number, else NaN, which every check fails."""
+    if type(value) is float:  # the common case, without the ABC check
+        return value
+    try:
+        return float(value) if is_number(value) else math.nan
+    except OverflowError:  # an int beyond the float range
+        return math.inf
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float, rejected unless it is a finite number."""
+    x = _real(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def check_positive(name: str, values: Sequence) -> tuple[float, ...]:
+    """``values`` as floats, rejected unless each is a finite number > 0."""
+    out = tuple(map(_real, values))
+    for v, x in zip(values, out):
+        if not 0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return out
 
 
 def whole_number(name: str, value, minimum: int) -> int:
-    """``value`` as an int, rejected with ValueError unless it is a whole
-    number of at least ``minimum`` (a whole-valued float counts; NaN, inf
-    and bool do not)."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Real) and value >= minimum and float(value).is_integer()):
+    """``value`` as an int, rejected unless a whole number >= ``minimum`` (2.0 counts)."""
+    x = _real(value)
+    if not (x >= minimum and x.is_integer()):
         raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
     return int(value)
 
 
-def check_interval(lo, hi) -> None:
-    """Raise ValueError unless lo and hi are finite and lo < hi."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+def check_interval(lo, hi) -> tuple[float, float]:
+    """``(lo, hi)`` as floats, rejected unless both are finite numbers and lo < hi."""
+    lo_f, hi_f = _real(lo), _real(hi)
+    if not -math.inf < lo_f < hi_f < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    return lo_f, hi_f

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import check_interval, check_positive, is_number, whole_number
+from ._checks import check_interval, check_positive, finite, is_number, whole_number
 
 CFL_SAFETY = 0.9
 
@@ -79,10 +79,9 @@ def stable_dt(spacings: Sequence[float]) -> float:
 
 
 def _checked_dt(dt: float, spacings: Sequence[float]) -> float:
-    """``dt`` as a float, rejected unless it is positive, finite and within
-    the stability bound for ``spacings``."""
-    dt = float(dt)
-    check_positive("dt", (dt,))
+    """``dt`` as a float, rejected unless it is a positive number within the
+    stability bound for ``spacings``."""
+    (dt,) = check_positive("dt", (dt,))
     bound = stable_dt(spacings)
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
@@ -107,18 +106,13 @@ class ScalarField:
 
     def __post_init__(self):
         self.extents = tuple(int(n) for n in self.extents)
-        self.spacings = tuple(float(h) for h in self.spacings)
-        self.origin = tuple(float(o) for o in self.origin)
+        self.spacings = check_positive("spacings", self.spacings)
+        self.origin = tuple(finite("origin", o) for o in self.origin)
         if not (len(self.extents) == len(self.spacings) == len(self.origin) == self.k):
             raise ValueError("extents, spacings and origin must all have length k")
-        check_positive("spacings", self.spacings)
-        if not all(map(math.isfinite, self.origin)):
-            raise ValueError(f"origin must be finite, got {self.origin}")
         self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.shape != self.extents:
-            raise ValueError(
-                f"values shape {self.values.shape} != extents {self.extents}"
-            )
+            raise ValueError(f"values shape {self.values.shape} != extents {self.extents}")
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacings[axis] * np.arange(self.extents[axis])
@@ -159,13 +153,12 @@ class ScenarioSpec:
     dt: float | str = "auto"
 
     def __post_init__(self):
-        self.domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
-        for lo, hi in self.domain:
-            check_interval(lo, hi)
+        self.domain = tuple(check_interval(finite("domain", lo), finite("domain", hi))
+                            for lo, hi in self.domain)
         self.resolution = tuple(whole_number("resolution", n, 3) for n in self.resolution)
         if len(self.domain) != len(self.resolution):
             raise ValueError("domain and resolution must have equal length")
-        check_positive("t_end", (self.t_end,))
+        (self.t_end,) = check_positive("t_end", (self.t_end,))
         self.resolved_dt()
 
     @property
@@ -278,7 +271,7 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     stepped.  Either way the boundary nodes come from the rule and every
     snapshot is checked for non-finite values.
     """
-    snapshot_times = [float(t) for t in snapshot_times]
+    snapshot_times = [finite("snapshot time", t) for t in snapshot_times]
     for t in snapshot_times:
         if not 0.0 <= t <= spec.t_end * (1.0 + 1e-12):
             raise ValueError(f"snapshot time {t} outside [0, {spec.t_end}]")
@@ -414,7 +407,7 @@ def convergence_study(
     for n in resolutions:
         spec = ScenarioSpec(
             domain=domain,
-            resolution=tuple(int(n) for _ in domain),
+            resolution=(n,) * len(domain),
             boundary_rule=manufactured,
             initial_rule=lambda coords: manufactured(coords, 0.0),
             t_end=t_end,
@@ -524,20 +517,14 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
         raise ValueError(f"scenario spec is missing required fields {missing}")
     domain, resolution = data["domain"], data["resolution"]
     if not (isinstance(domain, (list, tuple)) and all(
-            isinstance(ax, (list, tuple)) and len(ax) == 2 and all(map(is_number, ax))
-            for ax in domain)):
-        raise ValueError(f"domain must be a list of [lo, hi] number pairs, got {domain!r}")
-    if not (isinstance(resolution, (list, tuple)) and all(map(is_number, resolution))):
-        raise ValueError(f"resolution must be a list of numbers, got {resolution!r}")
-    s, t_end, dt = data.get("s", 10.0), data["t_end"], data.get("dt", "auto")
-    for name, value in (("s", s), ("t_end", t_end), ("dt", dt)):
-        if not (is_number(value) or (name == "dt" and value == "auto")):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s!r}")
+            isinstance(ax, (list, tuple)) and len(ax) == 2 for ax in domain)):
+        raise ValueError(f"domain must be a list of [lo, hi] pairs, got {domain!r}")
+    if not isinstance(resolution, (list, tuple)):
+        raise ValueError(f"resolution must be a list, got {resolution!r}")
+    s = finite("s", data.get("s", 10.0))
     boundary = data.get("boundary", "s*t")
     if boundary == "s*t":
-        boundary_rule = AffineRule(s=float(s))
+        boundary_rule = AffineRule(s=s)
     elif is_number(boundary):
         boundary_rule = AffineRule(float(boundary))
     else:
@@ -546,10 +533,10 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     if not is_number(initial):
         raise ValueError(f"unsupported initial rule {initial!r}")
     return ScenarioSpec(
-        domain=tuple((lo, hi) for lo, hi in domain),
-        resolution=tuple(resolution),
+        domain=domain,
+        resolution=resolution,
         boundary_rule=boundary_rule,
         initial_rule=AffineRule(float(initial)),
-        t_end=float(t_end),
-        dt=dt,
+        t_end=data["t_end"],
+        dt=data.get("dt", "auto"),
     )

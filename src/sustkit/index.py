@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import riemann_stieltjes as rs
-from ._checks import check_positive, is_number, whole_number
+from ._checks import check_positive, finite, is_number, whole_number
 from .polynomials import SolutionFamily, family_coefficients
 
 #: the seven factor variables of the headline index: (symbol, name, what the
@@ -75,19 +74,13 @@ class IndexInputs:
 
     def __post_init__(self):
         self.k = whole_number("k", self.k, 2)
-        self.psi = tuple(float(x) for x in self.psi)
-        self.weights = tuple(float(w) for w in self.weights)
+        self.t = finite("t", self.t)
+        self.psi = tuple(finite("psi", x) for x in self.psi)
+        self.weights = check_positive("weights", self.weights)
         if len(self.psi) != self.k or len(self.weights) != self.k:
-            raise ValueError(
-                f"psi and weights must each have length k={self.k}, got "
-                f"{len(self.psi)} and {len(self.weights)}"
-            )
-        if not all(math.isfinite(x) for x in (self.t, *self.psi)):
-            raise ValueError("t and psi must be finite")
-        check_positive("weights", self.weights)
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if v is not None:
-                check_positive(name, (v,))
+            raise ValueError(f"psi and weights must each have length k={self.k}, got "
+                             f"{len(self.psi)} and {len(self.weights)}")
+        check_positive("alpha and beta", [v for v in (self.alpha, self.beta) if v is not None])
 
 
 class Observations(NamedTuple):
@@ -107,9 +100,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
+        if finite("interval lo", self.lo) > finite("interval hi", self.hi):
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
     def __add__(self, other: "Interval") -> "Interval":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from ._checks import whole_number
+from ._checks import check_positive, finite, whole_number
 from .diffusion import (AffineRule, ScenarioSpec, export_snapshots, field_to_csv, run_scenario,
                         write_manifest)
 
@@ -39,17 +39,18 @@ class MixDesign:
     reference: str = ""
 
     def __post_init__(self):
-        layers = self.present_layers()
-        if not all(0 <= v < math.inf for v in layers.values()):
-            raise MixTableError(f"{self.label}: layer thicknesses must be finite and >= 0")
-        layer_sum = math.fsum(layers.values())
-        if not abs(layer_sum - self.total_mm) <= 1e-9:  # a NaN total fails too
-            raise MixTableError(
-                f"{self.label}: layers sum to {layer_sum:g} mm but total is "
-                f"{self.total_mm:g} mm"
-            )
-        if not 0 < self.base_mr_mpa < math.inf:
-            raise MixTableError(f"{self.label}: base Mr must be positive and finite")
+        try:
+            layers = [finite(f"{name} thickness", v) for name, v in self.present_layers().items()]
+            total = finite("total thickness", self.total_mm)
+            check_positive("base Mr", (self.base_mr_mpa,))
+        except ValueError as exc:
+            raise MixTableError(f"{self.label}: {exc}") from exc
+        if min(layers) < 0:
+            raise MixTableError(f"{self.label}: layer thicknesses must be >= 0")
+        layer_sum = math.fsum(layers)
+        if not abs(layer_sum - total) <= 1e-9:
+            raise MixTableError(f"{self.label}: layers sum to {layer_sum:g} mm but total is "
+                                f"{total:g} mm")
 
     def present_layers(self) -> dict[str, float]:
         layers = {"ac": self.ac_mm, "subbase": self.subbase_mm, "base": self.base_mm}
@@ -236,14 +237,14 @@ def run_demo_figures(
     With ``normalized`` an additional grid divided by s*t is written for
     every snapshot with t > 0, so ``s`` must then be nonzero.
     """
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s!r}")
+    s = finite("s", s)
     if normalized and s == 0:
         raise ValueError("normalized grids are divided by s*t, so they need s != 0")
     specs = figure_scenarios(which, resolution=resolution, s=s, t_end=t_end)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    times = [0.0, t_end] if snapshot_times is None else [float(t) for t in snapshot_times]
+    times = [0.0, t_end] if snapshot_times is None else [
+        finite("snapshot time", t) for t in snapshot_times]
     manifest = {
         "figure": which,
         "s": s,

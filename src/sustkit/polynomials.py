@@ -230,12 +230,9 @@ class SolutionFamily:
         if self.variant in _NEEDS_WEIGHTS:
             if self.weights is None:
                 raise ValueError(f"{self.variant} needs {self.k} weights")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            object.__setattr__(self, "weights", check_positive("weights", self.weights))
             if len(self.weights) != self.k:
-                raise ValueError(
-                    f"expected {self.k} weights, got {len(self.weights)}"
-                )
-            check_positive("weights", self.weights)
+                raise ValueError(f"expected {self.k} weights, got {len(self.weights)}")
         if self.uncorrected and self.variant != "C_ab":
             raise ValueError("uncorrected form only exists for C_ab")
 
@@ -372,13 +369,10 @@ def verify_solution_families(
     alpha = 1/k!, beta = 1.
     """
     rng = random.Random(seed)
-    ks = sorted(set(int(k) for k in k_values))
+    ks = sorted({whole_number("k_values", k, 2) for k in k_values})
     if not ks:
         raise ValueError("k_values must name at least one k")
-    if any(k < 2 for k in ks):
-        raise ValueError("k_values must all be >= 2")
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    draws = whole_number("draws", draws, 1)
     checks: list[FamilyCheck] = []
 
     for variant in FAMILY_VARIANTS:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_interval, check_positive, whole_number
+from ._checks import check_interval, check_positive, finite, is_number, whole_number
 
 TAG_RULES = ("left", "right", "midpoint")
 
@@ -87,27 +87,29 @@ class TaggedPartition:
     region_id: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "interval_lo", float(self.interval_lo))
-        object.__setattr__(self, "interval_hi", float(self.interval_hi))
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in self.breakpoints))
-        object.__setattr__(self, "tags", tuple(float(t) for t in self.tags))
-        xs, ts = self.breakpoints, self.tags
-        if not all(math.isfinite(v) for v in xs + ts):
+        lo, hi = finite("interval_lo", self.interval_lo), finite("interval_hi", self.interval_hi)
+        values = (*self.breakpoints, *self.tags)
+        one_per_type = dict(zip(map(type, values), values)).values()  # is_number once per type
+        if not all(map(is_number, one_per_type)):
+            raise ValueError("breakpoints and tags must be numbers")
+        xs, ts = np.asarray(self.breakpoints, dtype=float), np.asarray(self.tags, dtype=float)
+        if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
             raise ValueError("breakpoints and tags must be finite")
         if len(xs) < 2 or len(ts) != len(xs) - 1:
-            raise ValueError(
-                f"need g >= 1 subintervals with one tag each, got "
-                f"{len(xs)} breakpoints and {len(ts)} tags"
-            )
-        if xs[0] != self.interval_lo or xs[-1] != self.interval_hi:
+            raise ValueError(f"need g >= 1 subintervals with one tag each, got "
+                             f"{len(xs)} breakpoints and {len(ts)} tags")
+        if xs[0] != lo or xs[-1] != hi:
             raise ValueError("breakpoints must start at interval_lo and end at interval_hi")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
+        if np.any(xs[:-1] >= xs[1:]):
             raise ValueError("breakpoints must be strictly increasing")
-        for i, t in enumerate(ts):
-            if not xs[i] <= t <= xs[i + 1]:
-                raise ValueError(
-                    f"tag {t} outside its subinterval [{xs[i]}, {xs[i + 1]}]"
-                )
+        outside = np.flatnonzero((ts < xs[:-1]) | (ts > xs[1:]))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"tag {ts[i]} outside its subinterval [{xs[i]}, {xs[i + 1]}]")
+        object.__setattr__(self, "interval_lo", lo)
+        object.__setattr__(self, "interval_hi", hi)
+        object.__setattr__(self, "breakpoints", tuple(xs.tolist()))
+        object.__setattr__(self, "tags", tuple(ts.tolist()))
 
     @property
     def n_intervals(self) -> int:
@@ -129,10 +131,9 @@ class WeightFunction:
     label: str = ""
 
     def __post_init__(self):
-        check_interval(self.domain_lo, self.domain_hi)
+        self.domain_lo, self.domain_hi = check_interval(self.domain_lo, self.domain_hi)
         probe = _eval_on(self.evaluator, np.linspace(self.domain_lo, self.domain_hi, 17))
-        if not np.all(np.isfinite(probe)):
-            raise NonFiniteValueError(f"weight function {self.label!r} is not finite on its domain")
+        _finite_or_raise(probe, f"weight function {self.label!r}")
 
     def __call__(self, x):
         out = _eval_on(self.evaluator, x)
@@ -166,13 +167,14 @@ class WeightFunction:
         if np.any(np.diff(x_arr) <= 0):
             raise ValueError(f"{path}: sample abscissae must be strictly increasing")
         return cls(
-            domain_lo=float(x_arr[0]),
-            domain_hi=float(x_arr[-1]),
+            domain_lo=x_arr[0],
+            domain_hi=x_arr[-1],
             evaluator=lambda x, _x=x_arr, _y=y_arr: np.interp(x, _x, _y),
             label=label if label is not None else path.name,
         )
 
 
+@np.errstate(all="ignore")  # callers report NaN and inf as NonFiniteValueError
 def _eval_on(fn: Callable, xs):
     """Apply fn to an array, falling back to a scalar loop; always returns
     a float array of the same shape (scalar input gives a 0-d array)."""
@@ -220,7 +222,7 @@ def make_uniform_partition(
 ) -> TaggedPartition:
     """Uniform n-interval tagged partition of [lo, hi]."""
     n = whole_number("n", n, 1)
-    check_interval(lo, hi)
+    lo, hi = check_interval(lo, hi)
     if tag_rule not in TAG_RULES:
         raise ValueError(f"tag_rule must be one of {TAG_RULES}, got {tag_rule!r}")
     xs = np.linspace(lo, hi, n + 1)
@@ -230,7 +232,7 @@ def make_uniform_partition(
         tags = xs[1:]
     else:
         tags = 0.5 * (xs[:-1] + xs[1:])
-    return TaggedPartition(float(lo), float(hi), tuple(xs), tuple(tags), region_id)
+    return TaggedPartition(lo, hi, xs.tolist(), tags.tolist(), region_id)
 
 
 def rs_sum(f, omega, partition: TaggedPartition) -> float:
@@ -423,7 +425,7 @@ def variation_lower_bound_check(
     """
     integral, (w_nodes, *f_tags) = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
     sup_f = float(max(np.max(np.abs(f_values)) for f_values in f_tags))
-    lhs = variation_sup(omega, lo, hi, max_refinements)
+    lhs = variation_sup(omega, lo, hi, max_refinements, tol=eta)
     nondecreasing = bool(np.all(np.diff(w_nodes) >= -1e-12))
     rhs = 0.0 if sup_f == 0.0 else abs(integral) / sup_f
     return VariationBoundReport(

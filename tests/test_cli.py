@@ -142,6 +142,16 @@ def test_cli_rs_bound_json(capsys):
     assert report["rhs"] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("eta", ["1e-8", "1e-10", "1e-12"])
+def test_cli_rs_bound_equality_pair_holds_at_small_eta(eta, capsys):
+    # the bound holds with equality (5/9 on both sides); the variation side
+    # is refined to --eta like the integral
+    rc = main(["rs", "bound", "--f", "1 - 2*step(x - 1/3)", "--omega", "-(x - 1/3)^2",
+               "--lo", "0", "--hi", "1", "--eta", eta])
+    assert capsys.readouterr().out == "lhs=0.555556 rhs=0.555556 holds=True\n"
+    assert rc == 0
+
+
 def test_cli_rs_table_function(tmp_path, capsys):
     table = tmp_path / "omega.csv"
     table.write_text("x,value\n0,0\n1,1\n")
@@ -534,6 +544,13 @@ BAD_INPUT = {
     "figures_resolution_one": (None, ["figures", "--which", "fig5", "--resolution", "1"]),
     "figures_resolution_zero": (None, ["figures", "--which", "fig5", "--resolution", "0"]),
     "verify_empty_k": (None, ["verify-solutions", "--k", ""]),
+    "integrate_reciprocal_pole": (
+        None, ["rs", "integrate", "--f", "1/x", "--omega", "x", "--lo", "0", "--hi", "1"]),
+    "integrate_log_pole": (
+        None, ["rs", "integrate", "--f", "log(x)", "--omega", "x", "--lo", "0", "--hi", "1"]),
+    "sum_n_beyond_float_range": (
+        None, ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1",
+               "--n", "1" + "0" * 400]),
 }
 
 

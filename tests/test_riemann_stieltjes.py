@@ -75,6 +75,45 @@ def test_partition_invariants():
         TaggedPartition(0.0, 2.0, (0.0, 0.5, 1.0), (0.25, 0.75))
 
 
+def _partition_rule_holds(lo, hi, xs, ts):
+    """The partition rule checked one element at a time."""
+    return (len(xs) >= 2 and len(ts) == len(xs) - 1 and xs[0] == lo and xs[-1] == hi
+            and all(a < b for a, b in zip(xs, xs[1:]))
+            and all(xs[i] <= t <= xs[i + 1] for i, t in enumerate(ts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8, unique=True).map(sorted),
+       st.data())
+def test_partition_checks_match_the_elementwise_rule(xs, data):
+    # Tags placed by fractions of their subinterval (the ends included, and past
+    # them by rounding), then one optional defect; the constructor's array-wise
+    # checks accept exactly what the element-wise rule accepts.
+    fractions = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0, 1),
+                                   min_size=len(xs) - 1, max_size=len(xs) - 1))
+    ts = [a + f * (b - a) for a, b, f in zip(xs, xs[1:], fractions)]
+    lo, hi = xs[0], xs[-1]
+    defect = data.draw(st.sampled_from(["none", "swap", "repeat", "tag", "drop", "ends"]))
+    i = data.draw(st.integers(0, len(xs) - 2))
+    if defect == "swap":
+        xs[i], xs[i + 1] = xs[i + 1], xs[i]
+    elif defect == "repeat":
+        xs[i + 1] = xs[i]
+    elif defect == "tag":
+        ts[i] = data.draw(st.floats(-2e3, 2e3))
+    elif defect == "drop":
+        ts.pop(i)
+    elif defect == "ends":
+        lo, hi = data.draw(st.sampled_from([(lo - 1.0, hi), (lo, hi + 1.0)]))
+    try:
+        p = TaggedPartition(lo, hi, tuple(xs), tuple(ts))
+    except ValueError:
+        assert not _partition_rule_holds(lo, hi, xs, ts)
+    else:
+        assert _partition_rule_holds(lo, hi, xs, ts)
+        assert (p.breakpoints, p.tags) == (tuple(xs), tuple(ts))
+
+
 def test_partition_carries_region_label():
     p = make_uniform_partition(0.0, 1.0, 4, "midpoint", region_id=3)
     assert p.region_id == 3
@@ -409,6 +448,19 @@ def test_lower_bound_reads_the_finest_level():
     wiggle = lambda x: x + 0.05 * np.sin(32 * np.pi * np.asarray(x, float))  # noqa: E731
     one = lambda x: np.ones_like(np.asarray(x, float))  # noqa: E731
     assert not variation_lower_bound_check(one, wiggle, 0.0, 1.0).omega_nondecreasing
+
+
+@pytest.mark.parametrize("eta", [1e-8, 1e-10, 1e-12])
+def test_lower_bound_equality_pair_holds_at_small_eta(eta):
+    # F = 1 before x = 1/3 and -1 after, where Omega = -(x - 1/3)^2 turns from
+    # rising to falling, so F dOmega >= 0 and |integral| / sup|F| is the whole
+    # variation 1/9 + 4/9: the bound holds with equality.  The variation side
+    # must be refined to the same eta as the integral.
+    report = variation_lower_bound_check(compile_expression("1 - 2*step(x - 1/3)"),
+                                         compile_expression("-(x - 1/3)^2"), 0.0, 1.0, eta=eta)
+    assert report.holds
+    assert report.lhs == pytest.approx(5 / 9, abs=10 * eta)
+    assert report.rhs == pytest.approx(5 / 9, abs=10 * eta)
 
 
 def random_bound_case(rng: random.Random):
