@@ -12,29 +12,38 @@ where ``coords`` is a tuple of broadcastable coordinate arrays (one per
 axis) and must return an array broadcastable to their common shape, or a
 scalar.  ``lambda coords, t: s * t`` and numpy expressions both qualify.
 
-:func:`run_scenario` takes one of two paths, chosen from the rule types:
+:func:`run_scenario` takes one of three paths.  The discrete sine basis
+diagonalises the interior Laplacian ``A``, and with ``v = H - g`` for a
+boundary value ``g`` that is the same on every face, the FTCS update is
+``v <- (I + dt*A) v - (g_new - g)`` under zero Dirichlet data:
 
 * **closed form**, when the boundary rule is an :class:`AffineRule`
   ``a + s*t`` and the initial rule an :class:`AffineRule` constant ``c``
-  (JSON specs and the pavement figures build these).  With
-  ``v = H - (a + s*t)`` the FTCS update is ``v <- (I + dt*A) v - s*dt`` under
-  zero Dirichlet data, and the discrete sine basis diagonalises the
-  interior Laplacian ``A``, so the n-th iterate is a geometric series in
-  each mode and every snapshot is computed directly, without the steps in
-  between;
-* **stepping**, for every other callable: one FTCS step at a time,
-  double-buffered (reads the previous level, writes the next), with the
-  scratch arrays of one run allocated once, before its first step.
+  (JSON specs and the pavement figures build these).  The n-th iterate is
+  a geometric series in each mode, so every snapshot is computed directly,
+  without the steps in between;
+* **modal**, for other rules while every face returns the same finite
+  scalar (the rule is still called once per face per step): a step is one
+  multiply-add per sine mode, on the modes that the forcing reaches (all
+  wave numbers odd), and the initial data enters at snapshots only;
+* **stepping**, one FTCS step at a time, double-buffered (reads the
+  previous level, writes the next), with the scratch arrays of one run
+  allocated once, before its first step.  A modal run hands over to
+  stepping at the first step whose faces differ or are not finite scalars,
+  or whose forcing could overflow the modes: the previous level is rebuilt
+  from the modes and that step is finished with the face values already
+  returned.
 
-Both paths snap snapshots to the same steps and write boundary nodes with
-the rule itself.  Scenario runs share no state, so independent runs may
-execute concurrently.
+All paths snap snapshots to the same steps and write boundary nodes with
+the values the rule returned.  Scenario runs share no state, so
+independent runs may execute concurrently.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -118,11 +127,14 @@ class ScalarField:
         return self.origin[axis] + self.spacings[axis] * np.arange(self.extents[axis])
 
     def coordinate_grids(self) -> tuple[np.ndarray, ...]:
-        """Sparse broadcastable coordinate arrays, one per axis."""
-        return tuple(
-            np.meshgrid(*(self.axis_coords(a) for a in range(self.k)),
-                        indexing="ij", sparse=True)
-        )
+        """Sparse broadcastable coordinate arrays, one per axis: those of
+        ``np.meshgrid(..., indexing="ij", sparse=True)``, without its set-up."""
+        grids = []
+        for a in range(self.k):
+            shape = [1] * self.k
+            shape[a] = -1
+            grids.append(self.axis_coords(a).reshape(shape))
+        return tuple(grids)
 
     def copy(self) -> "ScalarField":
         return replace(self, values=self.values.copy())
@@ -194,25 +206,54 @@ class ScenarioSpec:
 def _boundary_faces(field: ScalarField):
     """(index, coords) for every boundary face of a lattice: the face's
     index and its slice of each coordinate grid."""
-    grids = field.coordinate_grids()
-    indices = [tuple(side if b == a else slice(None) for b in range(field.k))
-               for a in range(field.k) for side in (0, -1)]
-    return [(idx, tuple(g[idx] for g in grids)) for idx in indices]
+    grids, whole = field.coordinate_grids(), (slice(None),) * field.k
+    faces = []
+    for a in range(field.k):
+        for side in (0, -1):
+            idx = whole[:a] + (side,) + whole[a + 1:]
+            faces.append((idx, tuple([g[idx] for g in grids])))
+    return faces
+
+
+def _face_values(faces, boundary_rule: Callable, t: float) -> list:
+    """The rule's value on each face at time ``t``, one call per face."""
+    return [boundary_rule(coords, t) for _, coords in faces]
+
+
+def _write_faces(values: np.ndarray, faces, face_values) -> None:
+    for (idx, _), x in zip(faces, face_values):
+        values[idx] = x
 
 
 def _apply_boundary(values: np.ndarray, faces, boundary_rule: Callable, t: float) -> None:
-    for idx, coords in faces:
-        values[idx] = boundary_rule(coords, t)
+    _write_faces(values, faces, _face_values(faces, boundary_rule, t))
+
+
+def _common_value(face_values) -> float | None:
+    """The finite float that every face value equals, or None when a face
+    returned an array, a non-finite value or a different value.  The
+    ``isinstance`` test spares the slower ``np.ndim`` for Python and numpy
+    floats."""
+    g = face_values[0]
+    for x in face_values:
+        if not (isinstance(x, float) or np.ndim(x) == 0) or x != g:
+            return None
+    try:
+        g = float(g)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return g if math.isfinite(g) else None
 
 
 def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable:
     """The FTCS step for one run on a lattice of ``extents``.
 
-    The returned ``step(u, out, faces, boundary_rule, dt, t_new)`` writes
-    the successor of ``u`` into ``out`` (a distinct array of the same shape):
-    interior from the discrete Laplacian, then every boundary node from the
-    rule at ``t_new``.  Slices, ``h**2`` and scratch arrays are built here,
-    once per stepper, so a step allocates nothing; each step evaluates
+    The returned ``step(u, out, faces, face_values, dt, t_new)`` writes the
+    successor of ``u`` into ``out`` (a distinct array of the same shape):
+    interior from the discrete Laplacian, then each boundary face from its
+    value at ``t_new``, as :func:`_face_values` returns them.  Slices,
+    ``h**2`` and scratch arrays are built here, once per stepper, so a step
+    allocates nothing; each step evaluates
     ``u + dt * sum_i (u[i+1] - 2u + u[i-1]) / h_i**2`` in that order, with
     in-place ufuncs.  Steppers share no buffers.
     """
@@ -224,7 +265,7 @@ def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable
     lap, two, tmp = np.empty(interior), np.empty(interior), np.empty(interior)
     finite = np.empty(extents, dtype=bool)
 
-    def step(u, out, faces, boundary_rule: Callable, dt: float, t_new: float) -> None:
+    def step(u, out, faces, face_values, dt: float, t_new: float) -> None:
         lap.fill(0.0)
         np.multiply(u[core], 2.0, out=two)
         for hi, lo, h2 in axes:
@@ -234,7 +275,7 @@ def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable
             np.add(lap, tmp, out=lap)
         np.multiply(lap, dt, out=lap)
         np.add(u[core], lap, out=out[core])
-        _apply_boundary(out, faces, boundary_rule, t_new)
+        _write_faces(out, faces, face_values)
         if not np.isfinite(out, out=finite).all():
             raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
 
@@ -253,9 +294,10 @@ def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> Sca
         raise ValueError("stepping needs at least 3 points per axis")
     dt = _checked_dt(dt, field.spacings)
     t_new = field.time + dt
+    faces = _boundary_faces(field)
     out = np.empty_like(field.values)
     step = _ftcs_stepper(field.extents, field.spacings)
-    step(field.values, out, _boundary_faces(field), boundary_rule, dt, t_new)
+    step(field.values, out, faces, _face_values(faces, boundary_rule, t_new), dt, t_new)
     return replace(field, values=out, time=t_new)
 
 
@@ -266,10 +308,14 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
 
     With an :class:`AffineRule` boundary ``a + s*t`` and an
     :class:`AffineRule` constant initial rule, each snapshot is the exact
-    FTCS iterate in closed form (see :func:`_affine_iterates`); interior
-    values agree with stepping to rounding error.  Any other rule is
-    stepped.  Either way the boundary nodes come from the rule and every
-    snapshot is checked for non-finite values.
+    FTCS iterate in closed form (see :func:`_affine_iterates`).  Any other
+    boundary rule is called once per face per step.  While all faces
+    return one finite scalar, the initial one included, the steps are taken
+    in the sine basis (see :func:`_uniform_iterates`); from the first step
+    where they do not, the run is stepped.  The interiors of the closed
+    form and of the modal path agree with stepping to rounding error.
+    Either way the boundary nodes hold the values the rule returned and
+    every snapshot is checked for non-finite values.
     """
     snapshot_times = [finite("snapshot time", t) for t in snapshot_times]
     for t in snapshot_times:
@@ -288,8 +334,11 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
         out[pos] = field.copy()
 
     steps = sorted(step for step in want if step > 0)
+    edge = field.values[field.boundary_mask()]
     if isinstance(spec.boundary_rule, AffineRule) and isinstance(spec.initial_rule, AffineRule):
         iterates = _affine_iterates(field, faces, spec.boundary_rule, spec.initial_rule.a, dt, steps)
+    elif np.all(edge == edge[0]):
+        iterates = _uniform_iterates(field, faces, spec.boundary_rule, dt, steps)
     else:
         iterates = _stepped_iterates(field, faces, spec.boundary_rule, dt, steps)
     for step, values in iterates:
@@ -298,38 +347,41 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     return out  # type: ignore[return-value]
 
 
-def _stepped_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
+def _stepped_iterates(field, faces, boundary_rule: Callable, dt: float, steps,
+                      start: int = 0, face_values=None):
     """Yield ``(step, values)`` for each of the ascending ``steps`` by FTCS
-    stepping from ``field``; ``values`` is a buffer reused by later steps."""
+    stepping from ``field``, the lattice of step ``start``; ``face_values``,
+    if given, are the rule's values for step ``start + 1``, which is then
+    not called for that step.  ``values`` is a buffer reused by later
+    steps."""
     # Double buffering: each step reads u and overwrites every node of nxt.
     u, nxt = field.values, np.empty_like(field.values)
     ftcs_step = _ftcs_stepper(field.extents, field.spacings)
     wanted = set(steps)
-    for step in range(1, max(steps, default=0) + 1):
-        ftcs_step(u, nxt, faces, boundary_rule, dt, step * dt)
+    for step in range(start + 1, max(steps, default=0) + 1):
+        t = step * dt
+        ftcs_step(u, nxt, faces, face_values or _face_values(faces, boundary_rule, t), dt, t)
+        face_values = None
         u, nxt = nxt, u
         if step in wanted:
             yield step, u
 
 
-def _affine_iterates(field, faces, boundary_rule: AffineRule, c: float, dt: float, steps):
-    """Yield ``(step, values)``: the exact n-step FTCS iterate for each of
-    ``steps``, from interior ``c`` with boundary ``a + s*t``.
+def _sine_modes(field: ScalarField, dt: float):
+    """The FTCS update of a lattice's interior in the orthonormal DST-I
+    basis, as ``(transform, decay, ones)``.
 
-    ``v = H - (a + s*t)`` obeys ``v_{n+1} = (I + dt*A) v_n - s*dt`` with zero
-    Dirichlet data.  In the sine basis ``A`` is diagonal with eigenvalues
-    ``mu = sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so each mode is
-    ``r^n (c - a) - s*dt (1 - r^n) / (-dt*mu)`` times the projected ones,
-    with ``r = 1 + dt*mu`` (LeVeque, Finite Difference Methods for ODEs and
-    PDEs, 2007, sec. 2.10); ``-dt*mu`` is ``1 - r`` without its rounding.
-    The interior is clipped to the discrete maximum-principle range of the
-    data, which the exact iterate obeys for stable dt, so the clip removes
-    only rounding excursions.
+    ``transform`` maps interior values to mode amplitudes and back: it is
+    its own inverse.  In that basis the interior Laplacian ``A`` is diagonal
+    with eigenvalues ``mu = sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so a
+    step multiplies each mode by ``r = 1 + dt*mu`` (LeVeque, Finite
+    Difference Methods for ODEs and PDEs, 2007, sec. 2.10).  ``decay`` is
+    ``-dt*mu``, which is ``1 - r`` without its rounding.  ``ones`` holds the
+    amplitudes of the interior all-ones array; they vanish, up to rounding,
+    unless every wave number ``j_i`` is odd.
     """
-    a, s = boundary_rule.a, boundary_rule.s
     k = field.k
-    core = tuple(slice(1, -1) for _ in range(k))
-    bases, mu, ones_hat = [], np.zeros(()), np.ones(())
+    bases, mu, ones = [], np.zeros(()), np.ones(())
     for axis, (n, h) in enumerate(zip(field.extents, field.spacings)):
         m = n - 2
         j = np.arange(1, m + 1)
@@ -339,22 +391,108 @@ def _affine_iterates(field, faces, boundary_rule: AffineRule, c: float, dt: floa
         # Orthonormal DST-I, symmetric and its own inverse; j*l is reduced
         # modulo the period 2(m+1) so that sin sees small arguments.
         basis = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
-        ones_hat = np.multiply.outer(ones_hat, basis.sum(axis=1))
+        ones = np.multiply.outer(ones, basis.sum(axis=1))
         bases.append(basis)
-    growth = 1.0 + dt * mu
+
+    def transform(v):
+        for axis, basis in enumerate(bases):
+            v = np.moveaxis(np.tensordot(basis, v, axes=([1], [axis])), 0, axis)
+        return v
+
+    return transform, -dt * mu, ones
+
+
+def _lattice(field: ScalarField, interior: np.ndarray, faces, face_values, t: float) -> np.ndarray:
+    """A new lattice array with ``interior`` inside and ``face_values`` on
+    the faces, checked for non-finite values."""
+    values = np.empty(field.extents)
+    values[(slice(1, -1),) * field.k] = interior
+    _write_faces(values, faces, face_values)
+    if not np.isfinite(values).all():
+        raise NonFiniteFieldError(f"non-finite values after step to t={t:g}")
+    return values
+
+
+def _affine_iterates(field, faces, boundary_rule: AffineRule, c: float, dt: float, steps):
+    """Yield ``(step, values)``: the exact n-step FTCS iterate for each of
+    ``steps``, from interior ``c`` with boundary ``a + s*t``.
+
+    ``v = H - (a + s*t)`` obeys ``v_{n+1} = (I + dt*A) v_n - s*dt`` with zero
+    Dirichlet data, so in the basis of :func:`_sine_modes` each mode is
+    ``r^n (c - a) - s*dt (1 - r^n) / (1 - r)`` times the projected ones.
+    The interior is clipped to the discrete maximum-principle range of the
+    data, which the exact iterate obeys for stable dt, so the clip removes
+    only rounding excursions.
+    """
+    a, s = boundary_rule.a, boundary_rule.s
+    transform, decay, ones = _sine_modes(field, dt)
+    growth = 1.0 - decay
     for step in steps:
         t = step * dt
         power = growth**step
-        v = (power * (c - a) - s * dt * (1.0 - power) / (-dt * mu)) * ones_hat
-        for axis, basis in enumerate(bases):
-            v = np.moveaxis(np.tensordot(basis, v, axes=([1], [axis])), 0, axis)
+        v = transform((power * (c - a) - s * dt * (1.0 - power) / decay) * ones)
         g = boundary_rule(None, t)
-        values = np.empty(field.extents)
-        values[core] = np.clip(v + g, min(c, a, g), max(c, a, g))
-        _apply_boundary(values, faces, boundary_rule, t)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteFieldError(f"non-finite values at t={t:g}")
-        yield step, values
+        interior = np.clip(v + g, min(c, a, g), max(c, a, g))
+        yield step, _lattice(field, interior, faces, _face_values(faces, boundary_rule, t), t)
+
+
+def _uniform_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
+    """Yield ``(step, values)`` for each of the ascending ``steps``: in the
+    sine basis while the boundary data is uniform in space, then by
+    stepping.  The initial boundary must be uniform.
+
+    With ``v_n = H_n - g_n`` for the common face value ``g_n`` of step n,
+    ``v_{n+1} = (I + dt*A) v_n - (g_{n+1} - g_n)`` with zero Dirichlet data.
+    In the basis of :func:`_sine_modes` the initial data contributes
+    ``r^n v_0``, computed at snapshot steps only.  The forcing contributes
+    ``w_n`` times the projected ones, whose amplitude
+    ``w_n = r w_{n-1} - (g_n - g_{n-1})`` is advanced every step on the
+    all-odd modes alone.  For stable dt ``|r| <= 1``, so ``|w_n|`` is at
+    most ``reach``, the sum of ``|g_j - g_{j-1}|``.  The interior is
+    clipped to the range of the initial lattice and of the boundary values
+    so far (the discrete maximum principle).
+
+    The rule is called once per face per step.  At the first step n whose
+    faces are not one finite scalar, or whose ``reach`` could overflow the
+    forced modes, the lattice of step n-1 is rebuilt from the modes and
+    stepping takes over, beginning with the face values of step n.
+    """
+    g = float(field.values.flat[0])
+    transform, decay, ones = _sine_modes(field, dt)
+    core = (slice(1, -1),) * field.k
+    initial = transform(field.values[core] - g)
+    if not np.isfinite(initial).all():
+        yield from _stepped_iterates(field, faces, boundary_rule, dt, steps)
+        return
+    growth = 1.0 - decay
+    odd = (slice(None, None, 2),) * field.k
+    rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
+    reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
+    lo, hi = float(field.values.min()), float(field.values.max())
+
+    def lattice(step, face_values):
+        """The lattice of ``step``, the last step the modes were advanced to."""
+        v = growth**step * initial
+        v[odd] += forced * ones[odd]
+        return _lattice(field, np.clip(transform(v) + g, lo, hi), faces, face_values, step * dt)
+
+    wanted, previous = set(steps), None
+    for step in range(1, max(steps, default=0) + 1):
+        face_values = _face_values(faces, boundary_rule, step * dt)
+        g_new = _common_value(face_values)
+        if g_new is not None:
+            reach += abs(g_new - g)
+        if g_new is None or reach > reach_limit:
+            start = field if step == 1 else replace(field, values=lattice(step - 1, previous))
+            yield from _stepped_iterates(start, faces, boundary_rule, dt,
+                                         [n for n in steps if n >= step], step - 1, face_values)
+            return
+        np.multiply(forced, rate, out=forced)
+        np.subtract(forced, g_new - g, out=forced)
+        g, previous = g_new, face_values
+        lo, hi = min(lo, g), max(hi, g)
+        if step in wanted:
+            yield step, lattice(step, face_values)
 
 
 # -- verification ------------------------------------------------------------

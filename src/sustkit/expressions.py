@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import is_number
+
 _FUNCTIONS: dict[str, Callable] = {
     "exp": np.exp,
     "sin": np.sin,
@@ -49,7 +51,7 @@ def _compile_node(node: ast.AST) -> Callable:
     if isinstance(node, ast.Expression):
         return _compile_node(node.body)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        if is_number(node.value):
             v = float(node.value)
             return lambda x: v
         raise ExpressionError(f"unsupported constant {node.value!r}")

@@ -92,9 +92,13 @@ class TaggedPartition:
         one_per_type = dict(zip(map(type, values), values)).values()  # is_number once per type
         if not all(map(is_number, one_per_type)):
             raise ValueError("breakpoints and tags must be numbers")
-        xs, ts = np.asarray(self.breakpoints, dtype=float), np.asarray(self.tags, dtype=float)
+        not_finite = "breakpoints and tags must be finite"
+        try:
+            xs, ts = np.asarray(self.breakpoints, dtype=float), np.asarray(self.tags, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(not_finite) from None
         if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
-            raise ValueError("breakpoints and tags must be finite")
+            raise ValueError(not_finite)
         if len(xs) < 2 or len(ts) != len(xs) - 1:
             raise ValueError(f"need g >= 1 subintervals with one tag each, got "
                              f"{len(xs)} breakpoints and {len(ts)} tags")

@@ -548,6 +548,8 @@ BAD_INPUT = {
         None, ["rs", "integrate", "--f", "1/x", "--omega", "x", "--lo", "0", "--hi", "1"]),
     "integrate_log_pole": (
         None, ["rs", "integrate", "--f", "log(x)", "--omega", "x", "--lo", "0", "--hi", "1"]),
+    "integrate_bool_constant": (
+        None, ["rs", "integrate", "--f", "x + True", "--omega", "x", "--lo", "0", "--hi", "1"]),
     "sum_n_beyond_float_range": (
         None, ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1",
                "--n", "1" + "0" * 400]),

@@ -27,6 +27,7 @@ from sustkit.diffusion import (
 from sustkit.diffusion import (
     _apply_boundary,
     _boundary_faces,
+    _face_values,
     _ftcs_stepper,
     _stepped_iterates,
 )
@@ -183,7 +184,7 @@ def test_stepper_matches_reference_bit_for_bit(extents, domain, dt_factor):
     ref, u, out = fld.values.copy(), fld.values.copy(), np.empty_like(fld.values)
     for n in range(1, 31):
         ref = _reference_step(ref, faces, fld.spacings, _wavy_rule, dt, n * dt)
-        step(u, out, faces, _wavy_rule, dt, n * dt)
+        step(u, out, faces, _face_values(faces, _wavy_rule, n * dt), dt, n * dt)
         assert np.array_equal(_bits(out), _bits(ref)), n
         u, out = out, u
     # step_explicit builds its own stepper per call and gives the same bits
@@ -202,7 +203,8 @@ def test_stepper_keeps_signed_zeros_as_the_reference(extents, domain):
             u = np.full(fld.extents, fill)
             u[np.indices(fld.extents).sum(axis=0) % 2 == 1] = -fill  # checkerboard of zeros
             out = np.empty_like(u)
-            _ftcs_stepper(fld.extents, fld.spacings)(u, out, faces, rule, dt, dt)
+            _ftcs_stepper(fld.extents, fld.spacings)(u, out, faces, _face_values(faces, rule, dt),
+                                                     dt, dt)
             want = _reference_step(u, faces, fld.spacings, rule, dt, dt)
             assert np.array_equal(_bits(out), _bits(want))
 
@@ -668,12 +670,17 @@ def test_affine_rule_equals_the_plain_rules_bit_for_bit():
     assert AffineRule(1.5, 2.0)((), 0.25) == 2.0
 
 
-def stepped(spec: ScenarioSpec) -> ScenarioSpec:
-    """The same scenario with its rules wrapped in plain callables, which
-    run_scenario steps one FTCS step at a time."""
-    boundary, initial = spec.boundary_rule, spec.initial_rule
-    return replace(spec, boundary_rule=lambda coords, t: boundary(coords, t),
-                   initial_rule=lambda coords: initial(coords))
+def stepped(spec: ScenarioSpec, times) -> list[ScalarField]:
+    """The snapshots run_scenario gives for ``times``, computed by FTCS
+    stepping (the reference path) whatever the rules return."""
+    dt = spec.resolved_dt()
+    fld = spec.initial_field()
+    want = [round(t / dt) for t in times]
+    got = {0: fld.values.copy()}
+    iterates = _stepped_iterates(fld, _boundary_faces(fld), spec.boundary_rule, dt,
+                                 sorted(set(want) - {0}))
+    got.update((n, values.copy()) for n, values in iterates)
+    return [replace(fld, values=got[n], time=n * dt) for n in want]
 
 
 # (domain, resolution, a, s, c, dt as a fraction of the stability bound);
@@ -699,7 +706,7 @@ def test_affine_closed_form_matches_stepping(case):
     spec = ScenarioSpec(domain=domain, resolution=resolution, boundary_rule=AffineRule(a, s),
                         initial_rule=AffineRule(c), t_end=150 * dt, dt=dt)
     times = [0.0, dt, 7 * dt, 40.4 * dt, 150 * dt]
-    closed, reference = run_scenario(spec, times), run_scenario(stepped(spec), times)
+    closed, reference = run_scenario(spec, times), stepped(spec, times)
     boundary = reference[0].boundary_mask()
     assert np.array_equal(closed[0].values, reference[0].values)
     for got, want in zip(closed, reference):
@@ -778,3 +785,124 @@ def test_field_csv_bytes_match_csv_writer(tmp_path):
         for row in zip(*(g.ravel() for g in grids), fld.values.ravel()):
             writer.writerow([f"{x:.17g}" for x in row])
         assert path.read_bytes() == buf.getvalue().encode()
+
+
+# -- modal path for spatially uniform boundary data against stepping -----------------
+
+# k = 1, 2, 3, non-square lattices and 3-point axes (a one-node interior).
+MODAL_LATTICES = [
+    (((0.0, 1.0),), (17,)),
+    (((-1.0, 2.0),), (3,)),
+    (((0.0, 4.0), (0.0, 6.0)), (21, 31)),
+    (((0.0, 1.0), (0.0, 2.0)), (3, 6)),
+    (((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), (5, 9, 13)),
+    (((0.0, 1.0),) * 3, (3, 3, 3)),
+]
+MODAL_STEPS = 120
+SWITCH_STEP = 60  # the first step of a switching rule that differs across the boundary
+# One float, numpy scalar or 0-d array per step, cycling through the three.
+SCALAR_TYPES = (float, np.float64, np.array)
+
+
+def _uniform_then_varying(calls, dt, switch_step):
+    """A boundary rule that is uniform in space, 1.5 sin(3t + 0.4) - 0.2 t,
+    until ``switch_step`` and varies across the boundary from then on; it
+    records the time of every call in ``calls``."""
+    def rule(coords, t):
+        calls.append(t)
+        g = 1.5 * math.sin(3.0 * t + 0.4) - 0.2 * t
+        n = round(t / dt)
+        if n >= switch_step:
+            return g + 0.1 * sum(np.cos(np.asarray(c)) for c in coords)
+        return SCALAR_TYPES[n % 3](g)
+
+    return rule
+
+
+def _counting_steppers(monkeypatch):
+    """Count the FTCS kernel steps that run_scenario takes from here on."""
+    import sustkit.diffusion as diffusion
+
+    taken = []
+    make = diffusion._ftcs_stepper
+
+    def counting(extents, spacings):
+        step = make(extents, spacings)
+
+        def counted(*args):
+            taken.append(args[-1])
+            step(*args)
+
+        return counted
+
+    monkeypatch.setattr(diffusion, "_ftcs_stepper", counting)
+    return taken
+
+
+@pytest.mark.parametrize("switch_step", [None, SWITCH_STEP], ids=["uniform", "turns_varying"])
+@pytest.mark.parametrize("initial", ["constant", "varying"])
+@pytest.mark.parametrize("dt_factor", [1.0, 0.37], ids=["at_bound", "below_bound"])
+@pytest.mark.parametrize("domain, resolution", MODAL_LATTICES, ids=str)
+def test_modal_path_matches_stepping(domain, resolution, dt_factor, initial, switch_step,
+                                     monkeypatch):
+    k = len(domain)
+    spacings = [(hi - lo) / (n - 1) for (lo, hi), n in zip(domain, resolution)]
+    dt = dt_factor * stable_dt(spacings)
+    initial_rule = {"constant": lambda coords: 0.7,
+                    "varying": lambda coords: sum(np.sin(2.0 * np.asarray(c)) for c in coords)}
+    switch = MODAL_STEPS + 1 if switch_step is None else switch_step
+    ref_calls, calls = [], []
+    spec = ScenarioSpec(domain=domain, resolution=resolution,
+                        boundary_rule=_uniform_then_varying(ref_calls, dt, switch),
+                        initial_rule=initial_rule[initial], t_end=MODAL_STEPS * dt, dt=dt)
+    times = [n * dt for n in (0, 1, 7, SWITCH_STEP - 1, SWITCH_STEP, SWITCH_STEP + 1,
+                              MODAL_STEPS - 1, MODAL_STEPS)]
+    reference = stepped(spec, times)
+    taken = _counting_steppers(monkeypatch)
+    got = run_scenario(replace(spec, boundary_rule=_uniform_then_varying(calls, dt, switch)),
+                       times)
+
+    # the rule runs once per face for the initial field and once per face
+    # per step; the kernel runs only from the step where the faces differ
+    assert len(calls) == 2 * k * (1 + MODAL_STEPS)
+    assert calls == ref_calls
+    assert len(taken) == max(0, MODAL_STEPS + 1 - switch)
+    # Tolerance: 1e-12 of the data's size, max(|H_0|, max |g|); the two
+    # paths round differently, by at most about 5e-15 of it on these lattices.
+    g_max = max(abs(1.5 * math.sin(3.0 * t + 0.4) - 0.2 * t) for t in calls) + 0.1 * k
+    scale = max(float(np.max(np.abs(reference[0].values))), g_max)
+    boundary = reference[0].boundary_mask()
+    for have, want in zip(got, reference):
+        assert have.time == want.time
+        assert np.array_equal(_bits(have.values[boundary]), _bits(want.values[boundary]))
+        assert np.max(np.abs(have.values - want.values)) <= 1e-12 * scale
+
+
+def test_modal_path_keeps_the_maximum_principle():
+    # The interior stays within the range of the initial data and of every
+    # boundary value so far, as the exact FTCS iterate does.  In the first
+    # steps the nodes far from the boundary still hold exactly the initial
+    # 1.0, the top of that range, which the modes give only to rounding.
+    calls = []
+    spec = ScenarioSpec(domain=((0.0, 9.0), (0.0, 9.0)), resolution=(31, 31),
+                        boundary_rule=lambda coords, t: calls.append(t) or math.sin(5.0 * t),
+                        initial_rule=lambda coords: 1.0, t_end=2.0)
+    dt = spec.resolved_dt()
+    times = [dt, 2 * dt, 0.1, 0.5, 1.0, 2.0]
+    for fld in run_scenario(spec, times):
+        so_far = [math.sin(5.0 * t) for t in calls if t <= fld.time]
+        assert fld.values.min() >= min(1.0, *so_far)
+        assert fld.values.max() <= max(1.0, *so_far)
+    assert len(calls) == 4 * (1 + round(2.0 / dt))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_modal_path_non_finite_boundary_raises_at_its_step(bad):
+    # A uniform but non-finite boundary value hands the run to stepping,
+    # which refuses it at the step it appears, with the stepping message.
+    spec = unit_square_spec(boundary=lambda coords, t: bad if t > 9.5 * dt else 1.0 - t,
+                            initial=lambda coords: 0.0, t_end=0.5)
+    dt = spec.resolved_dt()
+    with pytest.raises(NonFiniteFieldError) as raised:
+        run_scenario(spec, [spec.t_end])
+    assert str(raised.value) == f"non-finite values after step to t={10 * dt:g}"

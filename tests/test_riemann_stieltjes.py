@@ -75,6 +75,18 @@ def test_partition_invariants():
         TaggedPartition(0.0, 2.0, (0.0, 0.5, 1.0), (0.25, 0.75))
 
 
+@pytest.mark.parametrize("args", [
+    (0, 1, (0, 1), (10**400,)),
+    (0, 1, (0, 10**400, 1), (0.25, 0.75)),
+    (0, 1, (0, 1), (-(10**400),)),
+])
+def test_partition_refuses_ints_beyond_the_float_range(args):
+    # np.asarray raises OverflowError on such an int; the scalar checks
+    # refuse it with ValueError, and so does the partition.
+    with pytest.raises(ValueError, match="breakpoints and tags must be finite"):
+        TaggedPartition(*args)
+
+
 def _partition_rule_holds(lo, hi, xs, ts):
     """The partition rule checked one element at a time."""
     return (len(xs) >= 2 and len(ts) == len(xs) - 1 and xs[0] == lo and xs[-1] == hi
