@@ -12,20 +12,18 @@ where ``coords`` is a tuple of broadcastable coordinate arrays (one per
 axis) and must return an array broadcastable to their common shape, or a
 scalar.  ``lambda coords, t: s * t`` and numpy expressions both qualify.
 
-:func:`run_scenario` takes one of three paths.  The discrete sine basis
+:func:`run_scenario` takes one of two paths.  The discrete sine basis
 diagonalises the interior Laplacian ``A``, and with ``v = H - g`` for a
 boundary value ``g`` that is the same on every face, the FTCS update is
 ``v <- (I + dt*A) v - (g_new - g)`` under zero Dirichlet data:
 
-* **closed form**, when the boundary rule is an :class:`AffineRule`
-  ``a + s*t`` and the initial rule an :class:`AffineRule` constant ``c``
-  (JSON specs and the pavement figures build these).  The n-th iterate is
-  a geometric series in each mode, so every snapshot is computed directly,
-  without the steps in between;
-* **modal**, for other rules while every face returns the same finite
-  scalar (the rule is still called once per face per step): a step is one
-  multiply-add per sine mode, on the modes that the forcing reaches (all
-  wave numbers odd), and the initial data enters at snapshots only;
+* **modal**, when the boundary is uniform at t = 0.  The initial data
+  enters at snapshots only.  When the boundary rule is an
+  :class:`AffineRule` ``a + s*t`` (JSON specs and the pavement figures
+  build these), the forcing is a geometric series in each mode, so every
+  snapshot is computed directly, without the steps in between.  Any other
+  rule is called once per face per step, and a step is one multiply-add
+  per sine mode that the forcing reaches (all wave numbers odd);
 * **stepping**, one FTCS step at a time, double-buffered (reads the
   previous level, writes the next), with the scratch arrays of one run
   allocated once, before its first step.  A modal run hands over to
@@ -34,7 +32,10 @@ boundary value ``g`` that is the same on every face, the FTCS update is
   from the modes and that step is finished with the face values already
   returned.
 
-All paths snap snapshots to the same steps and write boundary nodes with
+Unless the boundary rule is an :class:`AffineRule`, a run takes every step,
+and one of more than :data:`MAX_STEPS` steps is refused.
+
+Both paths snap snapshots to the same steps and write boundary nodes with
 the values the rule returned.  Scenario runs share no state, so
 independent runs may execute concurrently.
 """
@@ -53,6 +54,8 @@ import numpy as np
 from ._checks import check_interval, check_positive, finite, is_number, whole_number
 
 CFL_SAFETY = 0.9
+# Most steps run_scenario takes one at a time (any boundary rule but an AffineRule).
+MAX_STEPS = 10**7
 
 
 class StabilityError(ValueError):
@@ -68,11 +71,12 @@ class AffineRule:
     """Spatially constant data ``a + s*t``.
 
     ``rule(coords, t)`` is a boundary rule and ``rule(coords)``, which gives
-    ``a``, an initial rule.  :func:`run_scenario` computes scenarios built
-    from these in closed form.  An omitted term is -0.0, the additive
-    identity of IEEE arithmetic (``x + -0.0`` is ``x`` for every ``x``, the
-    zeros included), so ``AffineRule(c)`` gives exactly ``c`` and
-    ``AffineRule(s=s)`` exactly ``s * t``.
+    ``a``, an initial rule.  When the boundary rule is one of these,
+    :func:`run_scenario` computes each snapshot in closed form, whatever the
+    initial rule.  An omitted term is -0.0, the additive identity of IEEE
+    arithmetic (``x + -0.0`` is ``x`` for every ``x``, the zeros included),
+    so ``AffineRule(c)`` gives exactly ``c`` and ``AffineRule(s=s)`` exactly
+    ``s * t``.
     """
 
     a: float = -0.0
@@ -306,16 +310,16 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     returning one field per requested time (nearest completed step, at
     most ceil(t_end/dt); dt is not adjusted to hit the times exactly).
 
-    With an :class:`AffineRule` boundary ``a + s*t`` and an
-    :class:`AffineRule` constant initial rule, each snapshot is the exact
-    FTCS iterate in closed form (see :func:`_affine_iterates`).  Any other
-    boundary rule is called once per face per step.  While all faces
-    return one finite scalar, the initial one included, the steps are taken
-    in the sine basis (see :func:`_uniform_iterates`); from the first step
-    where they do not, the run is stepped.  The interiors of the closed
-    form and of the modal path agree with stepping to rounding error.
-    Either way the boundary nodes hold the values the rule returned and
-    every snapshot is checked for non-finite values.
+    When the boundary is uniform at t = 0 the run takes the sine basis (see
+    :func:`_modal_iterates`), otherwise it is stepped.  An
+    :class:`AffineRule` boundary ``a + s*t`` is called at t = 0 and at the
+    snapshot steps only, each snapshot being the exact FTCS iterate in
+    closed form.  Any other boundary rule is called once per face per step,
+    and a scenario that needs more than :data:`MAX_STEPS` such steps is
+    refused with ``ValueError`` before any rule is called.  The modal
+    interiors agree with stepping to rounding error.  Either way the
+    boundary nodes hold the values the rule returned and every snapshot is
+    checked for non-finite values.
     """
     snapshot_times = [finite("snapshot time", t) for t in snapshot_times]
     for t in snapshot_times:
@@ -326,6 +330,10 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     want: dict[int, list[int]] = {}
     for pos, t in enumerate(snapshot_times):
         want.setdefault(min(last_step, max(0, round(t / dt))), []).append(pos)
+    steps = sorted(step for step in want if step > 0)
+    if steps and steps[-1] > MAX_STEPS and not isinstance(spec.boundary_rule, AffineRule):
+        raise ValueError(f"{steps[-1]} steps exceed MAX_STEPS = {MAX_STEPS}; only an AffineRule "
+                         "boundary reaches a snapshot without taking every step")
 
     field = spec.initial_field()
     faces = _boundary_faces(field)
@@ -333,15 +341,9 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     for pos in want.get(0, ()):
         out[pos] = field.copy()
 
-    steps = sorted(step for step in want if step > 0)
     edge = field.values[field.boundary_mask()]
-    if isinstance(spec.boundary_rule, AffineRule) and isinstance(spec.initial_rule, AffineRule):
-        iterates = _affine_iterates(field, faces, spec.boundary_rule, spec.initial_rule.a, dt, steps)
-    elif np.all(edge == edge[0]):
-        iterates = _uniform_iterates(field, faces, spec.boundary_rule, dt, steps)
-    else:
-        iterates = _stepped_iterates(field, faces, spec.boundary_rule, dt, steps)
-    for step, values in iterates:
+    iterates = _modal_iterates if np.all(edge == edge[0]) else _stepped_iterates
+    for step, values in iterates(field, faces, spec.boundary_rule, dt, steps):
         for pos in want[step]:
             out[pos] = replace(field, values=values.copy(), time=step * dt)
     return out  # type: ignore[return-value]
@@ -402,60 +404,28 @@ def _sine_modes(field: ScalarField, dt: float):
     return transform, -dt * mu, ones
 
 
-def _lattice(field: ScalarField, interior: np.ndarray, faces, face_values, t: float) -> np.ndarray:
-    """A new lattice array with ``interior`` inside and ``face_values`` on
-    the faces, checked for non-finite values."""
-    values = np.empty(field.extents)
-    values[(slice(1, -1),) * field.k] = interior
-    _write_faces(values, faces, face_values)
-    if not np.isfinite(values).all():
-        raise NonFiniteFieldError(f"non-finite values after step to t={t:g}")
-    return values
-
-
-def _affine_iterates(field, faces, boundary_rule: AffineRule, c: float, dt: float, steps):
-    """Yield ``(step, values)``: the exact n-step FTCS iterate for each of
-    ``steps``, from interior ``c`` with boundary ``a + s*t``.
-
-    ``v = H - (a + s*t)`` obeys ``v_{n+1} = (I + dt*A) v_n - s*dt`` with zero
-    Dirichlet data, so in the basis of :func:`_sine_modes` each mode is
-    ``r^n (c - a) - s*dt (1 - r^n) / (1 - r)`` times the projected ones.
-    The interior is clipped to the discrete maximum-principle range of the
-    data, which the exact iterate obeys for stable dt, so the clip removes
-    only rounding excursions.
-    """
-    a, s = boundary_rule.a, boundary_rule.s
-    transform, decay, ones = _sine_modes(field, dt)
-    growth = 1.0 - decay
-    for step in steps:
-        t = step * dt
-        power = growth**step
-        v = transform((power * (c - a) - s * dt * (1.0 - power) / decay) * ones)
-        g = boundary_rule(None, t)
-        interior = np.clip(v + g, min(c, a, g), max(c, a, g))
-        yield step, _lattice(field, interior, faces, _face_values(faces, boundary_rule, t), t)
-
-
-def _uniform_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
-    """Yield ``(step, values)`` for each of the ascending ``steps``: in the
-    sine basis while the boundary data is uniform in space, then by
-    stepping.  The initial boundary must be uniform.
+def _modal_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
+    """Yield ``(step, values)`` for each of the ascending ``steps`` in the
+    sine basis; the boundary of ``field``, the lattice of step 0, must be
+    uniform.
 
     With ``v_n = H_n - g_n`` for the common face value ``g_n`` of step n,
-    ``v_{n+1} = (I + dt*A) v_n - (g_{n+1} - g_n)`` with zero Dirichlet data.
-    In the basis of :func:`_sine_modes` the initial data contributes
-    ``r^n v_0``, computed at snapshot steps only.  The forcing contributes
-    ``w_n`` times the projected ones, whose amplitude
-    ``w_n = r w_{n-1} - (g_n - g_{n-1})`` is advanced every step on the
-    all-odd modes alone.  For stable dt ``|r| <= 1``, so ``|w_n|`` is at
-    most ``reach``, the sum of ``|g_j - g_{j-1}|``.  The interior is
-    clipped to the range of the initial lattice and of the boundary values
-    so far (the discrete maximum principle).
+    ``v_{n+1} = (I + dt*A) v_n - (g_{n+1} - g_n)`` with zero Dirichlet data,
+    so in the basis of :func:`_sine_modes` ``v_n = r^n v_0 + w_n * ones``.
+    ``r^n v_0`` is computed at snapshot steps only.  The interior is clipped
+    to the range of the initial lattice and of the boundary values so far
+    (the discrete maximum principle).
 
-    The rule is called once per face per step.  At the first step n whose
-    faces are not one finite scalar, or whose ``reach`` could overflow the
-    forced modes, the lattice of step n-1 is rebuilt from the modes and
-    stepping takes over, beginning with the face values of step n.
+    * An :class:`AffineRule` boundary ``a + s*t`` gives the geometric series
+      ``w_n = s*dt (r^n - 1) / (1 - r)``, so only the snapshot steps are
+      visited and the rule is called at those alone.
+    * Any other rule is called once per face per step, and
+      ``w_n = r w_{n-1} - (g_n - g_{n-1})`` is advanced every step on the
+      all-odd modes alone.  For stable dt ``|r| <= 1``, so ``|w_n|`` is at
+      most ``reach``, the sum of ``|g_j - g_{j-1}|``.  At the first step n
+      whose faces are not one finite scalar, or whose ``reach`` could
+      overflow the forced modes, the lattice of step n-1 is rebuilt from the
+      modes and stepping takes over, beginning with the face values of step n.
     """
     g = float(field.values.flat[0])
     transform, decay, ones = _sine_modes(field, dt)
@@ -465,16 +435,36 @@ def _uniform_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
         yield from _stepped_iterates(field, faces, boundary_rule, dt, steps)
         return
     growth = 1.0 - decay
+    lo, hi = float(field.values.min()), float(field.values.max())
+
+    def lattice(step, modes, face_values):
+        """The lattice of ``step`` from its modes, checked for non-finite values."""
+        values = np.empty(field.extents)
+        values[core] = np.clip(transform(modes) + g, lo, hi)
+        _write_faces(values, faces, face_values)
+        if not np.isfinite(values).all():
+            raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
+        return values
+
+    if isinstance(boundary_rule, AffineRule):
+        for step in steps:
+            face_values = _face_values(faces, boundary_rule, step * dt)
+            g = face_values[0]
+            lo, hi = min(lo, g), max(hi, g)
+            power = growth**step
+            w = boundary_rule.s * dt * (power - 1.0) / decay
+            yield step, lattice(step, power * initial + w * ones, face_values)
+        return
+
     odd = (slice(None, None, 2),) * field.k
     rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
     reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
-    lo, hi = float(field.values.min()), float(field.values.max())
 
-    def lattice(step, face_values):
+    def forced_lattice(step, face_values):
         """The lattice of ``step``, the last step the modes were advanced to."""
         v = growth**step * initial
         v[odd] += forced * ones[odd]
-        return _lattice(field, np.clip(transform(v) + g, lo, hi), faces, face_values, step * dt)
+        return lattice(step, v, face_values)
 
     wanted, previous = set(steps), None
     for step in range(1, max(steps, default=0) + 1):
@@ -483,7 +473,7 @@ def _uniform_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
         if g_new is not None:
             reach += abs(g_new - g)
         if g_new is None or reach > reach_limit:
-            start = field if step == 1 else replace(field, values=lattice(step - 1, previous))
+            start = field if step == 1 else replace(field, values=forced_lattice(step - 1, previous))
             yield from _stepped_iterates(start, faces, boundary_rule, dt,
                                          [n for n in steps if n >= step], step - 1, face_values)
             return
@@ -492,7 +482,7 @@ def _uniform_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
         g, previous = g_new, face_values
         lo, hi = min(lo, g), max(hi, g)
         if step in wanted:
-            yield step, lattice(step, face_values)
+            yield step, forced_lattice(step, face_values)
 
 
 # -- verification ------------------------------------------------------------
@@ -642,8 +632,8 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     Recognised fields: domain [[lo, hi], ...], resolution [n, ...],
     s (default 10), t_end, dt (number or "auto"), boundary ("s*t" or a
     number, default "s*t") and initial (a number, default 0).  Both rules
-    become :class:`AffineRule` objects, so :func:`run_scenario` computes
-    the scenario in closed form.
+    become :class:`AffineRule` objects; the boundary rule being one,
+    :func:`run_scenario` computes the scenario in closed form.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:

@@ -2,12 +2,13 @@ import json
 import math
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from sustkit.diffusion import (
+    MAX_STEPS,
     AffineRule,
     NonFiniteFieldError,
     ScalarField,
@@ -683,18 +684,36 @@ def stepped(spec: ScenarioSpec, times) -> list[ScalarField]:
     return [replace(fld, values=got[n], time=n * dt) for n in want]
 
 
-# (domain, resolution, a, s, c, dt as a fraction of the stability bound);
-# at the bound (1.0) the fastest modes have 1 + dt*mu < 0.
+@dataclass(frozen=True)
+class CountingAffineRule(AffineRule):
+    """An AffineRule that records the time of every call."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def __call__(self, coords, t=None):
+        self.calls.append(t)
+        return super().__call__(coords, t)
+
+
+# (domain, resolution, a, s, initial value c or rule, dt as a fraction of
+# the stability bound); at the bound (1.0) the fastest modes have
+# 1 + dt*mu < 0.
 AFFINE_CASES = {
     "k1_n3": (((0.0, 1.0),), (3,), -0.0, 10.0, 0.0, 1.0),
     "k1_n31_offset": (((-1.0, 2.0),), (31,), 2.5, -3.0, -1.0, 1.0),
     "k1_n17_small_dt": (((0.0, 1.0),), (17,), 0.0, 4.0, 1.0, 0.3),
+    "k1_n31_varying": (((-1.0, 2.0),), (31,), 2.5, -3.0,
+                       lambda coords: np.sin(3.0 * coords[0]) - 1.0, 1.0),
     "k2_square_fig": (((0.0, 9.0), (0.0, 9.0)), (19, 19), -0.0, 10.0, 0.0, 1.0),
     "k2_rectangle_offset": (((0.0, 4.0), (0.0, 6.0)), (21, 31), -1.5, 4.0, 3.0, 0.5),
     "k2_rectangle_n3": (((0.0, 1.0), (0.0, 2.0)), (3, 5), 1.0, -2.0, 1.0, 1.0),
     "k2_constant": (((0.0, 2.0), (-1.0, 1.0)), (7, 13), 1.25, 0.0, 1.25, 1.0),
+    "k2_rectangle_varying": (((0.0, 4.0), (0.0, 6.0)), (21, 31), 0.5, 3.0,
+                             lambda coords: np.sin(coords[0]) * np.cos(coords[1]), 1.0),
     "k3_cube_negative_s": (((0.0, 1.0),) * 3, (9, 9, 9), -0.0, -2.0, 0.5, 1.0),
     "k3_box_offset": (((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), (5, 9, 13), 0.25, 7.0, -2.0, 0.7),
+    "k3_box_varying": (((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), (5, 9, 13), 0.25, 7.0,
+                       lambda coords: coords[0] * coords[1] - coords[2], 0.7),
 }
 
 
@@ -703,19 +722,26 @@ def test_affine_closed_form_matches_stepping(case):
     domain, resolution, a, s, c, dt_fraction = AFFINE_CASES[case]
     spacings = [(hi - lo) / (n - 1) for (lo, hi), n in zip(domain, resolution)]
     dt = dt_fraction * stable_dt(spacings)
+    initial_rule = c if callable(c) else AffineRule(c)
     spec = ScenarioSpec(domain=domain, resolution=resolution, boundary_rule=AffineRule(a, s),
-                        initial_rule=AffineRule(c), t_end=150 * dt, dt=dt)
+                        initial_rule=initial_rule, t_end=150 * dt, dt=dt)
     times = [0.0, dt, 7 * dt, 40.4 * dt, 150 * dt]
-    closed, reference = run_scenario(spec, times), stepped(spec, times)
+    counting = CountingAffineRule(a, s)
+    closed = run_scenario(replace(spec, boundary_rule=counting), times)
+    reference = stepped(spec, times)
+    # the rule is called on every face at t = 0 and at each snapshot step only
+    faces = 2 * len(domain)
+    assert counting.calls == [n * dt for n in (0, 1, 7, 40, 150) for _ in range(faces)]
     boundary = reference[0].boundary_mask()
     assert np.array_equal(closed[0].values, reference[0].values)
+    lo, hi = float(reference[0].values.min()), float(reference[0].values.max())
     for got, want in zip(closed, reference):
         assert got.time == want.time
-        assert np.array_equal(got.values[boundary], want.values[boundary])
+        assert np.array_equal(_bits(got.values[boundary]), _bits(want.values[boundary]))
         scale = float(np.max(np.abs(want.values)))
         assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
         g = a + s * got.time
-        assert got.values.min() >= min(c, a, g) and got.values.max() <= max(c, a, g)
+        assert got.values.min() >= min(lo, g) and got.values.max() <= max(hi, g)
     if s == 0.0 and c == a:
         assert all(np.all(f.values == c) for f in closed)
 
@@ -735,6 +761,39 @@ def test_affine_closed_form_reaches_full_scale_horizon():
     # The stencil differences of values near 1e4 over h^2 = 1.2e-4 carry
     # rounding of about 4e-9 relative to s = 10.
     assert np.allclose(lap, 10.0, rtol=1e-7, atol=0.0)
+
+
+def test_step_budget_refuses_rules_that_must_step():
+    # fig4 panel a at t_end = 1000 is about 36 M steps, past MAX_STEPS: a
+    # lambda boundary is refused before either rule is called, while an
+    # AffineRule boundary reaches the horizon whatever the initial rule.
+    from sustkit.pavement import figure_scenarios
+
+    calls = []
+    spec = replace(figure_scenarios("fig4")[0],
+                   initial_rule=lambda coords: calls.append(coords) or 0.0)
+    steps = round(spec.t_end / spec.resolved_dt())
+    assert steps > MAX_STEPS
+    with pytest.raises(ValueError, match=f"{steps} steps exceed MAX_STEPS.*AffineRule"):
+        run_scenario(replace(spec, boundary_rule=lambda coords, t: calls.append(t) or 10.0 * t),
+                     [1.0, spec.t_end])
+    assert calls == []
+    final = run_scenario(spec, [spec.t_end])[0]
+    assert final.time == steps * spec.resolved_dt() and len(calls) == 1
+
+
+@pytest.mark.parametrize("last_step", [5, 6])
+def test_step_budget_counts_the_last_wanted_step(monkeypatch, last_step):
+    import sustkit.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "MAX_STEPS", 5)
+    spec = unit_square_spec(resolution=5, t_end=1.0)
+    dt = spec.resolved_dt()
+    if last_step > 5:
+        with pytest.raises(ValueError, match="6 steps exceed MAX_STEPS = 5"):
+            run_scenario(spec, [0.0, last_step * dt])
+    else:
+        assert run_scenario(spec, [0.0, last_step * dt])[-1].time == 5 * dt
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])
