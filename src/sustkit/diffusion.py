@@ -82,6 +82,12 @@ class AffineRule:
     a: float = -0.0
     s: float = -0.0
 
+    def __post_init__(self):
+        # Stored as given; NaN and inf pass here and are refused by the run.
+        for name, value in (("a", self.a), ("s", self.s)):
+            if not is_number(value):
+                raise ValueError(f"AffineRule {name} must be a number, got {value!r}")
+
     def __call__(self, coords, t=None):
         return self.a if t is None else self.a + self.s * t
 
@@ -566,17 +572,21 @@ def convergence_study(
 
 
 def field_to_csv(field: ScalarField, path: str | Path) -> None:
-    """One row per lattice point: psi coordinates then the value, each as
-    ``%.17g``, comma-separated with CRLF line ends (the bytes the csv
-    module's default dialect writes), formatted in one call per grid."""
-    grids = np.meshgrid(
-        *(field.axis_coords(a) for a in range(field.k)), indexing="ij"
-    )
-    table = np.column_stack([g.ravel() for g in grids] + [field.values.ravel()])
+    """One row per lattice point in row-major order: psi coordinates then
+    the value, each as ``%.17g``, comma-separated with CRLF line ends (the
+    bytes the csv module's default dialect writes).
+
+    Each axis's coordinates are formatted once, and the rows' coordinate
+    text is joined, last axis innermost, into one template with a
+    ``%.17g`` per row; one ``%`` call fills it with the values.  An axis
+    with no points leaves no rows, so the file is the header alone."""
+    rows = ["%.17g\r\n"]
+    for a in reversed(range(field.k)):
+        cells = ["%.17g," % x for x in field.axis_coords(a).tolist()]
+        rows = [c + r for c in cells for r in rows]
     header = ",".join([f"psi{a + 1}" for a in range(field.k)] + ["value"]) + "\r\n"
-    row = "%.17g," * field.k + "%.17g\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(header + row * len(table) % tuple(table.ravel().tolist()))
+        fh.write(header + "".join(rows) % tuple(field.values.ravel().tolist()))
 
 
 def field_to_json(field: ScalarField, path: str | Path) -> None:

@@ -534,6 +534,12 @@ BAD_INPUT = {
     "fit_too_few_fields": (FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.3,1,1,0.5\n", ["index", "fit"]),
     "fit_too_many_fields": (
         FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.2,0.3,1,1,0.5,7\n", ["index", "fit"]),
+    "fit_comment_row": (
+        FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n#0.2,0.2,0.3,1,1,0.6\n0.3,0.1,0.2,1,1,0.4\n"
+        "0.4,0.3,0.1,1,1,0.7\n", ["index", "fit"]),
+    "fit_trailing_comment": (
+        FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.2,0.3,1,1,1.9 # note\n0.3,0.1,0.2,1,1,0.4\n",
+        ["index", "fit"]),
     "fit_nan_weight": (
         FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n0.2,0.2,0.3,nan,1,0.5\n0.3,0.1,0.2,1,1,0.4\n",
         ["index", "fit"]),

@@ -1,11 +1,15 @@
 import json
 import math
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sustkit.diffusion import (
     MAX_STEPS,
@@ -487,6 +491,70 @@ def test_field_csv_export(tmp_path):
     assert first[2] == 10.0 * fld.time  # corner carries the boundary value
 
 
+# -- the grid writer against the one-call reference ---------------------------------
+
+
+def _reference_csv(field, path):
+    """The writer field_to_csv replaced: every coordinate of every row is
+    formatted again, and the whole table in one ``%`` call."""
+    grids = np.meshgrid(*(field.axis_coords(a) for a in range(field.k)), indexing="ij")
+    table = np.column_stack([g.ravel() for g in grids] + [field.values.ravel()])
+    header = ",".join([f"psi{a + 1}" for a in range(field.k)] + ["value"]) + "\r\n"
+    row = "%.17g," * field.k + "%.17g\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + row * len(table) % tuple(table.ravel().tolist()))
+
+
+def _csv_bytes_match_reference(fld, directory) -> bytes:
+    got, want = directory / "got.csv", directory / "want.csv"
+    field_to_csv(fld, got)
+    _reference_csv(fld, want)
+    data = got.read_bytes()
+    assert data == want.read_bytes()
+    return data
+
+
+SPECIAL_VALUES = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                  1e308, -sys.float_info.max, 1 / 3, -1e-300]
+
+
+@pytest.mark.parametrize("extents, origin, spacings", [
+    ((15,), (0.0,), (0.1,)),
+    ((4, 6), (-3.0, 1e-300), (1e-9, 1 / 3)),
+    ((3, 3), (-1e5, -0.0), (0.25, 1e-9)),
+    ((5, 3, 4), (1e-300, -1e5, 2.0), (1 / 3, 0.1, 1e-9)),
+    ((3, 4, 3, 2), (-1.0, 0.5, -1e5, 1e-300), (0.5, 1 / 3, 1e-9, 7.0)),
+    ((0,), (0.0,), (0.1,)),
+    ((0, 3), (-1e5, 0.0), (1 / 3, 0.1)),
+    ((4, 0, 2), (0.0, 1e-300, -1.0), (0.1, 1e-9, 1 / 3)),
+])
+def test_field_csv_matches_reference_bytes(tmp_path, extents, origin, spacings):
+    n = math.prod(extents)
+    rng = np.random.default_rng(n)
+    values = np.concatenate([SPECIAL_VALUES, rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)])
+    values = rng.permutation(values[:n]).reshape(extents)
+    fld = ScalarField(k=len(extents), extents=extents, spacings=spacings, origin=origin,
+                      values=values)
+    text = _csv_bytes_match_reference(fld, tmp_path)
+    assert text.count(b"\r\n") == 1 + n
+    if n == 0:  # an axis with no points: the header alone
+        assert text == b",".join(b"psi%d" % (a + 1) for a in range(len(extents))) + b",value\r\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=3).flatmap(lambda ext: st.tuples(
+    st.just(tuple(ext)),
+    st.lists(st.floats(-1e6, 1e6), min_size=len(ext), max_size=len(ext)),
+    st.lists(st.floats(1e-12, 1e3), min_size=len(ext), max_size=len(ext)),
+    st.lists(st.floats(), min_size=math.prod(ext), max_size=math.prod(ext)))))
+def test_field_csv_matches_reference_on_random_lattices(case):
+    extents, origin, spacings, values = case
+    fld = ScalarField(k=len(extents), extents=extents, spacings=spacings, origin=origin,
+                      values=np.array(values, dtype=float).reshape(extents))
+    with tempfile.TemporaryDirectory() as directory:
+        _csv_bytes_match_reference(fld, Path(directory))
+
+
 def test_field_json_round_trip(tmp_path):
     spec = unit_square_spec(resolution=5)
     fld = run_scenario(spec, [spec.t_end])[0]
@@ -669,6 +737,20 @@ def test_affine_rule_equals_the_plain_rules_bit_for_bit():
         for got in (AffineRule(c)((), 0.0), AffineRule(c)((), 3.0), AffineRule(c)(())):
             assert got == c and math.copysign(1.0, got) == math.copysign(1.0, c)
     assert AffineRule(1.5, 2.0)((), 0.25) == 2.0
+
+
+@pytest.mark.parametrize("a, s", [(True, 2.0), ("x", -0.0), (None, -0.0),
+                                  (1.0, False), (1.0, "2"), (1.0, None)])
+def test_affine_rule_refuses_non_numbers(a, s):
+    # True would otherwise run as 1 and "x" fail later, inside numpy
+    with pytest.raises(ValueError, match="AffineRule [as] must be a number"):
+        AffineRule(a, s)
+
+
+def test_affine_rule_keeps_numbers_as_given():
+    rule = AffineRule(np.float64(1.5), 2)
+    assert type(rule.a) is np.float64 and type(rule.s) is int
+    assert rule((), 0.25) == 2.0 and rule(()) == 1.5
 
 
 def stepped(spec: ScenarioSpec, times) -> list[ScalarField]:

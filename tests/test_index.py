@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -628,6 +629,17 @@ def test_observation_csv_rejects_wrong_field_count(tmp_path, rows, message):
     path = tmp_path / "obs.csv"
     write_csv(path, 2, rows)
     with pytest.raises(ValueError, match=message):
+        read_observations_csv(path)
+
+
+@pytest.mark.parametrize("row", ["#0.2,0.2,0.3,1,1,0.6", "0.2,0.2,0.3,1,1,1.9 # note"])
+def test_observation_csv_refuses_hash_rows(tmp_path, row):
+    # A "#" is not a comment: read as one, the first row would vanish from the
+    # fit and the second be cut to 1.9, both without a word.
+    path = tmp_path / "obs.csv"
+    write_csv(path, 2, ["0.1,0.2,0.3,1,1,0.5", row, "", "0.3,0.1,0.2,1,1,0.4",
+                        "0.4,0.3,0.1,1,1,0.7"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
         read_observations_csv(path)
 
 
