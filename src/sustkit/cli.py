@@ -196,13 +196,7 @@ def _cmd_pavement(args) -> int:
         if args.format == "json":
             print(json.dumps([asdict(d) for d in designs], indent=2, sort_keys=True))
         else:
-            print(",".join(pavement.MIX_CSV_COLUMNS))
-            for d in designs:
-                drainage = "" if d.drainage_mm is None else f"{d.drainage_mm:g}"
-                print(
-                    f"{d.label},{d.ac_mm:g},{drainage},{d.subbase_mm:g},"
-                    f"{d.base_mm:g},{d.total_mm:g},{d.base_mr_mpa:g},{d.reference}"
-                )
+            pavement.write_mix_table(designs, sys.stdout)
     else:  # reduction
         baseline = pavement.find_mix(designs, args.baseline)
         if args.mix:

@@ -278,7 +278,8 @@ def read_observations_csv(path: str | Path) -> Observations:
             with warnings.catch_warnings():  # a body with no rows is reported by the fit
                 warnings.simplefilter("ignore", UserWarning)
                 # comments=None: a "#" is a malformed number, not a comment that drops data
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+                data = np.loadtxt((line for line in fh if not line.isspace()), delimiter=",",
+                                  ndmin=2, comments=None)
         except ValueError as exc:  # drop numpy's usecols hint: usecols would hide extra fields
             raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from exc
     if data.size and data.shape[1] != 2 * k + 2:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -59,7 +59,7 @@ class MixDesign:
         return layers
 
 
-# label, ac, drainage (None = no layer), subbase, base, total, base Mr, reference
+# one tuple per design, in MixDesign's field order
 _MIX_ROWS = (
     ("0R:100VA", 80.0, None, 200.0, 275.0, 555.0, 350.0, "IRC:37 (2018)"),
     ("50R:50V+20F", 70.0, 100.0, 100.0, 185.0, 455.0, 1344.0, "-"),
@@ -83,55 +83,59 @@ HEADLINE_REDUCTION_ROWS = {
     100: "100R:0VA+20F",
 }
 
-MIX_CSV_COLUMNS = (
-    "label",
-    "ac_mm",
-    "drainage_mm",
-    "subbase_mm",
-    "base_mm",
-    "total_mm",
-    "base_mr_mpa",
-    "reference",
-)
+MIX_CSV_COLUMNS = tuple(f.name for f in fields(MixDesign))
 
 
 def load_mix_table(source: str | Path | None = None) -> list[MixDesign]:
     """Validated mix designs from a CSV file, or the embedded eight-row
     default when ``source`` is None.
 
-    CSV columns: label, ac_mm, drainage_mm (blank = no drainage layer),
-    subbase_mm, base_mm, total_mm, base_mr_mpa, reference.  A row whose
-    layers do not sum to its total is rejected with diagnostics.
+    The header names the :data:`MIX_CSV_COLUMNS` in any order, and other
+    columns are ignored.  Empty and whitespace-only lines are skipped; every
+    other row needs the header's field count.  Text is stripped and a blank
+    number is None, so a blank ``drainage_mm`` means no drainage layer.  A
+    bad row raises :class:`MixTableError` naming the file and line.
     """
     if source is None:
         return [MixDesign(*row) for row in _MIX_ROWS]
     path = Path(source)
     designs: list[MixDesign] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in MIX_CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in MIX_CSV_COLUMNS if c not in header]
         if missing:
             raise MixTableError(f"{path}: missing columns {missing}")
-        for line_no, row in enumerate(reader, start=2):
+        columns = [(header.index(f.name), f.type in (str, "str")) for f in fields(MixDesign)]
+        for row in reader:
+            if len(row) <= 1 and not "".join(row).strip():
+                continue  # an empty or whitespace-only line
             try:
-                drainage = row["drainage_mm"].strip()
-                designs.append(
-                    MixDesign(
-                        label=row["label"].strip(),
-                        ac_mm=float(row["ac_mm"]),
-                        drainage_mm=float(drainage) if drainage else None,
-                        subbase_mm=float(row["subbase_mm"]),
-                        base_mm=float(row["base_mm"]),
-                        total_mm=float(row["total_mm"]),
-                        base_mr_mpa=float(row["base_mr_mpa"]),
-                        reference=(row.get("reference") or "").strip(),
-                    )
-                )
-            except (MixTableError, ValueError) as exc:
-                raise MixTableError(f"{path}, line {line_no}: {exc}") from exc
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields; the header has {len(header)}")
+                texts = [(row[i].strip(), is_text) for i, is_text in columns]
+                designs.append(MixDesign(*(t if is_text else float(t) if t else None
+                                           for t, is_text in texts)))
+            except ValueError as exc:
+                raise MixTableError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not designs:
         raise MixTableError(f"{path}: no data rows")
     return designs
+
+
+def _mix_cell(value) -> str:
+    if value is None or isinstance(value, str):
+        return value or ""
+    return repr(float(value)).removesuffix(".0")  # the shortest text that reads back equal
+
+
+def write_mix_table(designs: Sequence[MixDesign], fh) -> None:
+    """Write ``designs`` to the text stream ``fh`` as CSV that
+    :func:`load_mix_table` reads back equal: numbers are written exactly,
+    no drainage layer is a blank field, and lines end in a bare newline."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(MIX_CSV_COLUMNS)
+    writer.writerows(map(_mix_cell, astuple(d)) for d in designs)
 
 
 def find_mix(designs: Sequence[MixDesign], label: str) -> MixDesign:

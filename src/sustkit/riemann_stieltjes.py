@@ -147,8 +147,8 @@ class WeightFunction:
     def from_csv(cls, path: str | Path, label: str | None = None) -> "WeightFunction":
         """Load a function from a two-column CSV (x, value); linear
         interpolation between samples.  Line 1 may be a header (a row that
-        is not all numbers) and blank lines are skipped; every other row
-        must be exactly two numbers."""
+        is not all numbers) and blank (empty or whitespace-only) lines are
+        skipped; every other row must be exactly two numbers."""
         path = Path(path)
         samples: list[list[float]] = []
         with open(path, newline="") as fh:
@@ -161,7 +161,7 @@ class WeightFunction:
                     values = []
                 if len(values) == 2:
                     samples.append(values)
-                elif row:  # a blank line has no fields
+                elif len(row) > 1 or "".join(row).strip():  # not an empty or whitespace-only line
                     raise ValueError(f"{path}, line {line_no}: expected two numbers x,value, "
                                      f"got {row!r}")
         if len(samples) < 2:

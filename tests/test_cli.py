@@ -326,6 +326,19 @@ def test_cli_index_fit(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == payload
 
 
+@pytest.mark.parametrize("blank", ["   ", "\t"])
+def test_cli_index_fit_skips_whitespace_lines(tmp_path, capsys, blank):
+    rows = ["1,0.5,0.5,1,1,3", "0.25,1,0.2,2,1,7", "0.5,0.3,0.9,1,2,4"]
+    outputs = []
+    for lines in (rows, [rows[0], blank, rows[1], blank, rows[2], blank]):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(FIT_HEADER + "\n".join(lines) + "\n")
+        assert main(["index", "fit", "--observations", str(obs), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["n_obs"] == 3
+
+
 def test_cli_index_missing_parameters(capsys):
     rc = main(["index", "eval", "--family", "C2w_ab", "--k", "2",
                "--t", "1", "--psi", "0,0"])
@@ -708,6 +721,19 @@ def test_cli_non_finite_mix_row_exits_one(tmp_path, row):
     table.write_text("label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference\n"
                      f"0R:100VA,80,,200,275,555,350,x\n{row}\n")
     _assert_exits_one_with_error_line(["pavement", "reduction", "--table", str(table)])
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0R:100VA,80\n", 2),  # a short row
+    ("0R:100VA,80,,200,275,555,350,x,extra\n", 2),  # a field beyond the header
+    ("\n   \n\n0R:100VA,80,,200,275,556,350,x\n", 5),  # the file line, not the row count
+])
+def test_cli_bad_mix_row_names_file_line(tmp_path, body, line):
+    table = tmp_path / "mixes.csv"
+    table.write_text("label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference\n"
+                     + body)
+    err = _assert_exits_one_with_error_line(["pavement", "table", "--table", str(table)])
+    assert err.startswith(f"error: {table}, line {line}: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -643,6 +643,16 @@ def test_observation_csv_refuses_hash_rows(tmp_path, row):
         read_observations_csv(path)
 
 
+@pytest.mark.parametrize("blank", ["   ", "\t"])
+def test_observation_csv_skips_whitespace_lines(tmp_path, blank):
+    rows = ["0.1,0.2,0.3,1,1,0.5", "0.3,0.1,0.2,1,1,0.4", "0.4,0.3,0.1,1,1,0.7"]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    write_csv(plain, 2, rows)
+    write_csv(spaced, 2, [rows[0], blank, rows[1], "", blank, rows[2], blank])
+    for expected, loaded in zip(read_observations_csv(plain), read_observations_csv(spaced)):
+        assert np.array_equal(loaded, expected)
+
+
 def test_observation_csv_without_rows_reaches_the_fit(tmp_path):
     path = tmp_path / "obs.csv"
     write_csv(path, 2, [])

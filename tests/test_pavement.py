@@ -1,9 +1,15 @@
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sustkit.cli import main
 from sustkit.pavement import (
     BASELINE_LABEL,
     MixDesign,
@@ -14,6 +20,7 @@ from sustkit.pavement import (
     reduction_table,
     run_demo_figures,
     thickness_reduction,
+    write_mix_table,
 )
 
 # Reductions recomputed by hand from the embedded totals against the 555 mm
@@ -94,17 +101,25 @@ def test_negative_thickness_rejected():
         )
 
 
-def test_csv_round_trip(tmp_path):
-    designs = load_mix_table()
-    path = tmp_path / "mixes.csv"
-    lines = ["label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference"]
+MIX_HEADER = "label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference"
+
+
+def _hand_formatted_table(designs):
+    """The reference formatter: %g numbers and unquoted text, exact on the embedded rows."""
+    lines = [MIX_HEADER]
     for d in designs:
         drainage = "" if d.drainage_mm is None else f"{d.drainage_mm:g}"
         lines.append(
             f"{d.label},{d.ac_mm:g},{drainage},{d.subbase_mm:g},{d.base_mm:g},"
             f"{d.total_mm:g},{d.base_mr_mpa:g},{d.reference}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_round_trip(tmp_path):
+    designs = load_mix_table()
+    path = tmp_path / "mixes.csv"
+    path.write_text(_hand_formatted_table(designs))
     assert load_mix_table(path) == designs
 
 
@@ -137,6 +152,55 @@ def test_csv_missing_columns(tmp_path):
     path = tmp_path / "mixes.csv"
     path.write_text("label,total_mm\nx,555\n")
     with pytest.raises(MixTableError, match="missing columns"):
+        load_mix_table(path)
+
+
+def test_cli_table_matches_hand_formatted_bytes(capsys):
+    assert main(["pavement", "table"]) == 0
+    assert capsys.readouterr().out == _hand_formatted_table(load_mix_table())
+
+
+TABLE_TEXT = st.text(st.sampled_from('aZ09:+-&() ,"'), max_size=12).map(str.strip)
+THICKNESS = st.floats(0.0, 1e4)  # any double in range, up to 17 significant digits
+
+
+@st.composite
+def mix_designs(draw):
+    ac, subbase, base = draw(THICKNESS), draw(THICKNESS), draw(THICKNESS)
+    drainage = draw(st.none() | THICKNESS)
+    layers = [ac, subbase, base] + ([] if drainage is None else [drainage])
+    return MixDesign(draw(TABLE_TEXT), ac, drainage, subbase, base, math.fsum(layers),
+                     draw(st.floats(0.0, 1e5, exclude_min=True)), draw(TABLE_TEXT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mix_designs(), min_size=1, max_size=4))
+@example([MixDesign("A, b", 70.1234567, None, 10.0, 275.0, 355.1234567, 350.0, 'ref, "q"')])
+def test_written_table_loads_back_equal(designs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mixes.csv"
+        with open(path, "w", newline="") as fh:
+            write_mix_table(designs, fh)
+        assert load_mix_table(path) == designs
+
+
+def test_csv_skips_whitespace_lines_and_ignores_extra_columns(tmp_path):
+    path = tmp_path / "mixes.csv"
+    path.write_text("note,reference,total_mm,base_mr_mpa,base_mm,subbase_mm,drainage_mm,ac_mm,"
+                    "label\n   \nfirst,IRC:37 (2018),555,350,275,200,,80,0R:100VA\n\t\n"
+                    "second,-,455,1344,185,100,100,70,50R:50V+20F\n  \n")
+    assert load_mix_table(path) == load_mix_table()[:2]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("A,80\n", "line 2: 2 fields; the header has 8"),
+    ("A,80,,200,275,555,350,x,extra\n", "line 2: 9 fields; the header has 8"),
+    ("\n   \n\nA,80,,200,275,556,350,x\n", "line 5: A: layers sum to 555"),
+])
+def test_csv_bad_row_names_file_line(tmp_path, body, message):
+    path = tmp_path / "mixes.csv"
+    path.write_text(MIX_HEADER + "\n" + body)
+    with pytest.raises(MixTableError, match=f"^{re.escape(str(path))}, {message}"):
         load_mix_table(path)
 
 

@@ -202,6 +202,15 @@ def test_weight_function_from_csv_header_and_blank_lines(tmp_path):
         assert w(np.array([0.25, 0.75])).tolist() == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("blank", ["   ", "\t"])
+def test_weight_function_from_csv_skips_whitespace_lines(tmp_path, blank):
+    path = tmp_path / "w.csv"
+    path.write_text(f"x,value\n0,0\n{blank}\n0.5,1\n{blank}\n1,1\n{blank}\n")
+    w = WeightFunction.from_csv(path)
+    assert (w.domain_lo, w.domain_hi) == (0.0, 1.0)
+    assert w(np.array([0.25, 0.75])).tolist() == [0.5, 1.0]
+
+
 # -- Riemann-Stieltjes sums --------------------------------------------------------
 
 
