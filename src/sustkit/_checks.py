@@ -1,4 +1,4 @@
-"""Number checks shared by every constructor, JSON reader and CLI verb.
+"""Input checks shared by every constructor, file reader and CLI verb.
 
 A number is an int or a float, numpy scalars included, but never a bool
 (JSON ``true`` loads as one), a string or None.  Each check raises
@@ -8,9 +8,10 @@ for counts) and is written so that NaN fails it.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def is_number(value) -> bool:
@@ -59,3 +60,20 @@ def check_interval(lo, hi) -> tuple[float, float]:
     if not -math.inf < lo_f < hi_f < math.inf:
         raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     return lo_f, hi_f
+
+
+def blank(text: str) -> bool:
+    """The one test of a blank CSV line or row: empty or whitespace-only."""
+    return text.isspace() or not text
+
+
+def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """``(line, fields)`` of each CSV row of the file that is not blank, ``line``
+    being the file line the row ends on.  A row that the csv module cannot read,
+    such as one with a field over ``csv.field_size_limit()``, is a ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from ((reader.line_num, row) for row in reader if not blank(",".join(row)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc

@@ -14,17 +14,18 @@ into arrays and :func:`fit_alpha_beta` is the one place that validates them.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
+from contextlib import suppress
 from dataclasses import asdict, dataclass
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import riemann_stieltjes as rs
-from ._checks import check_positive, finite, is_number, whole_number
+from ._checks import blank, check_positive, csv_rows, finite, is_number, whole_number
 from .polynomials import SolutionFamily, family_coefficients
 
 #: the seven factor variables of the headline index: (symbol, name, what the
@@ -265,26 +266,32 @@ def _columns(table: np.ndarray, k: int) -> Observations:
 
 def read_observations_csv(path: str | Path) -> Observations:
     """Read fit observations from CSV with header
-    t, psi1..psik, omega1..omegak, H_obs (k inferred from the header)."""
-    with open(path, newline="") as fh:
-        header = [h.strip() for h in next(csv.reader([fh.readline()]))]
-        k = sum(1 for h in header if h.startswith("psi"))
-        numbers = range(1, k + 1)
-        expected = ["t", *(f"psi{i}" for i in numbers), *(f"omega{i}" for i in numbers), "H_obs"]
-        if k == 0 or header != expected:
-            raise ValueError(f"{path}: expected header t, psi1..psik, omega1..omegak, "
-                             f"H_obs, got {header}")
+    t, psi1..psik, omega1..omegak, H_obs (k inferred from the header).
+    A row that is not 2k+2 numbers raises ValueError naming its file line."""
+    header = [h.strip() for h in next(csv_rows(path), (0, []))[1]]
+    k = sum(1 for h in header if h.startswith("psi"))
+    numbers = range(1, k + 1)
+    expected = ["t", *(f"psi{i}" for i in numbers), *(f"omega{i}" for i in numbers), "H_obs"]
+    if k == 0 or header != expected:
+        raise ValueError(f"{path}: expected header t, psi1..psik, omega1..omegak, "
+                         f"H_obs, got {header}")
+    # the fast path; should it fail, the rows are read again as CSV to name the bad row's line
+    with open(path, newline="") as fh, suppress(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported by the fit
+        # comments=None: a "#" is a malformed number, not a comment that drops data
+        data = np.loadtxt(islice(filterfalse(blank, fh), 1, None), delimiter=",", ndmin=2,
+                          comments=None)
+        if data.shape[1] == len(header):
+            return _columns(data, k)
+    rows = []
+    for line, row in islice(csv_rows(path), 1, None):
         try:
-            with warnings.catch_warnings():  # a body with no rows is reported by the fit
-                warnings.simplefilter("ignore", UserWarning)
-                # comments=None: a "#" is a malformed number, not a comment that drops data
-                data = np.loadtxt((line for line in fh if not line.isspace()), delimiter=",",
-                                  ndmin=2, comments=None)
-        except ValueError as exc:  # drop numpy's usecols hint: usecols would hide extra fields
-            raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from exc
-    if data.size and data.shape[1] != 2 * k + 2:
-        raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected {2 * k + 2}")
-    return _columns(data, k)
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, expected {len(header)}")
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from exc
+    return _columns(np.array(rows).reshape(-1, len(header)), k)
 
 
 def read_observations_json(path: str | Path) -> Observations:

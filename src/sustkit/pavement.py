@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from ._checks import check_positive, finite, whole_number
+from ._checks import blank, check_positive, csv_rows, finite, whole_number
 from .diffusion import (AffineRule, ScenarioSpec, export_snapshots, field_to_csv, run_scenario,
                         write_manifest)
 
@@ -27,7 +27,8 @@ class MixTableError(ValueError):
 class MixDesign:
     """One pavement design: a labelled RAP:VA+FA blend with per-layer
     thicknesses (mm) and the base resilient modulus (MPa).  ``drainage_mm``
-    is None when the design has no drainage layer."""
+    is None when the design has no drainage layer.  Text is stripped and holds
+    no carriage return, so that :func:`write_mix_table` carries it back."""
 
     label: str
     ac_mm: float
@@ -39,6 +40,10 @@ class MixDesign:
     reference: str = ""
 
     def __post_init__(self):
+        for name, text in (("label", self.label), ("reference", self.reference)):
+            if not isinstance(text, str) or "\r" in text:
+                raise MixTableError(f"{name} must be text without a carriage return, got {text!r}")
+            object.__setattr__(self, name, text.strip())
         try:
             layers = [finite(f"{name} thickness", v) for name, v in self.present_layers().items()]
             total = finite("total thickness", self.total_mm)
@@ -91,33 +96,29 @@ def load_mix_table(source: str | Path | None = None) -> list[MixDesign]:
     default when ``source`` is None.
 
     The header names the :data:`MIX_CSV_COLUMNS` in any order, and other
-    columns are ignored.  Empty and whitespace-only lines are skipped; every
-    other row needs the header's field count.  Text is stripped and a blank
-    number is None, so a blank ``drainage_mm`` means no drainage layer.  A
-    bad row raises :class:`MixTableError` naming the file and line.
+    columns are ignored.  Every row below it that is not blank (see
+    :func:`sustkit._checks.csv_rows`) needs the header's field count.  A
+    blank number is None, so a blank ``drainage_mm`` means no drainage
+    layer.  A bad row raises :class:`MixTableError` naming the file and line.
     """
     if source is None:
         return [MixDesign(*row) for row in _MIX_ROWS]
     path = Path(source)
     designs: list[MixDesign] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in MIX_CSV_COLUMNS if c not in header]
-        if missing:
-            raise MixTableError(f"{path}: missing columns {missing}")
-        columns = [(header.index(f.name), f.type in (str, "str")) for f in fields(MixDesign)]
-        for row in reader:
-            if len(row) <= 1 and not "".join(row).strip():
-                continue  # an empty or whitespace-only line
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields; the header has {len(header)}")
-                texts = [(row[i].strip(), is_text) for i, is_text in columns]
-                designs.append(MixDesign(*(t if is_text else float(t) if t else None
-                                           for t, is_text in texts)))
-            except ValueError as exc:
-                raise MixTableError(f"{path}, line {reader.line_num}: {exc}") from exc
+    rows = csv_rows(path)
+    _, header = next(rows, (0, []))
+    missing = [c for c in MIX_CSV_COLUMNS if c not in header]
+    if missing:
+        raise MixTableError(f"{path}: missing columns {missing}")
+    columns = [(header.index(f.name), f.type in (str, "str")) for f in fields(MixDesign)]
+    for line, row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields; the header has {len(header)}")
+            designs.append(MixDesign(*(row[i] if is_text else None if blank(row[i])
+                                       else float(row[i]) for i, is_text in columns)))
+        except ValueError as exc:
+            raise MixTableError(f"{path}, line {line}: {exc}") from exc
     if not designs:
         raise MixTableError(f"{path}: no data rows")
     return designs

@@ -17,7 +17,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_interval, check_positive, finite, is_number, whole_number
+from ._checks import check_interval, check_positive, csv_rows, finite, is_number, whole_number
 
 TAG_RULES = ("left", "right", "midpoint")
 
@@ -147,23 +146,20 @@ class WeightFunction:
     def from_csv(cls, path: str | Path, label: str | None = None) -> "WeightFunction":
         """Load a function from a two-column CSV (x, value); linear
         interpolation between samples.  Line 1 may be a header (a row that
-        is not all numbers) and blank (empty or whitespace-only) lines are
-        skipped; every other row must be exactly two numbers."""
+        is not all numbers); every other row that is not blank must be
+        exactly two numbers (see :func:`sustkit._checks.csv_rows`)."""
         path = Path(path)
         samples: list[list[float]] = []
-        with open(path, newline="") as fh:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
-                try:
-                    values = [float(v) for v in row]
-                except ValueError:
-                    if line_no == 1:
-                        continue  # header
-                    values = []
-                if len(values) == 2:
-                    samples.append(values)
-                elif len(row) > 1 or "".join(row).strip():  # not an empty or whitespace-only line
-                    raise ValueError(f"{path}, line {line_no}: expected two numbers x,value, "
-                                     f"got {row!r}")
+        for line, row in csv_rows(path):
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                if line == 1:
+                    continue  # header
+                values = []
+            if len(values) != 2:
+                raise ValueError(f"{path}, line {line}: expected two numbers x,value, got {row!r}")
+            samples.append(values)
         if len(samples) < 2:
             raise ValueError(f"{path}: need at least two samples")
         table = np.asarray(samples)

@@ -736,6 +736,19 @@ def test_cli_bad_mix_row_names_file_line(tmp_path, body, line):
     assert err.startswith(f"error: {table}, line {line}: ")
 
 
+@pytest.mark.parametrize("argv, head, line", [
+    (["rs", "integrate", "--lo", "0", "--hi", "1", "--omega", "table:{}"], "x,w\n0,0\n\n1,", 4),
+    (["pavement", "table", "--table", "{}"],
+     "label,ac_mm,drainage_mm,subbase_mm,base_mm,total_mm,base_mr_mpa,reference\n\nA,80,,", 3),
+    (["index", "fit", "--observations", "{}"], "t,psi1,omega1,", 1),
+])
+def test_cli_field_over_csv_limit_names_file_line(tmp_path, argv, head, line):
+    table = tmp_path / "big.csv"
+    table.write_text(head + "9" * 200_000 + "\n")
+    err = _assert_exits_one_with_error_line([a.format(table) for a in argv])
+    assert err.startswith(f"error: {table}, line {line}: field larger than field limit")
+
+
 @pytest.mark.parametrize("argv", [
     ["rs", "integrate", "--omega", "x", "--lo", "0"],  # --hi missing
     ["index", "frobnicate"],

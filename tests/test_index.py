@@ -608,27 +608,32 @@ def test_observation_csv_matches_per_field_parse(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with open(path, newline="") as fh:
         expected = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:] if row])
-    loaded = read_observations_csv(path)
-    assert np.array_equal(loaded.t, expected[:, 0])
-    assert np.array_equal(loaded.psi, expected[:, 1 : 1 + k])
-    assert np.array_equal(loaded.weights, expected[:, 1 + k : 1 + 2 * k])
-    assert np.array_equal(loaded.h_obs, expected[:, -1])
+    # quoted numbers are read by the CSV path that names bad rows, not by loadtxt
+    quoted = tmp_path / "quoted.csv"
+    write_csv(quoted, k, ['"' + line.replace(",", '","') + '"' for line in lines if line])
+    for loaded in (read_observations_csv(path), read_observations_csv(quoted)):
+        assert np.array_equal(loaded.t, expected[:, 0])
+        assert np.array_equal(loaded.psi, expected[:, 1 : 1 + k])
+        assert np.array_equal(loaded.weights, expected[:, 1 + k : 1 + 2 * k])
+        assert np.array_equal(loaded.h_obs, expected[:, -1])
 
 
 @pytest.mark.parametrize(
     "rows, message",
     [
-        (["0.1,0.2,0.3,1,1,0.5", "0.1,0.2,0.3,1,1"], "columns changed"),
-        (["0.1,0.2,0.3,1,1,0.5", "0.1,0.2,0.3,1,1,0.5,9"], "columns changed"),
-        (["0.1,0.2,0.3,1,1,0.5,9", "0.2,0.2,0.3,1,1,0.5,9"], "7 fields, expected 6"),
-        (["0.1,0.2,0.3,1", "0.2,0.2,0.3,1"], "4 fields, expected 6"),
-        (["0.1,0.2,x,1,1,0.5"], "could not convert"),
+        (["0.1,0.2,0.3,1,1,0.5", "0.1,0.2,0.3,1,1"], "line 3: 5 fields, expected 6"),
+        (["0.1,0.2,0.3,1,1,0.5", "0.1,0.2,0.3,1,1,0.5,9"], "line 3: 7 fields, expected 6"),
+        (["0.1,0.2,0.3,1,1,0.5,9", "0.2,0.2,0.3,1,1,0.5,9"], "line 2: 7 fields, expected 6"),
+        (["0.1,0.2,0.3,1", "0.2,0.2,0.3,1"], "line 2: 4 fields, expected 6"),
+        (["0.1,0.2,x,1,1,0.5"], "line 2: could not convert"),
+        (["0.1,0.2,0.3,1,1,0.5", "", "   ", "0.2,x,0.3,1,1,0.5"], "line 5: could not convert"),
+        (["0.1,0.2,0.3,1,1,0.5", "", "\t", "0.2,0.3,1,1,0.5"], "line 5: 5 fields, expected 6"),
     ],
 )
 def test_observation_csv_rejects_wrong_field_count(tmp_path, rows, message):
     path = tmp_path / "obs.csv"
     write_csv(path, 2, rows)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {message}"):
         read_observations_csv(path)
 
 
@@ -639,7 +644,7 @@ def test_observation_csv_refuses_hash_rows(tmp_path, row):
     path = tmp_path / "obs.csv"
     write_csv(path, 2, ["0.1,0.2,0.3,1,1,0.5", row, "", "0.3,0.1,0.2,1,1,0.4",
                         "0.4,0.3,0.1,1,1,0.7"])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: could not convert"):
         read_observations_csv(path)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_cli_table_matches_hand_formatted_bytes(capsys):
     assert capsys.readouterr().out == _hand_formatted_table(load_mix_table())
 
 
-TABLE_TEXT = st.text(st.sampled_from('aZ09:+-&() ,"'), max_size=12).map(str.strip)
+TABLE_TEXT = st.text(st.sampled_from('aZ09:+-&() ,"\r\n'), max_size=12)
 THICKNESS = st.floats(0.0, 1e4)  # any double in range, up to 17 significant digits
 
 
@@ -169,19 +170,31 @@ def mix_designs(draw):
     ac, subbase, base = draw(THICKNESS), draw(THICKNESS), draw(THICKNESS)
     drainage = draw(st.none() | THICKNESS)
     layers = [ac, subbase, base] + ([] if drainage is None else [drainage])
-    return MixDesign(draw(TABLE_TEXT), ac, drainage, subbase, base, math.fsum(layers),
-                     draw(st.floats(0.0, 1e5, exclude_min=True)), draw(TABLE_TEXT))
+    args = [draw(TABLE_TEXT), ac, drainage, subbase, base, math.fsum(layers),
+            draw(st.floats(0.0, 1e5, exclude_min=True)), draw(TABLE_TEXT)]
+    if "\r" in args[0] + args[-1]:  # the written table could not carry it back
+        with pytest.raises(MixTableError, match="carriage return"):
+            MixDesign(*args)
+        args[0], args[-1] = args[0].replace("\r", ""), args[-1].replace("\r", "")
+    return MixDesign(*args)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(mix_designs(), min_size=1, max_size=4))
 @example([MixDesign("A, b", 70.1234567, None, 10.0, 275.0, 355.1234567, 350.0, 'ref, "q"')])
+@example([MixDesign(" a\nb ", 70.0, None, 10.0, 275.0, 355.0, 350.0, "\n ")])
 def test_written_table_loads_back_equal(designs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mixes.csv"
         with open(path, "w", newline="") as fh:
             write_mix_table(designs, fh)
         assert load_mix_table(path) == designs
+
+
+@pytest.mark.parametrize("field, value", [("label", None), ("label", 5), ("reference", b"x")])
+def test_mix_design_text_must_be_str(field, value):
+    with pytest.raises(MixTableError, match=f"^{field} must be text"):
+        replace(load_mix_table()[0], **{field: value})
 
 
 def test_csv_skips_whitespace_lines_and_ignores_extra_columns(tmp_path):
