@@ -639,7 +639,7 @@ def field_from_json(path: str | Path) -> ScalarField:
 def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     """Build a ScenarioSpec from a JSON file or dict.
 
-    Recognised fields: domain [[lo, hi], ...], resolution [n, ...],
+    Fields, and no others: domain [[lo, hi], ...], resolution [n, ...],
     s (default 10), t_end, dt (number or "auto"), boundary ("s*t" or a
     number, default "s*t") and initial (a number, default 0).  Both rules
     become :class:`AffineRule` objects; the boundary rule being one,
@@ -650,7 +650,13 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
             data = json.load(fh)
     else:
         data = dict(source)
-    missing = [k for k in ("domain", "resolution", "t_end") if k not in data]
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario spec must be a JSON object, got {type(data).__name__}")
+    required = ("domain", "resolution", "t_end")
+    unknown = [key for key in data if key not in (*required, "s", "dt", "boundary", "initial")]
+    if unknown:
+        raise ValueError(f"scenario spec has unknown fields {unknown}")
+    missing = [key for key in required if key not in data]
     if missing:
         raise ValueError(f"scenario spec is missing required fields {missing}")
     domain, resolution = data["domain"], data["resolution"]

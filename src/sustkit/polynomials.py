@@ -85,10 +85,6 @@ class SparsePolynomial:
                 clean[key] = c
         self.terms = clean
 
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coefficient: float) -> "SparsePolynomial":
-        return cls(len(exponents) - 1, {tuple(exponents): coefficient})
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_arity(self, other: "SparsePolynomial") -> None:
@@ -123,25 +119,30 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
+    def _derivative(self, orders: Sequence[tuple[int, int]]):
+        """Yield (exponents, coefficient) of each term's derivative of order n
+        in var for each (var, n) of ``orders``, var ascending.  Coefficients
+        are multiplied as repeated :meth:`partial` calls would, bit for bit; a
+        term whose exponent runs out vanishes, raising if it overflowed first."""
+        for exps, c in self.terms.items():
+            key = list(exps)
+            for var, n in orders:
+                e = key[var]
+                for j in range(min(e, n)):
+                    c *= e - j
+                key[var] = e - n
+                if e < n:
+                    break
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient in the derivative of {exps}")
+            if min(key) >= 0:
+                yield tuple(key), c
+
     def partial(self, var: int) -> "SparsePolynomial":
         """Exact partial derivative w.r.t. t (var=0) or psi_var (1-based)."""
         if not 0 <= var <= self.arity:
             raise ValueError(f"variable id {var} out of range for arity {self.arity}")
-        out: dict[tuple[int, ...], float] = {}
-        for exps, c in self.terms.items():
-            n = exps[var]
-            if n == 0:
-                continue
-            key = list(exps)
-            key[var] = n - 1
-            out[tuple(key)] = out.get(tuple(key), 0.0) + c * n
-        return SparsePolynomial(self.arity, out)
-
-    def partial_n(self, var: int, n: int) -> "SparsePolynomial":
-        p = self
-        for _ in range(n):
-            p = p.partial(var)
-        return p
+        return SparsePolynomial(self.arity, dict(self._derivative([(var, 1)])))
 
     def __call__(self, point: Sequence[float]) -> float:
         """Evaluate at (t, psi_1, ..., psi_k)."""
@@ -183,14 +184,6 @@ class SparsePolynomial:
             names += [f"psi{i}^{e}" for i, e in enumerate(exps[1:], 1) if e]
             bits.append(f"{c:g}*" + "*".join(names) if names else f"{c:g}")
         return f"SparsePolynomial(arity={self.arity}, {' + '.join(bits)})"
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SparsePolynomial":
-        """Read ``{"arity": k, "terms": [{"exponents": [...], "coefficient": c}]}``."""
-        return cls(
-            data["arity"],
-            {tuple(t["exponents"]): t["coefficient"] for t in data["terms"]},
-        )
 
 
 @dataclass(frozen=True)
@@ -304,20 +297,26 @@ def build_solution(family: SolutionFamily) -> SparsePolynomial:
     )
     terms = {(1,) + (0,) * k: c_t}
     for i in range(1, k + 1):
-        exps = [0] * (k + 1)
-        exps[i] = p
-        terms[tuple(exps)] = a[i - 1]
+        terms[(0,) * i + (p,) + (0,) * (k - i)] = a[i - 1]
     terms[(0,) + (1,) * k] = b
     return SparsePolynomial(k, terms)
+
+
+def _residual(h: SparsePolynomial, orders: Iterable) -> SparsePolynomial:
+    """dH/dt minus each derivative of h in ``orders``, term by term in order."""
+    out = dict(h._derivative([(T, 1)]))
+    for order in orders:
+        for key, c in h._derivative(order):
+            out[key] = out.get(key, 0.0) - c
+            if not out[key]:
+                del out[key]
+    return SparsePolynomial(h.arity, out)
 
 
 def diffusion_residual(h: SparsePolynomial) -> SparsePolynomial:
     """Residual dH/dt - sum_i d^2 H/dpsi_i^2, exactly zero iff H solves the
     diffusion model."""
-    res = h.partial(T)
-    for i in range(1, h.arity + 1):
-        res = res - h.partial(i).partial(i)
-    return res
+    return _residual(h, ([(i, 2)] for i in range(1, h.arity + 1)))
 
 
 def interaction_residual(h: SparsePolynomial) -> SparsePolynomial:
@@ -328,13 +327,8 @@ def interaction_residual(h: SparsePolynomial) -> SparsePolynomial:
     k = h.arity
     if k < 2:
         raise ValueError(f"interaction model needs k >= 2, got {k}")
-    res = h.partial(T)
-    for i in range(1, k + 1):
-        res = res - h.partial_n(i, k)
-    mixed = h
-    for i in range(1, k + 1):
-        mixed = mixed.partial(i)
-    return res - mixed
+    psis = range(1, k + 1)
+    return _residual(h, [[(i, k)] for i in psis] + [[(i, 1) for i in psis]])
 
 
 @dataclass
@@ -389,10 +383,8 @@ def verify_solution_families(
                     beta=rng.uniform(0.5, 2.0),
                 )
                 h = build_solution(family)
-                if family.model == "diffusion":
-                    res = diffusion_residual(h).max_abs_coeff()
-                else:
-                    res = interaction_residual(h).max_abs_coeff()
+                fn = diffusion_residual if family.model == "diffusion" else interaction_residual
+                res = fn(h).max_abs_coeff()
                 worst = max(worst, res)
                 worst_ratio = max(worst_ratio, res / max(1.0, h.partial(T).max_abs_coeff()))
             checks.append(FamilyCheck(variant, k, family.model, worst, worst_ratio < tol))

@@ -145,16 +145,16 @@ class WeightFunction:
     @classmethod
     def from_csv(cls, path: str | Path, label: str | None = None) -> "WeightFunction":
         """Load a function from a two-column CSV (x, value); linear
-        interpolation between samples.  Line 1 may be a header (a row that
-        is not all numbers); every other row that is not blank must be
-        exactly two numbers (see :func:`sustkit._checks.csv_rows`)."""
+        interpolation between samples.  The first row that is not blank may
+        be a header (a row that is not all numbers); every other such row
+        must be exactly two numbers (see :func:`sustkit._checks.csv_rows`)."""
         path = Path(path)
         samples: list[list[float]] = []
-        for line, row in csv_rows(path):
+        for n, (line, row) in enumerate(csv_rows(path)):
             try:
                 values = [float(v) for v in row]
             except ValueError:
-                if line == 1:
+                if n == 0:
                     continue  # header
                 values = []
             if len(values) != 2:

@@ -161,6 +161,14 @@ def test_cli_rs_table_function(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1.0)
 
 
+def test_cli_weight_table_header_after_blank_lines(tmp_path, capsys):
+    # the header is the first row that is not blank, as in the mix and observation tables
+    table = tmp_path / "omega.csv"
+    table.write_text("\n  \nx,w\n0,0\n1,1\n")
+    rc = main(["rs", "integrate", "--f", "x", "--omega", f"table:{table}", "--lo", "0", "--hi", "1"])
+    assert (rc, capsys.readouterr().out) == (0, "0.5\n")
+
+
 def test_cli_rs_non_convergence_exit_code(capsys):
     rc = main(["rs", "integrate", "--f", "step(x-0.5)", "--omega", "step(x-0.5)",
                "--lo", "0", "--hi", "1", "--eta", "1e-9",
@@ -440,6 +448,17 @@ def test_cli_verify_solutions_passes_up_to_k7(seed, capsys):
     assert all(rec["max_residual_coeff"] > 1.0 for rec in uncorrected)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_verify_solutions_k2_to_k7_matches_reference_output(seed, capsys):
+    # Reference files hold the output of the residuals taken one single
+    # derivative at a time.  Their k >= 6 coefficients are rounding (about
+    # 1e-11), so a change in the order of multiplication shows here.
+    data = Path(__file__).parent / "data"
+    assert main(["verify-solutions", "--k", "2,3,4,5,6,7", "--seed", str(seed),
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == (data / f"verify_k2-7_seed{seed}.json").read_text()
+
+
 def test_cli_json_payloads_match_reference_output(tmp_path, capsys):
     # Reference files hold the output of the field-by-field serialisation
     # that the dataclass-based one replaced.
@@ -534,6 +553,7 @@ BAD_INPUT = {
     "spec_string_t_end": ({**SPEC, "t_end": "0.5"}, ["solve"]),
     "spec_string_dt": ({**SPEC, "dt": "0.01"}, ["solve"]),
     "spec_nan_s": ({**SPEC, "s": float("nan")}, ["solve"]),
+    "spec_misspelled_keys": ({**SPEC, "boundry": 5, "intial": 3}, ["solve"]),
     "spec_infinite_s": ({**SPEC, "s": float("inf")}, ["solve"]),
     "fit_json_string_psi": (
         [{"t": 0.1 * i, "psi": "12", "omega": [1, 1], "H_obs": 0.5 + i} for i in range(3)],
@@ -605,6 +625,12 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
         obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
     _assert_exits_one_with_error_line(argv)
+
+
+def test_cli_spec_that_is_not_an_object_exits_one(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("5")
+    _assert_exits_one_with_error_line(["solve", "--spec", str(spec), "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])

@@ -612,6 +612,20 @@ def test_scenario_from_json_rejects_unknown_rules():
         scenario_from_json({**base, "initial": "ramp"})
 
 
+def test_scenario_from_json_names_unknown_keys():
+    base = {"domain": [[0.0, 1.0]], "resolution": [5], "t_end": 0.1}
+    with pytest.raises(ValueError, match=r"unknown fields \['boundry', 'intial'\]"):
+        scenario_from_json({**base, "boundry": 5, "intial": 3})
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"spec"', "null"])
+def test_scenario_from_json_needs_an_object(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        scenario_from_json(path)
+
+
 # -- validation, step count and the shared step -----------------------------------
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sustkit.polynomials import (
@@ -63,13 +63,13 @@ def _assert_matches_sympy(mine: SparsePolynomial, oracle_expr) -> None:
 
 
 def test_partial_power_rule():
-    p = SparsePolynomial.monomial((0, 2), 1.0)  # psi1^2, k=1
-    assert p.partial(1) == SparsePolynomial.monomial((0, 1), 2.0)
+    p = SparsePolynomial(1, {(0, 2): 1.0})  # psi1^2, k=1
+    assert p.partial(1) == SparsePolynomial(1, {(0, 1): 2.0})
 
 
 def test_partial_product_variables():
-    p = SparsePolynomial.monomial((0, 1, 1), 1.0)  # psi1*psi2, k=2
-    assert p.partial(2) == SparsePolynomial.monomial((0, 1, 0), 1.0)
+    p = SparsePolynomial(2, {(0, 1, 1): 1.0})  # psi1*psi2, k=2
+    assert p.partial(2) == SparsePolynomial(2, {(0, 1, 0): 1.0})
 
 
 def test_eval_simple():
@@ -123,6 +123,107 @@ def test_negative_exponent_rejected():
 def test_partials_commute(terms, i, j):
     p = SparsePolynomial(3, terms)
     assert p.partial(i).partial(j) == p.partial(j).partial(i)
+
+
+# -- reference path: one single derivative at a time ---------------------------
+
+
+def reference_partial(p: SparsePolynomial, var: int) -> SparsePolynomial:
+    out = {}
+    for exps, c in p.terms.items():
+        n = exps[var]
+        if n == 0:
+            continue
+        key = list(exps)
+        key[var] = n - 1
+        out[tuple(key)] = out.get(tuple(key), 0.0) + c * n
+    return SparsePolynomial(p.arity, out)
+
+
+def reference_diffusion_residual(h: SparsePolynomial) -> SparsePolynomial:
+    res = reference_partial(h, 0)
+    for i in range(1, h.arity + 1):
+        res = res - reference_partial(reference_partial(h, i), i)
+    return res
+
+
+def reference_interaction_residual(h: SparsePolynomial) -> SparsePolynomial:
+    k = h.arity
+    res = reference_partial(h, 0)
+    for i in range(1, k + 1):
+        pure = h
+        for _ in range(k):
+            pure = reference_partial(pure, i)
+        res = res - pure
+    mixed = h
+    for i in range(1, k + 1):
+        mixed = reference_partial(mixed, i)
+    return res - mixed
+
+
+def _hex_terms(residual, h):
+    """The residual's terms in order with each coefficient's float.hex, or
+    ValueError if it raises one."""
+    try:
+        return [(key, c.hex()) for key, c in residual(h).terms.items()]
+    except ValueError:
+        return ValueError
+
+
+HUGE = st.floats(1e300, 1.7e308)
+COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 2.0, 1.0 / 6.0, 3.0]),
+    st.floats(-10, 10, allow_nan=False).filter(bool),
+    HUGE,
+    HUGE.map(lambda c: -c),
+)
+
+
+@st.composite
+def polynomials_to_differentiate(draw):
+    """Arity 1-5, exponents up to 9 (above every derivative order taken),
+    and optionally a closed-form family underneath, whose terms cancel."""
+    k = draw(st.integers(1, 5))
+    terms = {}
+    variants = ["T1a", "T1b"] + (list(FAMILY_VARIANTS[2:]) if k >= 2 else [])
+    variant = draw(st.one_of(st.none(), st.sampled_from(variants)))
+    if variant is not None:
+        fam = SolutionFamily(variant, k, alpha=1.3, beta=0.7,
+                             weights=tuple(0.5 + 0.25 * i for i in range(k)))
+        terms.update(build_solution(fam).terms)
+    exps = st.tuples(*(st.integers(0, 9) for _ in range(k + 1)))
+    terms.update(draw(st.dictionaries(exps, COEFFS, max_size=6)))
+    return SparsePolynomial(k, terms)
+
+
+@settings(deadline=None, max_examples=400)
+@given(h=polynomials_to_differentiate())
+@example(h=build_solution(SolutionFamily("T2a", 3)))
+# the constant term cancels after d^2/dpsi1^2 and comes back after d^2/dpsi2^2
+@example(h=SparsePolynomial(2, {(1, 0, 0): 1.0, (2, 0, 0): 1.0, (0, 2, 0): 0.5, (0, 0, 2): 0.5}))
+@example(h=SparsePolynomial(2, {(1, 0, 0): 1.5e308, (0, 2, 0): -0.8e308}))
+def test_residuals_match_reference_bit_for_bit(h):
+    assert _hex_terms(diffusion_residual, h) == _hex_terms(reference_diffusion_residual, h)
+    if h.arity >= 2:
+        assert _hex_terms(interaction_residual, h) == _hex_terms(
+            reference_interaction_residual, h)
+    for var in range(h.arity + 1):
+        assert _hex_terms(lambda p: p.partial(var), h) == _hex_terms(
+            lambda p: reference_partial(p, var), h)
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 9, 0): 1.5e308},  # the first derivative overflows
+    {(0, 2, 0, 0): 1.5e308},  # at k = 3, it overflows in a term that later vanishes
+    {(1, 0, 0): 1.5e308, (0, 2, 0): -0.8e308},  # dH/dt minus d^2H/dpsi1^2 overflows
+])
+@pytest.mark.parametrize("residual", [
+    diffusion_residual, reference_diffusion_residual,
+    interaction_residual, reference_interaction_residual,
+])
+def test_residual_overflow_raises_on_both_paths(terms, residual):
+    with pytest.raises(ValueError):
+        residual(SparsePolynomial(len(next(iter(terms))) - 1, terms))
 
 
 # -- closed forms -------------------------------------------------------------
@@ -338,5 +439,8 @@ def test_verify_solution_families_needs_a_k():
 def test_golden_file_t3w_k3():
     h = build_solution(SolutionFamily("T3w", 3, weights=(0.5, 1.0, 2.0)))
     with open(DATA / "t3w_k3_weights_0.5_1_2.json") as fh:
-        golden = SparsePolynomial.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    golden = SparsePolynomial(
+        data["arity"], {tuple(t["exponents"]): t["coefficient"] for t in data["terms"]}
+    )
     assert h == golden

@@ -185,6 +185,7 @@ def test_weight_function_from_csv_rejects_duplicates(tmp_path):
     ("0,0\n0.5,abc\n1,1\n", 2),
     ("0.5\n0,0\n1,1\n", 1),  # an all-number line 1 is a data row
     ('x,w\n"0\n",0\n0.5,abc\n1,1\n', 4),  # the file line, not the row count
+    ("\n0,0\nx,w\n1,1\n", 3),  # a header below the first row that is not blank
 ])
 def test_weight_function_from_csv_rejects_bad_rows(tmp_path, body, line):
     path = tmp_path / "bad.csv"
