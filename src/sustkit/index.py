@@ -297,7 +297,7 @@ def read_observations_csv(path: str | Path) -> Observations:
 def read_observations_json(path: str | Path) -> Observations:
     """Read fit observations from JSON: a list of objects with fields
     t, psi (length-k array), omega (length-k array) and H_obs, all JSON
-    numbers; k is set by record 0."""
+    numbers; k is set by record 0.  Any other field is refused."""
     with open(path) as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -306,6 +306,9 @@ def read_observations_json(path: str | Path) -> Observations:
     for i, rec in enumerate(records):
         try:
             t, psi, omega, h_obs = rec["t"], rec["psi"], rec["omega"], rec["H_obs"]
+            unknown = [key for key in rec if key not in ("t", "psi", "omega", "H_obs")]
+            if unknown:
+                raise ValueError(f"unknown fields {unknown}")
             if not (isinstance(psi, list) and isinstance(omega, list)
                     and all(map(is_number, psi + omega))):
                 raise ValueError(f"psi and omega must be arrays of numbers, got {psi!r} and {omega!r}")

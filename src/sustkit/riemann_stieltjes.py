@@ -45,6 +45,9 @@ _DOMAIN_TOL = 1e-12
 #: rounding slack in the variation lower bound: it holds when lhs >= rhs - this
 BOUND_TOLERANCE = 1e-9
 
+#: intervals per block of the walk over a level (see _blocks)
+_BLOCK = 2**16
+
 
 class DomainMismatchError(ValueError):
     """Partition interval and function domains disagree."""
@@ -244,12 +247,51 @@ def rs_sum(f, omega, partition: TaggedPartition) -> float:
     xs = np.asarray(partition.breakpoints)
     wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
     fv = _finite_or_raise(_eval_on(f_eval, np.asarray(partition.tags)), "integrand")
-    return float(np.dot(fv, np.diff(wv)))
+    return _rs_sums(wv, fv)[0]
 
 
-def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    out = np.empty(nodes.size + mids.size)
-    out[0::2], out[1::2] = nodes, mids
+def _blocks(n: int):
+    """Consecutive slices of range(n), each at most _BLOCK long: the one walk
+    over a level's intervals or points, so that no temporary outgrows a block."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _increments(values: np.ndarray):
+    """(block, values[i+1] - values[i] for i in block) over the intervals."""
+    for b in _blocks(values.size - 1):
+        yield b, np.diff(values[b.start:b.stop + 1])
+
+
+def _rs_sums(w_values: np.ndarray, *tag_values: np.ndarray) -> list[float]:
+    """sum_i tags[i] * (w[i+1] - w[i]) for each array of tag values.  einsum
+    sums in a fixed order, where the BLAS dot product sums in an order that
+    depends on its thread count."""
+    sums = [0.0] * len(tag_values)
+    for b, dw in _increments(w_values):
+        for k, tags in enumerate(tag_values):
+            sums[k] += float(np.einsum("i,i->", tags[b], dw))
+    return sums
+
+
+def _variation(w_values: np.ndarray) -> float:
+    """sum_i |w[i+1] - w[i]|, summed pairwise within each block."""
+    return sum(float(np.abs(dw).sum()) for _, dw in _increments(w_values))
+
+
+def _eval_midpoints(fn, role: str, level: int, lo: float, hi: float, out: np.ndarray):
+    """Write fn at the midpoints lo + (2j+1)*((hi-lo)/2**(level+1)) of level's
+    intervals into out, one block at a time."""
+    h = (hi - lo) / (2 << level)
+    for b in _blocks(out.size):
+        mids = lo + np.arange(2.0 * b.start + 1, 2.0 * b.stop, 2.0) * h
+        out[b] = _finite_or_raise(_eval_on(fn, mids), role)
+    return out
+
+
+def _refined(nodes: np.ndarray) -> np.ndarray:
+    """nodes at the even places of an array whose odd places are unset."""
+    out = np.empty(2 * nodes.size - 1)
+    out[0::2] = nodes
     return out
 
 
@@ -257,25 +299,28 @@ def _dyadic_levels(w_eval, f_eval, lo: float, hi: float, max_refinements: int):
     """Yield (level, w_nodes, f_nodes, f_mids) for level = 0..max_refinements
     (f arrays None when f_eval is None).  Node j is lo + j*(hi-lo)/2**level, the
     last hi, so a level's nodes are the last level's nodes and midpoints, bit for
-    bit: it evaluates the weight at those midpoints and the integrand at its own."""
+    bit: it evaluates the weight at those midpoints and the integrand at its own.
+    A level holds only these three arrays; the caller drops them before asking
+    for the next level, which is built from them."""
     w_nodes = _finite_or_raise(_eval_on(w_eval, np.array([lo, hi])), "weight")
     f_nodes = f_mids = None
     if f_eval is not None:
         f_nodes = _finite_or_raise(_eval_on(f_eval, np.array([lo, hi])), "integrand")
     for level in range(max_refinements + 1):
         if level:
-            w_nodes = _interleave(w_nodes, _finite_or_raise(_eval_on(w_eval, mids), "weight"))
-            f_nodes = None if f_eval is None else _interleave(f_nodes, f_mids)
-        mids = lo + np.arange(1.0, 2 << level, 2.0) * ((hi - lo) / (2 << level))
+            w_nodes = _refined(w_nodes)
+            _eval_midpoints(w_eval, "weight", level - 1, lo, hi, w_nodes[1::2])
+            if f_eval is not None:
+                f_nodes = _refined(f_nodes)
+                f_nodes[1::2], f_mids = f_mids, None
         if f_eval is not None:
-            f_mids = _finite_or_raise(_eval_on(f_eval, mids), "integrand")
+            f_mids = _eval_midpoints(f_eval, "integrand", level, lo, hi, np.empty(1 << level))
         yield level, w_nodes, f_nodes, f_mids
 
 
 def _tagged_sums(w_nodes, f_nodes, f_mids):
     """Midpoint, left and right R-S sums of one level."""
-    dw = np.diff(w_nodes)
-    return tuple(float(np.dot(f_tags, dw)) for f_tags in (f_mids, f_nodes[:-1], f_nodes[1:]))
+    return tuple(_rs_sums(w_nodes, f_mids, f_nodes[:-1], f_nodes[1:]))
 
 
 def _check_refinement(lo, hi, max_refinements, **tolerances) -> tuple[int, int]:
@@ -308,6 +353,7 @@ def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
         gap = math.inf if prev_mid is None else abs(mid - prev_mid)
         if level >= min_level and gap < eta and spread < tag_tol:
             return mid, arrays
+        del arrays  # the next level is built without this one's arrays
         # An integrable pair's tag spread falls like O(h), halving per level.
         decaying = spread < tag_tol or spread <= 0.75 * prev_spread
         stalled = 0 if decaying or level <= min_level else stalled + 1
@@ -360,7 +406,7 @@ def total_variation(omega, partition: TaggedPartition) -> float:
     lo, hi = partition.interval_lo, partition.interval_hi
     w_eval = _as_callable(omega, lo, hi, "weight")
     wv = _finite_or_raise(_eval_on(w_eval, np.asarray(partition.breakpoints)), "weight")
-    return float(np.sum(np.abs(np.diff(wv))))
+    return _variation(wv)
 
 
 def variation_sup(
@@ -381,7 +427,7 @@ def variation_sup(
     w_eval = _as_callable(omega, lo, hi, "weight")
     prev = None
     for level, w_nodes, _, _ in _dyadic_levels(w_eval, None, lo, hi, max_refinements):
-        cur = float(np.sum(np.abs(np.diff(w_nodes))))
+        cur = _variation(w_nodes)
         if level >= min_level and prev is not None and cur - prev < tol:
             return cur
         prev = cur
@@ -424,9 +470,10 @@ def variation_lower_bound_check(
     flagged instead of raising.
     """
     integral, (w_nodes, *f_tags) = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
-    sup_f = float(max(np.max(np.abs(f_values)) for f_values in f_tags))
+    sup_f = max(float(np.abs(values[b]).max()) for values in f_tags for b in _blocks(values.size))
+    nondecreasing = all(dw.min() >= -1e-12 for _, dw in _increments(w_nodes))
+    del w_nodes, f_tags  # the variation walk builds its own levels
     lhs = variation_sup(omega, lo, hi, max_refinements, tol=eta)
-    nondecreasing = bool(np.all(np.diff(w_nodes) >= -1e-12))
     rhs = 0.0 if sup_f == 0.0 else abs(integral) / sup_f
     return VariationBoundReport(
         lhs=lhs,

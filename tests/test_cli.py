@@ -3,6 +3,7 @@ import filecmp
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -182,6 +183,18 @@ def test_cli_precision_full(capsys):
                "--n", "4", "--precision", "full"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "0.5"
+
+
+@pytest.mark.parametrize("f, omega", [("exp(x)", "x^2"), ("cos(x)", "sin(x)")])
+def test_cli_full_precision_integral_is_the_same_under_any_blas_thread_count(f, omega):
+    # a BLAS dot product sums in an order set by its thread count; the level
+    # sums must not go through one
+    argv = [sys.executable, "-m", "sustkit.cli", "rs", "integrate", "--f", f, "--omega", omega,
+            "--lo", "0", "--hi", "1", "--eta", "1e-10", "--precision", "full"]
+    one, two = (subprocess.run(argv, capture_output=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2"))
+    assert one == two
 
 
 def test_cli_bad_expression_reports_error(capsys):
@@ -557,6 +570,10 @@ BAD_INPUT = {
     "spec_infinite_s": ({**SPEC, "s": float("inf")}, ["solve"]),
     "fit_json_string_psi": (
         [{"t": 0.1 * i, "psi": "12", "omega": [1, 1], "H_obs": 0.5 + i} for i in range(3)],
+        ["index", "fit"]),
+    "fit_json_misspelled_omega": (
+        [{"t": 0.1 * i, "psi": [0.2 * i, 0.3 + i * i], "omega": [1, 2], "omgea": [9, 9],
+          "H_obs": 0.5 + i} for i in range(4)],
         ["index", "fit"]),
     "fit_json_string_t": (
         [{"t": str(0.1 * i), "psi": [0.2 * i, 0.3 + i * i], "omega": [1, 2], "H_obs": 0.5 + i}

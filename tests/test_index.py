@@ -413,6 +413,17 @@ def test_observation_json_rejects_bad_record(tmp_path):
         read_observations_json(path)
 
 
+def test_observation_json_rejects_unknown_field(tmp_path):
+    import json
+
+    records = [{"t": 0.1 * i, "psi": [0.2, 0.3], "omega": [1, 1], "H_obs": 0.5} for i in range(3)]
+    records[1]["omgea"] = [9, 9]
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(records))
+    with pytest.raises(ValueError, match=r"record 1: unknown fields \['omgea'\]"):
+        read_observations_json(path)
+
+
 def test_observation_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,psi1,omega1,H_obs\n0,0,1,0\n")

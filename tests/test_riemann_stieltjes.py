@@ -1,6 +1,9 @@
 import math
 import pickle
 import random
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sustkit import riemann_stieltjes
 from sustkit.expressions import compile_expression
 from sustkit.riemann_stieltjes import (
     MIN_REFINEMENTS,
     STALL_LEVELS,
+    _BLOCK,
     DomainMismatchError,
     NonConvergenceError,
     NonFiniteValueError,
@@ -762,3 +767,92 @@ def test_nested_sums_match_reference_on_benchmark_pairs(tmp_path):
     for name, f, omega, eta in pairs:
         f, omega = (compile_expression(g) if isinstance(g, str) else g for g in (f, omega))
         _check_against_reference(name, f, omega, 0.0, 1.0, eta)
+
+
+# -- the block walk: memory, block boundaries, one place for level-wide work ----------
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Walk levels 2**7 intervals at a time, so every level above 7 takes several
+    blocks (with blocks of 8 the two reference suites take about 40 s on 2 cores)."""
+    monkeypatch.setattr(riemann_stieltjes, "_BLOCK", 2**7)
+
+
+def test_multi_block_levels_evaluate_only_new_points(monkeypatch):
+    monkeypatch.setattr(riemann_stieltjes, "_BLOCK", 8)  # every level above 3 has blocks
+    test_each_level_evaluates_only_new_points()
+
+
+def test_multi_block_sums_match_reference_on_suite_pairs(tmp_path, small_blocks):
+    test_nested_sums_match_reference_on_suite_pairs(tmp_path)
+
+
+def test_multi_block_sums_match_reference_on_benchmark_pairs(tmp_path, small_blocks):
+    test_nested_sums_match_reference_on_benchmark_pairs(tmp_path)
+
+
+def test_rs_sum_and_total_variation_walk_partial_blocks(monkeypatch):
+    p = make_uniform_partition(0.0, 3.0, 37, "left")
+    whole = rs_sum(np.cos, np.exp, p), total_variation(np.sin, p)
+    monkeypatch.setattr(riemann_stieltjes, "_BLOCK", 8)  # four blocks of 8 and one of 5
+    blocked = rs_sum(np.cos, np.exp, p), total_variation(np.sin, p)
+    assert blocked == pytest.approx(whole, rel=1e-14)
+
+
+def _traced_peak(run):
+    """Peak bytes traced while run() runs, and what it returned (or raised)."""
+    tracemalloc.start()
+    try:
+        result = run()
+    except NonConvergenceError as exc:
+        result = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, result
+
+
+# Level L is reached from level L-1 without it: the new weight and integrand
+# nodes (2**L + 1 doubles each) are built while level L-1's three arrays of
+# 2**(L-1) are dropped one by one, then the new integrand midpoints (2**L) are
+# filled, so the level arrays never exceed 3 * 8 * 2**L bytes (plus 16).  On
+# top of them come one block's temporaries, each at most _BLOCK doubles: the
+# midpoints, the evaluator's intermediate results, the increments of a sum
+# and the finiteness mask (an eighth); six blocks cover them.  That is
+# 3 + 6 * _BLOCK / 2**L times 8 * 2**L: 3.375 at level 20, 4.5 at level 18.
+def _level_bound(level, arrays=3):
+    return 8 * 2**level * (arrays + 6 * _BLOCK / 2**level)
+
+
+def test_integral_to_level_20_holds_three_level_arrays():
+    f, omega = compile_expression("exp(x) + 0.3"), compile_expression("step(x-0.5) + 0.7")
+    peak, (value, (w_nodes, _, _)) = _traced_peak(
+        lambda: _rs_integrate_info(f, omega, 0.0, 1.0, 1e-6, 24))
+    assert w_nodes.size == 2**20 + 1
+    assert abs(value - (math.exp(0.5) + 0.3)) < 1e-6
+    assert peak <= _level_bound(20), peak / 2**20
+
+
+def test_integral_that_reaches_the_cap_holds_three_level_arrays():
+    # x^2 d step(x-0.5) converges as O(h) (README, notes on numerics)
+    f, omega = compile_expression("x^2"), compile_expression("step(x-0.5)")
+    peak, exc = _traced_peak(lambda: rs_integrate(f, omega, 0.0, 1.0, 1e-8, max_refinements=18))
+    assert isinstance(exc, NonConvergenceError) and exc.level == 18
+    assert peak <= _level_bound(18), peak / 2**20
+
+
+def test_variation_to_level_20_holds_one_and_a_half_level_arrays():
+    # the weight's nodes only: level L's 2**L + 1 built beside level L-1's
+    # 2**(L-1) + 1, so 1.5 + 6 * _BLOCK / 2**L = 1.875 at level 20
+    omega = compile_expression("sin(40*x)")
+    peak, value = _traced_peak(lambda: variation_sup(omega, 0.0, 1.0, 20, tol=1e-300))
+    assert value == pytest.approx(26 - math.sin(40), rel=1e-9)  # integral of |40 cos(40x)|
+    assert peak <= _level_bound(20, arrays=1.5), peak / 2**20
+
+
+def test_level_wide_work_goes_through_the_block_walk():
+    source = Path(riemann_stieltjes.__file__).read_text()
+    assert "np.dot" not in source
+    diffs = re.findall(r"np\.diff\(([^)]*)\)", source)
+    assert diffs == ["x_arr", "values[b.start:b.stop + 1]"]  # the CSV samples and one block
