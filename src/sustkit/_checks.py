@@ -55,10 +55,11 @@ def whole_number(name: str, value, minimum: int) -> int:
 
 
 def check_interval(lo, hi) -> tuple[float, float]:
-    """``(lo, hi)`` as floats, rejected unless both are finite numbers and lo < hi."""
+    """``(lo, hi)`` as floats, rejected unless both are numbers, lo < hi and the
+    length hi - lo is finite (so are lo and hi then)."""
     lo_f, hi_f = _real(lo), _real(hi)
-    if not -math.inf < lo_f < hi_f < math.inf:
-        raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    if not (lo_f < hi_f and hi_f - lo_f < math.inf):
+        raise ValueError(f"need finite lo < hi with a finite length hi - lo, got [{lo!r}, {hi!r}]")
     return lo_f, hi_f
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import diffusion, index, pavement, polynomials
 from . import riemann_stieltjes as rs
-from .expressions import ExpressionError, compile_expression
+from .expressions import compile_expression
 
 OUTPUT_DIR_ENV = "SUSTKIT_OUTPUT_DIR"
 
@@ -299,11 +299,12 @@ def main(argv=None) -> int:
         ValueError,
         KeyError,
         OSError,
-        ExpressionError,
         rs.NonConvergenceError,
         diffusion.NonFiniteFieldError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import is_number
+from ._checks import _real, is_number
 
 _FUNCTIONS: dict[str, Callable] = {
     "exp": np.exp,
@@ -30,7 +30,11 @@ _FUNCTIONS: dict[str, Callable] = {
     "step": lambda v: np.where(np.asarray(v, dtype=float) >= 0.0, 1.0, 0.0),
 }
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+# Constants are numpy scalars, like x, so that a sub-expression made only of
+# constants overflows to inf or nan as numpy does (e.g. "1/0", "2.0**10000")
+# rather than raising as Python float arithmetic would; the caller's
+# non-finite check then reports it.
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
@@ -52,7 +56,7 @@ def _compile_node(node: ast.AST) -> Callable:
         return _compile_node(node.body)
     if isinstance(node, ast.Constant):
         if is_number(node.value):
-            v = float(node.value)
+            v = np.float64(_real(node.value))  # an int beyond the float range is inf
             return lambda x: v
         raise ExpressionError(f"unsupported constant {node.value!r}")
     if isinstance(node, ast.Name):

@@ -116,6 +116,7 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
+@np.errstate(all="ignore")  # a value beyond the float range is refused by the caller
 def _evaluate(coefficients, t, psi):
     """H = c_t*t + sum_i a_i*psi_i^p + b*prod_i psi_i, psi of shape (..., k)."""
     c_t, a, p, b = coefficients
@@ -127,13 +128,15 @@ def index_value(inputs: IndexInputs, variant: str) -> float:
 
     Raises ValueError when the chosen family needs parameters the inputs do
     not carry (alpha/beta for C_ab and C2w_ab; weights are always present
-    on IndexInputs and ignored by the unweighted families).
+    on IndexInputs and ignored by the unweighted families), or when the
+    value is beyond the float range.
     """
     fam = SolutionFamily(
         variant, inputs.k, alpha=inputs.alpha, beta=inputs.beta, weights=inputs.weights
     )
     coefficients = family_coefficients(variant, fam.k, fam.alpha, fam.beta, fam.weights)
-    return float(_evaluate(coefficients, inputs.t, np.array(inputs.psi)))
+    return finite(f"the {variant} index value",
+                  float(_evaluate(coefficients, inputs.t, np.array(inputs.psi))))
 
 
 def index_seven_ab(inputs: IndexInputs) -> float:
@@ -238,22 +241,18 @@ def dHdt_interval(intervals: Sequence[Interval]) -> Interval:
     return total_sum + total_prod
 
 
-def weight_from_function(
-    importance,
-    weight_fn: rs.WeightFunction,
-    eta: float = 1e-6,
-    normalize: bool = True,
-) -> float:
+def weight_from_function(importance, weight_fn: rs.WeightFunction) -> float:
     """Bridge from a weight *function* to the scalar weight used by the
     index families: the Riemann-Stieltjes integral of an importance density
-    against the function, divided by the domain length when ``normalize``.
+    against the function at :func:`rs_integrate`'s default ``eta`` (1e-6),
+    divided by the domain length.
 
     This is an artifact convention, not a prescribed rule; any positive
-    scalar weight may be supplied to the families directly.
+    scalar weight may be supplied to the families directly, and
+    :func:`rs_integrate` gives the integral at any other ``eta`` or unscaled.
     """
     lo, hi = weight_fn.domain_lo, weight_fn.domain_hi
-    value = rs.rs_integrate(importance, weight_fn, lo, hi, eta)
-    return value / (hi - lo) if normalize else value
+    return rs.rs_integrate(importance, weight_fn, lo, hi) / (hi - lo)
 
 
 # -- IO ----------------------------------------------------------------------

@@ -78,16 +78,6 @@ _MIX_ROWS = (
 
 BASELINE_LABEL = "0R:100VA"
 
-# Which rows carry the headline reductions for 50/60/100 percent VA
-# replacement (18%, ~14.5%, 8% against the 555 mm baseline).  For the 60%
-# figure, 60R:40V+30F (14.4%) is the match; 60R:40V+20F (16.2%) is the
-# other 60% candidate and appears alongside in reduction_table output.
-HEADLINE_REDUCTION_ROWS = {
-    50: "50R:50V+20F",
-    60: "60R:40V+30F",
-    100: "100R:0VA+20F",
-}
-
 MIX_CSV_COLUMNS = tuple(f.name for f in fields(MixDesign))
 
 

@@ -117,10 +117,6 @@ class TaggedPartition:
         object.__setattr__(self, "breakpoints", tuple(xs.tolist()))
         object.__setattr__(self, "tags", tuple(ts.tolist()))
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.tags)
-
 
 @dataclass
 class WeightFunction:
@@ -146,11 +142,12 @@ class WeightFunction:
         return float(out) if out.ndim == 0 else out
 
     @classmethod
-    def from_csv(cls, path: str | Path, label: str | None = None) -> "WeightFunction":
-        """Load a function from a two-column CSV (x, value); linear
-        interpolation between samples.  The first row that is not blank may
-        be a header (a row that is not all numbers); every other such row
-        must be exactly two numbers (see :func:`sustkit._checks.csv_rows`)."""
+    def from_csv(cls, path: str | Path) -> "WeightFunction":
+        """Load a function from a two-column CSV (x, value), labelled with the
+        file name; linear interpolation between samples.  The first row that
+        is not blank may be a header (a row that is not all numbers); every
+        other such row must be exactly two numbers (see
+        :func:`sustkit._checks.csv_rows`)."""
         path = Path(path)
         samples: list[list[float]] = []
         for n, (line, row) in enumerate(csv_rows(path)):
@@ -173,7 +170,7 @@ class WeightFunction:
             domain_lo=x_arr[0],
             domain_hi=x_arr[-1],
             evaluator=lambda x, _x=x_arr, _y=y_arr: np.interp(x, _x, _y),
-            label=label if label is not None else path.name,
+            label=path.name,
         )
 
 
@@ -247,7 +244,7 @@ def rs_sum(f, omega, partition: TaggedPartition) -> float:
     xs = np.asarray(partition.breakpoints)
     wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
     fv = _finite_or_raise(_eval_on(f_eval, np.asarray(partition.tags)), "integrand")
-    return _rs_sums(wv, fv)[0]
+    return _rs_sums("over the partition", wv, fv)[0]
 
 
 def _blocks(n: int):
@@ -262,7 +259,16 @@ def _increments(values: np.ndarray):
         yield b, np.diff(values[b.start:b.stop + 1])
 
 
-def _rs_sums(w_values: np.ndarray, *tag_values: np.ndarray) -> list[float]:
+def _finite_sums(sums: list[float], what: str) -> list[float]:
+    """sums, refused unless finite.  What is summed is finite, so a sum that is
+    not has overflowed the float range."""
+    if not all(map(math.isfinite, sums)):
+        raise NonFiniteValueError(f"{what} overflowed the float range")
+    return sums
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once, on the sums
+def _rs_sums(where: str, w_values: np.ndarray, *tag_values: np.ndarray) -> list[float]:
     """sum_i tags[i] * (w[i+1] - w[i]) for each array of tag values.  einsum
     sums in a fixed order, where the BLAS dot product sums in an order that
     depends on its thread count."""
@@ -270,12 +276,14 @@ def _rs_sums(w_values: np.ndarray, *tag_values: np.ndarray) -> list[float]:
     for b, dw in _increments(w_values):
         for k, tags in enumerate(tag_values):
             sums[k] += float(np.einsum("i,i->", tags[b], dw))
-    return sums
+    return _finite_sums(sums, f"the Riemann-Stieltjes sum {where}")
 
 
-def _variation(w_values: np.ndarray) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def _variation(where: str, w_values: np.ndarray) -> float:
     """sum_i |w[i+1] - w[i]|, summed pairwise within each block."""
-    return sum(float(np.abs(dw).sum()) for _, dw in _increments(w_values))
+    total = sum(float(np.abs(dw).sum()) for _, dw in _increments(w_values))
+    return _finite_sums([total], f"the variation sum {where}")[0]
 
 
 def _eval_midpoints(fn, role: str, level: int, lo: float, hi: float, out: np.ndarray):
@@ -318,9 +326,9 @@ def _dyadic_levels(w_eval, f_eval, lo: float, hi: float, max_refinements: int):
         yield level, w_nodes, f_nodes, f_mids
 
 
-def _tagged_sums(w_nodes, f_nodes, f_mids):
+def _tagged_sums(level, w_nodes, f_nodes, f_mids):
     """Midpoint, left and right R-S sums of one level."""
-    return tuple(_rs_sums(w_nodes, f_mids, f_nodes[:-1], f_nodes[1:]))
+    return _rs_sums(f"at dyadic level {level}", w_nodes, f_mids, f_nodes[:-1], f_nodes[1:])
 
 
 def _check_refinement(lo, hi, max_refinements, **tolerances) -> tuple[int, int]:
@@ -348,7 +356,7 @@ def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
 
     prev_mid, spread, stalled = None, math.inf, 0
     for level, *arrays in _dyadic_levels(w_eval, f_eval, lo, hi, max_refinements):
-        mid, left, right = _tagged_sums(*arrays)
+        mid, left, right = _tagged_sums(level, *arrays)
         prev_spread, spread = spread, abs(left - right)
         gap = math.inf if prev_mid is None else abs(mid - prev_mid)
         if level >= min_level and gap < eta and spread < tag_tol:
@@ -406,7 +414,7 @@ def total_variation(omega, partition: TaggedPartition) -> float:
     lo, hi = partition.interval_lo, partition.interval_hi
     w_eval = _as_callable(omega, lo, hi, "weight")
     wv = _finite_or_raise(_eval_on(w_eval, np.asarray(partition.breakpoints)), "weight")
-    return _variation(wv)
+    return _variation("over the partition", wv)
 
 
 def variation_sup(
@@ -427,7 +435,7 @@ def variation_sup(
     w_eval = _as_callable(omega, lo, hi, "weight")
     prev = None
     for level, w_nodes, _, _ in _dyadic_levels(w_eval, None, lo, hi, max_refinements):
-        cur = _variation(w_nodes)
+        cur = _variation(f"at dyadic level {level}", w_nodes)
         if level >= min_level and prev is not None and cur - prev < tol:
             return cur
         prev = cur

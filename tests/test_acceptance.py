@@ -170,7 +170,7 @@ def test_criterion_4_finite_difference(tmp_path):
             mask = fld.boundary_mask()
             ok = ok and bool(np.all(fld.values[mask] == 10.0 * fld.time))
             ok = ok and float(np.max(np.abs(fld.values - fld.values.T))) < 1e-12
-            interior = fld.interior()
+            interior = fld.values[1:-1, 1:-1]
             ok = ok and bool(np.all(interior >= 0.0))
             ok = ok and bool(np.all(interior <= 10.0 * fld.time * (1 + 1e-12)))
 

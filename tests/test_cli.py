@@ -95,6 +95,34 @@ def test_expression_vectorised():
     assert np.array_equal(f(np.array([1.0, 2.0])), [2.0, 4.0])
 
 
+@pytest.mark.parametrize("text", [
+    "x ** 2.0", "x ** 3.0", "x ** 0.5", "x^2", "x**-1.5", "2^0.5 * x", "10**x", "2*pi*x + e",
+    "1/3 - x/7", "-x + 3", "sin(2*pi*x)", "exp(-x^2/2) / sqrt(2*pi)", "abs(x - 0.5)^3",
+    "log(1 + x) * tan(x/2)", "step(x - 1/3) * 0.1**2", "(1 + x)**(1/3) - pi**e",
+])
+def test_expression_constants_give_the_values_of_float_arithmetic(text):
+    # compiled constants are numpy scalars; Python floats in the same places
+    # must give the same bits
+    xs = np.linspace(-0.0, 2.5, 257)
+    env = {"x": xs, "pi": math.pi, "e": math.e, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+           "tan": np.tan, "sqrt": np.sqrt, "log": np.log, "abs": np.abs,
+           "step": lambda v: np.where(v >= 0.0, 1.0, 0.0)}
+    with np.errstate(all="ignore"):
+        want = eval(text.replace("^", "**"), {"__builtins__": {}}, env)
+        got = compile_expression(text)(xs)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/0", math.inf), ("2.0**10000", math.inf), ("0**-1", math.inf), ("(0-1)**0.5", math.nan),
+    pytest.param("1" + "0" * 400, math.inf, id="int-beyond-float-range"), ("x + 1/0", math.inf),
+])
+def test_expression_constants_overflow_to_non_finite_values(text, value):
+    with np.errstate(all="ignore"):
+        got = float(compile_expression(text)(np.asarray(0.5)))
+    assert got == value or (math.isnan(got) and math.isnan(value))
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "import os", "x + y", "foo(x)", "x @ x", "(1).real", "lambda: 1", "x if x else x"],
@@ -401,6 +429,12 @@ def test_cli_pavement_unknown_mix(capsys):
     assert "no mix labelled" in capsys.readouterr().err
 
 
+def test_cli_key_error_prints_its_message_unquoted(capsys):
+    # find_mix raises KeyError, whose str() would wrap the message in quotes
+    assert main(["pavement", "reduction", "--mix", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: no mix labelled 'nope'; available: [")
+
+
 # -- entry point -----------------------------------------------------------------------
 
 
@@ -459,6 +493,16 @@ def test_cli_verify_solutions_passes_up_to_k7(seed, capsys):
     uncorrected = [rec for rec in payload if rec["variant"] == "C_ab(uncorrected)"]
     assert len(uncorrected) == 6
     assert all(rec["max_residual_coeff"] > 1.0 for rec in uncorrected)
+
+
+def test_cli_verify_solutions_judges_the_uncorrected_record_relative(capsys):
+    # At k = 10 the uncorrected C_ab residual is about 6e7; it equals its
+    # closed form to rounding, which an absolute 1e-9 would call a failure.
+    rc = main(["verify-solutions", "--k", "10", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "FAIL" not in out
+    assert "PASS  C_ab(uncorrected)  k=10" in out
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -609,6 +653,40 @@ BAD_INPUT = {
     "sum_n_beyond_float_range": (
         None, ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1",
                "--n", "1" + "0" * 400]),
+    # constants evaluate as numpy scalars, so these are inf or nan, not Python errors
+    "integrate_constant_division_by_zero": (None, RS + ["--f", "1/0"]),
+    "integrate_constant_overflow": (None, RS + ["--f", "2.0**10000"]),
+    "integrate_constant_complex_root": (None, RS + ["--f", "(0-1)**0.5"]),
+    "integrate_constant_zero_to_negative_power": (None, RS + ["--f", "0**-1"]),
+    "integrate_int_constant_beyond_float_range": (None, RS + ["--f", "1" + "0" * 400]),
+    "verify_factorial_beyond_float_range": (None, ["verify-solutions", "--k", "171"]),
+    "verify_coefficient_beyond_float_range": (None, ["verify-solutions", "--k", "170"]),
+    "eval_factorial_beyond_float_range": (
+        None, ["index", "eval", "--family", "T2a", "--k", "171", "--psi", ",".join(["0.5"] * 171)]),
+    "eval_value_nan_at_k_170": (
+        None, ["index", "eval", "--family", "C2w_ab", "--alpha", "1", "--beta", "1", "--k", "170",
+               "--psi", ",".join(["0.5"] * 170)]),
+    "eval_value_beyond_float_range": (
+        None, ["index", "eval", "--family", "C2w_ab", "--alpha", "1e308", "--beta", "1e308",
+               "--t", "1e308", "--psi", "0.1,0.2"]),
+    "seven_weights_beyond_float_range": (
+        None, ["index", "seven", "--psi", "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "--weights",
+               ",".join(["1e300"] * 7), "--alpha", "1", "--beta", "1"]),
+    "fit_basis_beyond_float_range": (
+        FIT_HEADER + "0.1,1e200,0.3,1,1,0.5\n0.2,0.3,0.4,1,1,0.7\n", ["index", "fit"]),
+    "sum_beyond_float_range": (
+        None, ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1e308", "--n", "4"]),
+    "integrate_sums_beyond_float_range": (
+        None, ["rs", "integrate", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1e308"]),
+    "bound_sums_beyond_float_range": (
+        None, ["rs", "bound", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1e308"]),
+    "variation_length_beyond_float_range": (
+        None, ["rs", "variation", "--omega", "x", "--lo=-1e308", "--hi=1e308"]),
+    "variation_partition_length_beyond_float_range": (
+        None, ["rs", "variation", "--omega", "x", "--lo=-1e308", "--hi=1e308", "--n", "4"]),
+    "variation_sum_beyond_float_range": (
+        None, ["rs", "variation", "--omega", "1e308*sin(50*x)", "--lo", "0", "--hi", "1"]),
+    "pavement_unknown_mix": (None, ["pavement", "reduction", "--mix", "nope"]),
 }
 
 

@@ -390,7 +390,7 @@ def test_asymmetric_domain_breaks_axis_symmetry():
 def test_interior_bounded_by_monotone_boundary_forcing():
     spec = unit_square_spec(t_end=0.5)
     for fld in run_scenario(spec, [0.1, 0.3, 0.5]):
-        interior = fld.interior()
+        interior = fld.values[1:-1, 1:-1]
         assert np.all(interior >= 0.0)
         assert np.all(interior <= 10.0 * fld.time * (1.0 + 1e-12))
 
@@ -469,7 +469,7 @@ def test_agrees_with_method_of_lines_reference():
         method="RK45",
     )
     reference = sol.y[:, -1].reshape(m, m)
-    gap = float(np.max(np.abs(ours.interior() - reference)))
+    gap = float(np.max(np.abs(ours.values[1:-1, 1:-1] - reference)))
     # Shared spatial grid, so only the Euler-vs-RK45 time error remains;
     # measured ~1.4e-5 on a field of scale ~5.
     assert gap < 1e-3

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from sustkit.index import (
     write_fit_report,
 )
 from sustkit.polynomials import SolutionFamily, build_solution
-from sustkit.riemann_stieltjes import WeightFunction
+from sustkit.riemann_stieltjes import WeightFunction, rs_integrate
 
 
 def random_inputs(rng, k, with_ab=False, lo=0.0, hi=1.0):
@@ -196,6 +197,24 @@ def test_seven_ab_warns_on_out_of_band_psi():
         index_seven_ab(inputs)
 
 
+@pytest.mark.parametrize("variant, k, t, weights, alpha", [
+    ("C2w_ab", 2, 1e308, (1.0, 1.0), 1e308),  # inf
+    ("C2w_ab", 170, 0.0, (1.0,) * 170, 1.0),  # 170! * 170 is inf, times t = 0 is nan
+    ("T2a", 171, 1.0, (1.0,) * 171, None),    # 171! is beyond the float range
+    ("C2w_ab", 7, 0.0, (1e300,) * 7, 1.0),    # prod(w) is inf
+])
+def test_index_value_refuses_a_value_beyond_the_float_range(variant, k, t, weights, alpha):
+    inputs = IndexInputs(k=k, t=t, psi=(0.5,) * k, weights=weights, alpha=alpha,
+                         beta=None if alpha is None else alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"the {variant} index value must be finite"):
+            index_value(inputs, variant)
+        if k == 7:
+            with pytest.raises(ValueError, match="must be finite"):
+                index_seven_ab(inputs)
+
+
 # -- fitting ---------------------------------------------------------------------
 
 
@@ -351,9 +370,7 @@ def test_weight_from_function_constant_density():
     w = WeightFunction(0.0, 2.0, lambda x: x)
     ones = lambda x: np.ones_like(np.asarray(x, float))  # noqa: E731
     assert weight_from_function(ones, w) == pytest.approx(1.0, abs=1e-9)
-    assert weight_from_function(ones, w, normalize=False) == pytest.approx(
-        2.0, abs=1e-9
-    )
+    assert rs_integrate(ones, w, 0.0, 2.0) == pytest.approx(2.0, abs=1e-9)
 
 
 # -- IO --------------------------------------------------------------------------------
@@ -591,6 +608,15 @@ def test_fit_rejects_basis_overflow():
     obs.psi[1] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="observation 1: non-finite basis value"):
+            fit_alpha_beta(obs)
+
+
+def test_fit_refuses_basis_overflow_without_a_numpy_warning():
+    obs = planted_observations(1.0, 1.0, n=4, k=3)
+    obs.psi[2] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="observation 2: non-finite basis value"):
             fit_alpha_beta(obs)
 
 

@@ -1,7 +1,10 @@
 import json
 import math
+import random
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from sustkit.polynomials import (
     SparsePolynomial,
     build_solution,
     diffusion_residual,
+    family_coefficients,
     interaction_residual,
     verify_solution_families,
 )
@@ -426,6 +430,47 @@ def test_verify_solution_families_all_pass():
     assert "C_ab(uncorrected)" in variants
     uncorrected = [c for c in checks if c.variant == "C_ab(uncorrected)"]
     assert all(c.max_residual_coeff > ZERO_TOL for c in uncorrected)
+
+
+@pytest.mark.parametrize("variant", ["T2a", "T2b", "C_ab", "T3w", "C1w", "C2w_ab"])
+def test_family_coefficients_for_small_k_are_those_of_the_integer_factorial(variant):
+    # k! is taken as a float; for k <= 7 every coefficient keeps its bits
+    rng = random.Random(3)
+    for k in range(2, 8):
+        w = np.array([rng.uniform(0.5, 2.0) for _ in range(k)])
+        alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        a0, b0, w0 = {"T2a": (1.0 / math.factorial(k), 1.0, np.ones(k)),
+                      "T2b": (1.0, 1.0, np.ones(k)), "C_ab": (alpha, beta, np.ones(k)),
+                      "T3w": (1.0, 1.0, w), "C1w": (1.0 / math.factorial(k), 1.0, w),
+                      "C2w_ab": (alpha, beta, w)}[variant]
+        c_t, a, p, b = family_coefficients(variant, k, alpha, beta, w)
+        assert c_t == a0 * math.factorial(k) * np.sum(w0) + b0 * np.prod(w0)
+        assert np.array_equal(a, a0 * w0) and p == k and b == b0 * np.prod(w0)
+        c_t, a, _, b = family_coefficients("C_ab", k, alpha, beta, uncorrected=True)
+        assert c_t == alpha * math.factorial(k) * k + beta
+        assert np.array_equal(a, np.full(k, 1.0 / math.factorial(k))) and b == 1.0
+
+
+@pytest.mark.parametrize("variant, k", [("T2a", 171), ("T2b", 170), ("C1w", 200)])
+def test_family_beyond_the_float_range_is_refused_without_a_numpy_warning(variant, k):
+    fam = SolutionFamily(variant, k, weights=(1.0,) * k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c_t, _, _, _ = family_coefficients(variant, k, weights=fam.weights)
+        assert not math.isfinite(c_t)
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            build_solution(fam)
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            verify_solution_families(k_values=(k,), draws=1)
+
+
+def test_verify_solution_families_judges_uncorrected_c_ab_relative_to_dhdt():
+    # k = 10, seed 0: the uncorrected residual (about 6.2e7) equals its closed
+    # form to rounding; the rule is ZERO_TOL * max(1, |dH/dt coefficient|)
+    checks = verify_solution_families(k_values=(10,), seed=0)
+    assert all(c.ok for c in checks)
+    (uncorrected,) = [c for c in checks if c.variant == "C_ab(uncorrected)"]
+    assert uncorrected.max_residual_coeff > 1e7
 
 
 def test_verify_solution_families_needs_a_k():

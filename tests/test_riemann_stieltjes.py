@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_partition_checks_match_the_elementwise_rule(xs, data):
 def test_partition_carries_region_label():
     p = make_uniform_partition(0.0, 1.0, 4, "midpoint", region_id=3)
     assert p.region_id == 3
-    assert p.n_intervals == 4
+    assert len(p.tags) == 4
 
 
 def test_regional_sum_is_same_computation():
@@ -547,6 +548,38 @@ def test_refinement_arguments_checked_in_one_place(kwargs, message):
         variation_sup(omega, lo, hi, max_refinements=levels, tol=eta)
 
 
+def test_interval_whose_length_overflows_is_refused_where_intervals_are_checked():
+    lo, hi = -1e308, 1e308  # both finite, but hi - lo is inf
+    with pytest.raises(ValueError, match="need finite lo < hi with a finite length"):
+        make_uniform_partition(lo, hi, 4)
+    with pytest.raises(ValueError, match="finite length"):
+        WeightFunction(lo, hi, _linear(1.0))
+    for run in (lambda: rs_integrate(_linear(1.0), _linear(1.0), lo, hi),
+                lambda: variation_sup(_linear(1.0), lo, hi)):
+        with pytest.raises(ValueError, match="finite length"):
+            run()
+
+
+@pytest.mark.parametrize("run, where", [
+    (lambda: rs_sum(_linear(1.0), _linear(1.0), make_uniform_partition(0.0, 1e308, 4)),
+     "the Riemann-Stieltjes sum over the partition"),
+    (lambda: rs_integrate(_linear(1.0), _linear(1.0), 0.0, 1e308),
+     "the Riemann-Stieltjes sum at dyadic level 0"),
+    (lambda: variation_lower_bound_check(_linear(1.0), _linear(1.0), 0.0, 1e308),
+     "the Riemann-Stieltjes sum at dyadic level 0"),
+    (lambda: total_variation(lambda x: 1e308 * np.sin(50 * x), make_uniform_partition(0, 1, 99)),
+     "the variation sum over the partition"),
+    (lambda: variation_sup(lambda x: 1e308 * np.sin(50 * x), 0.0, 1.0),
+     "the variation sum at dyadic level 4"),
+])
+def test_sums_that_overflow_name_where_without_a_numpy_warning(run, where):
+    # every value summed is finite; only the sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match=f"^{where} overflowed the float range$"):
+            run()
+
+
 def _gap_and_spread(message):
     import re
 
@@ -696,7 +729,7 @@ def _check_against_reference(name, f, omega, lo, hi, eta=1e-6, max_refinements=2
     min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
     prev_mid, reference_stop = math.inf, None
     for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi, reached):
-        got = _tagged_sums(w_nodes, f_nodes, f_mids)
+        got = _tagged_sums(level, w_nodes, f_nodes, f_mids)
         want = _level_sums(f_eval, w_eval, lo, hi, 2**level)
         abs_dw = np.abs(np.diff(w_nodes))
         scale = max(np.abs(f_mids) @ abs_dw, np.abs(f_nodes[:-1]) @ abs_dw,
