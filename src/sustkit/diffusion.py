@@ -329,7 +329,10 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
         if not 0.0 <= t <= spec.t_end * (1.0 + 1e-12):
             raise ValueError(f"snapshot time {t} outside [0, {spec.t_end}]")
     dt = spec.resolved_dt()
-    last_step = max(1, math.ceil(spec.t_end / dt - 1e-12))
+    steps = spec.t_end / dt - 1e-12
+    if not math.isfinite(steps):  # before int(), which cannot take it
+        raise ValueError(f"t_end / dt = {spec.t_end!r} / {dt!r} is not a finite number of steps")
+    last_step = max(1, math.ceil(steps))
     want: dict[int, list[int]] = {}
     for pos, t in enumerate(snapshot_times):
         want.setdefault(min(last_step, max(0, round(t / dt))), []).append(pos)

@@ -300,6 +300,9 @@ def build_solution(family: SolutionFamily) -> SparsePolynomial:
     c_t, a, p, b = family_coefficients(
         family.variant, k, family.alpha, family.beta, family.weights, family.uncorrected
     )
+    if not (np.isfinite(c_t) and np.isfinite(a).all() and np.isfinite(b)):
+        raise ValueError(f"non-finite coefficient in {family.variant} at k={k} "
+                         "(beyond the float range)")
     terms = {(1,) + (0,) * k: c_t}
     for i in range(1, k + 1):
         terms[(0,) * i + (p,) + (0,) * (k - i)] = a[i - 1]

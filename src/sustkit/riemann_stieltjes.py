@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,13 @@ _DOMAIN_TOL = 1e-12
 #: rounding slack in the variation lower bound: it holds when lhs >= rhs - this
 BOUND_TOLERANCE = 1e-9
 
-#: intervals per block of the walk over a level (see _blocks)
+#: intervals per block of the walk over a level (see _blocks); even
 _BLOCK = 2**16
+
+#: the most intervals a refinement level may hold, whether every interval
+#: of [lo, hi] is refined or only some; a deeper level is refused before it
+#: is allocated
+_MAX_INTERVALS = 2**MAX_REFINEMENTS
 
 
 class DomainMismatchError(ValueError):
@@ -61,12 +66,12 @@ class NonConvergenceError(RuntimeError):
     """Refinement did not settle within the allowed depth.
 
     ``level`` is the last dyadic level reached, ``gap`` and ``spread`` its
-    midpoint gap and tag spread; the message gives all three.  A tag spread
-    that stops decaying signals that the integrand is not Riemann-Stieltjes
-    integrable with respect to the weight function (for example when both
-    share a discontinuity); a decaying spread with a gap stuck at the
-    rounding error of the sums signals an ``eta`` too small for double
-    precision.
+    sums of local midpoint gaps and tag spreads; the message gives all three.
+    A tag spread that stops decaying signals that the integrand is not
+    Riemann-Stieltjes integrable with respect to the weight function (for
+    example when both share a discontinuity); a decaying spread with a gap
+    stuck at the rounding error of the sums signals an ``eta`` too small for
+    double precision.
     """
 
     def __init__(self, message: str, level: int, gap: float, spread: float):
@@ -316,6 +321,7 @@ def _dyadic_levels(w_eval, f_eval, lo: float, hi: float, max_refinements: int):
         f_nodes = _finite_or_raise(_eval_on(f_eval, np.array([lo, hi])), "integrand")
     for level in range(max_refinements + 1):
         if level:
+            _check_budget(level, 1 << level)
             w_nodes = _refined(w_nodes)
             _eval_midpoints(w_eval, "weight", level - 1, lo, hi, w_nodes[1::2])
             if f_eval is not None:
@@ -342,48 +348,219 @@ def _check_refinement(lo, hi, max_refinements, **tolerances) -> tuple[int, int]:
     return max_refinements, min(MIN_REFINEMENTS, max(1, max_refinements - 1))
 
 
-def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements):
-    """The integral and the (w_nodes, f_nodes, f_mids) of its last level."""
+class _StopRule:
+    """When a refinement stops: at a level >= min_level whose local gaps sum to
+    less than eta and whose local spreads sum to less than the tag tolerance.
+    It gives up once the spread has not decayed for STALL_LEVELS levels."""
+
+    def __init__(self, eta: float, min_level: int, length: float):
+        # Tag sensitivity shrinks like O(h) for integrable pairs while the
+        # midpoint gap shrinks like O(h^2), so sqrt(eta) keeps the two
+        # criteria on the same grid scale.  A pair whose tag spread never decays
+        # (e.g. integrand and weight sharing a jump) is reported non-integrable.
+        self.eta, self.tag_tol = eta, max(eta, math.sqrt(eta))
+        self.min_level, self.length = min_level, length
+        self.spread, self.stalled, self.decaying = math.inf, 0, True
+
+    def converged(self, level: int, gap: float, spread: float) -> bool:
+        """Whether level may stop; raises once the spread has stalled."""
+        prev_spread, self.level, self.gap, self.spread = self.spread, level, gap, spread
+        if level >= self.min_level and gap < self.eta and spread < self.tag_tol:
+            return True
+        # An integrable pair's tag spread falls like O(h), halving per level.
+        self.decaying = spread < self.tag_tol or spread <= 0.75 * prev_spread
+        self.stalled = 0 if self.decaying or level <= self.min_level else self.stalled + 1
+        if self.stalled == STALL_LEVELS:
+            raise self.error()
+        return False
+
+    def error(self) -> NonConvergenceError:
+        """The error of a refinement that ends at the last level checked."""
+        if self.decaying:
+            cause = ("the sums are still converging: raise eta or max_refinements "
+                     "(an eta below the rounding error of the sums is never reached)")
+        else:
+            cause = ("the tag spread is not decaying: the integrand may not be integrable "
+                     "against this weight (e.g. shared discontinuity)")
+        if self.stalled == STALL_LEVELS:
+            limit = MIN_REFINEMENTS + STALL_LEVELS
+            cause += (f"; stopped after {STALL_LEVELS} levels without decay, so jumps closer "
+                      f"than (hi-lo)/2^{limit} = {self.length / 2**limit:.3g} are taken for a "
+                      "shared jump")
+        return NonConvergenceError(
+            f"Riemann-Stieltjes refinement did not converge to eta={self.eta} by dyadic "
+            f"level {self.level}: last midpoint gap {self.gap:.3g}, tag spread {self.spread:.3g} "
+            f"(tag tolerance {self.tag_tol:.3g}); {cause}",
+            self.level, self.gap, self.spread,
+        )
+
+
+# A split is an interval [a, b] of one level halved at its midpoint m into two
+# intervals of the next, whose midpoints are q1 and q3.  Both walks below yield
+# blocks of splits as (k, w(a), w(m), w(b), f(a), f(m), f(b), f(q1), f(q3)),
+# k being the index of [a, b] at its level.
+
+def _uniform_splits(w_nodes, f_nodes, f_mids):
+    """A uniform level's intervals in pairs, _BLOCK intervals at a time: the
+    splits of the level before."""
+    for b in _blocks(f_mids.size):  # _BLOCK is even, so no pair straddles two blocks
+        w, f, q = w_nodes[b.start:b.stop + 1], f_nodes[b.start:b.stop + 1], f_mids[b]
+        k = range(b.start // 2, b.stop // 2)
+        yield k, w[:-1:2], w[1::2], w[2::2], f[:-1:2], f[1::2], f[2::2], q[0::2], q[1::2]
+
+
+def _local_splits(level, active, w_eval, f_eval, lo, hi):
+    """The splits of the active intervals of level - 1 (rows k, w(a), w(b),
+    f(a), f(m), f(b)), _BLOCK at a time: the weight is evaluated at their
+    midpoints, nodes of level, and the integrand at their quarter points,
+    midpoints of level; each point is lo + j*((hi-lo)/2**level) as on a
+    uniform level."""
+    h_nodes, h_mids = (hi - lo) / (1 << level), (hi - lo) / (2 << level)
+    for b in _blocks(active.shape[1]):
+        k, wa, wb, fa, fm, fb = active[:, b]
+        wm = _finite_or_raise(_eval_on(w_eval, lo + (2 * k + 1) * h_nodes), "weight")
+        quarters = (4 * k[:, None] + (1.0, 3.0)).ravel()  # 4k+1, 4k+3 in turn
+        fq = _finite_or_raise(_eval_on(f_eval, lo + quarters * h_mids), "integrand")
+        yield k, wa, wm, wb, fa, fm, fb, fq[0::2], fq[1::2]
+
+
+def _halves(keep, k, wa, wm, wb, fa, fm, fb, fq1, fq3) -> np.ndarray:
+    """The halves of the splits where keep holds, in order, as active intervals."""
+    k = np.asarray(k, dtype=float)[keep]
+    halves = np.empty((6, 2 * k.size))
+    halves[:, 0::2] = [2 * k, *(row[keep] for row in (wa, wm, fa, fq1, fm))]
+    halves[:, 1::2] = [2 * k + 1, *(row[keep] for row in (wm, wb, fm, fq3, fb))]
+    return halves
+
+
+def _abs_difference_times(x, y, scale):
+    """|(x - y) * scale| in one new array."""
+    out = x - y
+    out *= scale
+    return np.abs(out, out=out)
+
+
+def _least(values, where=True) -> float:
+    return float(values.min(where=where, initial=math.inf))
+
+
+class _Walk:
+    """The running state of one refinement: the sums over the splits frozen so
+    far and, once it refines locally, the least weight increment over their
+    halves and sup|F| over every integrand value sampled."""
+
+    def __init__(self, eta: float, tag_tol: float):
+        self.eta, self.tag_tol = eta, tag_tol
+        self.frozen = [0.0, 0.0, 0.0]  # midpoint sum, local gaps, local spreads
+        self.sup_f = 0.0  # set from the uniform levels' values on going local
+        self.low = math.inf  # over the halves of the frozen splits
+        self.least = math.inf  # over the halves of the last level's splits
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once, on the sums
+    def split(self, level: int, splits, freeze: bool = False):
+        """Sum a level's splits onto the frozen ones: return the level's midpoint
+        sum, local gaps and local spreads, and the number of splits that settled,
+        each below half its length's share of both budgets.  With freeze those
+        splits are frozen, and the halves of the rest are returned as the next
+        level's active intervals."""
+        # a split is 2**-(level - 1) of [lo, hi]: half its share is 2**-level
+        gap_tol, spread_tol = math.ldexp(self.eta, -level), math.ldexp(self.tag_tol, -level)
+        sums, frozen, settled, halves = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0, []
+        self.least = math.inf
+        for k, wa, wm, wb, fa, fm, fb, fq1, fq3 in splits:
+            dw1, dw2 = wm - wa, wb - wm
+            mid = fq1 * dw1
+            mid += fq3 * dw2
+            gap = wb - wa
+            gap *= fm
+            gap -= mid
+            np.abs(gap, out=gap)
+            spread = _abs_difference_times(fm, fa, dw1)
+            spread += _abs_difference_times(fb, fm, dw2)
+            done = (gap < gap_tol) & (spread < spread_tol)
+            settled += int(np.count_nonzero(done))
+            for i, values in enumerate((mid, gap, spread)):
+                sums[i] += float(np.einsum("i->", values))
+                if freeze:
+                    frozen[i] += float(np.einsum("i,i->", values, done))
+            if freeze:
+                self.least = min(self.least, _least(dw1), _least(dw2))
+                self.low = min(self.low, _least(dw1, done), _least(dw2, done))
+                self.sup_f = max(self.sup_f, float(np.abs(fq1).max()), float(np.abs(fq3).max()))
+                halves.append(_halves(~done, k, wa, wm, wb, fa, fm, fb, fq1, fq3))
+        where = f"the Riemann-Stieltjes sum at dyadic level {level}"
+        sums = _finite_sums([old + new for old, new in zip(self.frozen, sums)], where)
+        if not freeze:
+            return sums, settled, None
+        self.frozen = [old + new for old, new in zip(self.frozen, frozen)]
+        return sums, settled, np.concatenate(halves, axis=1)
+
+
+class _Integral(NamedTuple):
+    """What a refinement found: the integral, the level it stopped at, the
+    first level refined locally (None when every level was uniform), sup|F|
+    over every integrand value sampled, and whether the weight did not fall
+    (beyond rounding) over any interval of the final partition."""
+
+    value: float
+    level: int
+    local_from: int | None
+    sup_f: float
+    nondecreasing: bool
+
+
+def _check_budget(level: int, intervals: int) -> None:
+    if intervals > _MAX_INTERVALS:
+        raise ValueError(f"dyadic level {level} would hold {intervals} intervals, over the "
+                         f"budget of {_MAX_INTERVALS} intervals per level")
+
+
+def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements) -> _Integral:
+    """Refine every interval while most of them still carry error, then only
+    those that do.  Level L's local gap of a split of [a, b] is
+    |f(q1)(w(m)-w(a)) + f(q3)(w(b)-w(m)) - f(m)(w(b)-w(a))|, and the local
+    spread of each half [c, d] is |f(d)-f(c)|*|w(d)-w(c)|.  From the first
+    level >= min_level at which at least half the splits settle, settled
+    splits are frozen: they keep their midpoint sum, gap and spread in the
+    totals, and only the halves of the rest are split at the next level.
+    Absolute local estimates cannot cancel between an up-jump and a down-jump,
+    as the difference of two whole-level sums can."""
     max_refinements, min_level = _check_refinement(lo, hi, max_refinements, eta=eta)
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
-
-    # Tag sensitivity shrinks like O(h) for integrable pairs while the
-    # midpoint Cauchy gap shrinks like O(h^2), so sqrt(eta) keeps the two
-    # criteria on the same grid scale.  A pair whose tag spread never decays
-    # (e.g. integrand and weight sharing a jump) is reported non-integrable.
-    tag_tol = max(eta, math.sqrt(eta))
-
-    prev_mid, spread, stalled = None, math.inf, 0
-    for level, *arrays in _dyadic_levels(w_eval, f_eval, lo, hi, max_refinements):
-        mid, left, right = _tagged_sums(level, *arrays)
-        prev_spread, spread = spread, abs(left - right)
-        gap = math.inf if prev_mid is None else abs(mid - prev_mid)
-        if level >= min_level and gap < eta and spread < tag_tol:
-            return mid, arrays
-        del arrays  # the next level is built without this one's arrays
-        # An integrable pair's tag spread falls like O(h), halving per level.
-        decaying = spread < tag_tol or spread <= 0.75 * prev_spread
-        stalled = 0 if decaying or level <= min_level else stalled + 1
-        if stalled == STALL_LEVELS:
+    rule = _StopRule(eta, min_level, hi - lo)
+    walk = _Walk(eta, rule.tag_tol)
+    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi, max_refinements):
+        if level == 0:  # one interval, the split of none: its spread is |left - right|
+            _, left, right = _tagged_sums(level, w_nodes, f_nodes, f_mids)
+            rule.converged(level, math.inf, abs(left - right))  # never at level 0
+            continue
+        splits = _uniform_splits(w_nodes, f_nodes, f_mids)
+        (mid, gap, spread), settled, _ = walk.split(level, splits)
+        if rule.converged(level, gap, spread):
+            least = min(float(dw.min()) for _, dw in _increments(w_nodes))
+            return _Integral(mid, level, None, _sup_abs(f_nodes, f_mids), least >= -1e-12)
+        if level >= min_level and 2 * settled >= f_mids.size // 2:
             break
-        prev_mid = mid
-    if decaying:
-        cause = ("the sums are still converging: raise eta or max_refinements "
-                 "(an eta below the rounding error of the sums is never reached)")
+        del w_nodes, f_nodes, f_mids  # the next level is built without this one's arrays
     else:
-        cause = ("the tag spread is not decaying: the integrand may not be integrable "
-                 "against this weight (e.g. shared discontinuity)")
-    if stalled == STALL_LEVELS:
-        limit = MIN_REFINEMENTS + STALL_LEVELS
-        cause += (f"; stopped after {STALL_LEVELS} levels without decay, so jumps closer than "
-                  f"(hi-lo)/2^{limit} = {(hi - lo) / 2**limit:.3g} are taken for a shared jump")
-    raise NonConvergenceError(
-        f"Riemann-Stieltjes refinement did not converge to eta={eta} by dyadic "
-        f"level {level}: last midpoint gap {gap:.3g}, tag spread {spread:.3g} "
-        f"(tag tolerance {tag_tol:.3g}); {cause}",
-        level, gap, spread,
-    )
+        raise rule.error()
+    local_from = level + 1
+    walk.sup_f = _sup_abs(f_nodes, f_mids)
+    *_, active = walk.split(level, _uniform_splits(w_nodes, f_nodes, f_mids), freeze=True)
+    del w_nodes, f_nodes, f_mids
+    for level in range(local_from, max_refinements + 1):
+        _check_budget(level, 2 * active.shape[1])
+        splits = _local_splits(level, active, w_eval, f_eval, lo, hi)
+        (mid, gap, spread), _, active = walk.split(level, splits, freeze=True)
+        if rule.converged(level, gap, spread):
+            low = min(walk.low, walk.least)
+            return _Integral(mid, level, local_from, walk.sup_f, low >= -1e-12)
+    raise rule.error()
+
+
+def _sup_abs(*arrays) -> float:
+    return max(float(np.abs(values[b]).max()) for values in arrays for b in _blocks(values.size))
 
 
 def rs_integrate(
@@ -397,15 +574,19 @@ def rs_integrate(
     """Riemann-Stieltjes integral of f d(omega) over [lo, hi] by dyadic
     midpoint refinement.
 
-    Refines until two successive midpoint sums differ by less than ``eta``
-    and the left/right tag choice moves the sum by less than
-    ``max(eta, sqrt(eta))``; the second check rejects pairs that are not
-    integrable (a shared jump keeps the tag spread from decaying).  Raises
-    :class:`NonConvergenceError` when the cap is hit first or the tag spread
-    stalls for ``STALL_LEVELS`` levels (jumps closer than (hi-lo)/2**14 look shared).
+    Refines until the local midpoint gaps, each the change of one interval's
+    midpoint sum when it is halved, sum in absolute value to less than
+    ``eta``, and the local tag spreads |f(right) - f(left)| * |omega(right) -
+    omega(left)| sum to less than ``max(eta, sqrt(eta))``; the second check
+    rejects pairs that are not integrable (a shared jump keeps the tag spread
+    from decaying).  Once most intervals have settled, only the others are
+    halved further.  Raises :class:`NonConvergenceError` when level
+    ``max_refinements`` is passed first or the tag spread stalls for
+    ``STALL_LEVELS`` levels (jumps closer than (hi-lo)/2**14 look shared),
+    and ``ValueError`` before building a level of more than
+    2**MAX_REFINEMENTS intervals.
     """
-    value, _ = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
-    return value
+    return _rs_integrate_info(f, omega, lo, hi, eta, max_refinements).value
 
 
 def total_variation(omega, partition: TaggedPartition) -> float:
@@ -429,7 +610,9 @@ def variation_sup(
     Variation sums are non-decreasing under refinement, so dyadic uniform
     refinement is run until one more halving adds less than ``tol`` (or the
     cap is reached) and the largest sum is returned.  The estimate is a
-    lower bound on the true variation.
+    lower bound on the true variation.  A level of more than
+    2**MAX_REFINEMENTS intervals is refused with ``ValueError`` before it is
+    built.
     """
     max_refinements, min_level = _check_refinement(lo, hi, max_refinements, tol=tol)
     w_eval = _as_callable(omega, lo, hi, "weight")
@@ -449,8 +632,8 @@ class VariationBoundReport:
     The variation of the weight (lhs) must dominate |integral of F
     d(omega)| / sup|F| (rhs).  ``sup_f_zero`` flags the vacuous case where
     the bound is undefined and rhs is reported as 0; ``omega_nondecreasing``
-    records whether the weight looked monotone on the sampling grid (the
-    bound itself does not require monotonicity).
+    records whether the weight looked monotone on the final partition of the
+    integration (the bound itself does not require monotonicity).
     """
 
     lhs: float
@@ -472,15 +655,13 @@ def variation_lower_bound_check(
 ) -> VariationBoundReport:
     """Check variation(omega) >= |integral F d(omega)| / sup|F| on [lo, hi].
 
-    sup|F| is estimated on the finest grid the integration visited (nodes
-    plus midpoints); a closed-form supremum is not assumed.  When sup|F|
-    is 0 the bound is vacuous: rhs is defined as 0 and the report is
-    flagged instead of raising.
+    sup|F| is estimated over every integrand value the integration sampled
+    (nodes, midpoints and quarter points); a closed-form supremum is not
+    assumed.  When sup|F| is 0 the bound is vacuous: rhs is defined as 0 and
+    the report is flagged instead of raising.
     """
-    integral, (w_nodes, *f_tags) = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
-    sup_f = max(float(np.abs(values[b]).max()) for values in f_tags for b in _blocks(values.size))
-    nondecreasing = all(dw.min() >= -1e-12 for _, dw in _increments(w_nodes))
-    del w_nodes, f_tags  # the variation walk builds its own levels
+    integral, _, _, sup_f, nondecreasing = _rs_integrate_info(f, omega, lo, hi, eta,
+                                                              max_refinements)
     lhs = variation_sup(omega, lo, hi, max_refinements, tol=eta)
     rhs = 0.0 if sup_f == 0.0 else abs(integral) / sup_f
     return VariationBoundReport(

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
+from sustkit import riemann_stieltjes
 from sustkit.cli import main
 from sustkit.expressions import ExpressionError, compile_expression
 
@@ -687,6 +688,10 @@ BAD_INPUT = {
     "variation_sum_beyond_float_range": (
         None, ["rs", "variation", "--omega", "1e308*sin(50*x)", "--lo", "0", "--hi", "1"]),
     "pavement_unknown_mix": (None, ["pavement", "reduction", "--mix", "nope"]),
+    # t_end / dt is inf: refused before the step count becomes an int
+    "spec_step_count_beyond_float_range": ({**SPEC, "dt": 1e-320}, ["solve"]),
+    "figures_step_count_beyond_float_range": (
+        None, ["figures", "--which", "fig5", "--t-end", "1e308"]),
 }
 
 
@@ -720,6 +725,25 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
         obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
     _assert_exits_one_with_error_line(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rs", "integrate", "--f", "x", "--omega", "x^2", "--lo", "0", "--hi", "1", "--eta", "1e-300",
+     "--max-refinements", "40"],
+    ["rs", "variation", "--omega", "sin(1000*x)", "--lo", "0", "--hi", "1",
+     "--max-refinements", "40"],
+])
+def test_cli_level_over_the_interval_budget_exits_one(argv, monkeypatch):
+    # the same refusal as at the 2**24 budget, which needs about 400 MB first
+    monkeypatch.setattr(riemann_stieltjes, "_MAX_INTERVALS", 2**10)
+    err = _assert_exits_one_with_error_line(argv)
+    assert "dyadic level 11 would hold 2048 intervals, over the budget of 1024" in err
+
+
+def test_cli_family_beyond_the_float_range_is_named_in_one_short_line():
+    err = _assert_exits_one_with_error_line(["verify-solutions", "--k", "170"])
+    assert err == "error: non-finite coefficient in T2b at k=170 (beyond the float range)\n"
+    assert len(err) < 200
 
 
 def test_cli_spec_that_is_not_an_object_exits_one(tmp_path):

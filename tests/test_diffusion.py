@@ -892,6 +892,15 @@ def test_step_budget_counts_the_last_wanted_step(monkeypatch, last_step):
         assert run_scenario(spec, [0.0, last_step * dt])[-1].time == 5 * dt
 
 
+@pytest.mark.parametrize("t_end, dt", [(0.1, 1e-320), (1e308, 1e-3)])
+def test_step_count_beyond_the_float_range_is_refused(t_end, dt):
+    # t_end / dt is inf, which no step count can hold, affine boundary or not
+    for boundary in (AffineRule(1.0), lambda coords, t: 0.0):
+        spec = replace(unit_square_spec(t_end=t_end, boundary=boundary), dt=dt)
+        with pytest.raises(ValueError, match="is not a finite number of steps"):
+            run_scenario(spec, [t_end])
+
+
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])
 def test_affine_non_finite_slope_is_rejected(s):
     spec = unit_square_spec(boundary=AffineRule(s=s), initial=AffineRule(0.0))

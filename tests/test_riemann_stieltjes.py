@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from sustkit import riemann_stieltjes
 from sustkit.expressions import compile_expression
 from sustkit.riemann_stieltjes import (
+    MAX_REFINEMENTS,
     MIN_REFINEMENTS,
     STALL_LEVELS,
     _BLOCK,
@@ -29,6 +30,8 @@ from sustkit.riemann_stieltjes import (
     _finite_or_raise,
     _rs_integrate_info,
     _tagged_sums,
+    _uniform_splits,
+    _Walk,
     make_uniform_partition,
     rs_integrate,
     rs_sum,
@@ -714,20 +717,37 @@ def _level_sums(f_eval, w_eval, lo, hi, n):
     )
 
 
+def _reference_split_sums(f_eval, w_eval, lo, hi, level, eta, tag_tol):
+    """Reference: the sums of the local gaps and spreads on the uniform grid of
+    2**level intervals, every point evaluated afresh, and how many of the
+    intervals of level - 1 it halves settle (gap below eta*2**-level, spread
+    of both halves below tag_tol*2**-level)."""
+    xs = np.linspace(lo, hi, 2**level + 1)
+    wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
+    fv = _finite_or_raise(_eval_on(f_eval, xs), "integrand")
+    fq = _finite_or_raise(_eval_on(f_eval, 0.5 * (xs[:-1] + xs[1:])), "integrand")
+    dw = np.diff(wv)
+    gaps = np.abs(fq[0::2] * dw[0::2] + fq[1::2] * dw[1::2] - fv[1::2] * (wv[2::2] - wv[:-2:2]))
+    spreads = (np.abs(np.diff(fv)) * np.abs(dw)).reshape(-1, 2).sum(axis=1)
+    settled = (gaps < eta * 2.0**-level) & (spreads < tag_tol * 2.0**-level)
+    return float(gaps.sum()), float(spreads.sum()), int(settled.sum())
+
+
 def _check_against_reference(name, f, omega, lo, hi, eta=1e-6, max_refinements=24):
-    """Every level the refinement reaches has the reference's sums within
+    """Every uniform level the refinement walks has the reference's sums within
     1e-13 * sum|f dw|, and the stopping rule applied to the reference sums
-    stops on the same level (or never, when the refinement raised)."""
+    stops on the same level, or goes local on the same level (or never stops,
+    when the refinement raised)."""
     try:
-        _, (w_nodes, _, _) = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
-        reached, converged = (w_nodes.size - 1).bit_length() - 1, True
+        found = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
+        reached, converged = found.level, True
     except NonConvergenceError as exc:
         reached, converged = exc.level, False
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
     tag_tol = max(eta, math.sqrt(eta))
     min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
-    prev_mid, reference_stop = math.inf, None
+    reference_stop = reference_local_from = None
     for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi, reached):
         got = _tagged_sums(level, w_nodes, f_nodes, f_mids)
         want = _level_sums(f_eval, w_eval, lo, hi, 2**level)
@@ -736,12 +756,26 @@ def _check_against_reference(name, f, omega, lo, hi, eta=1e-6, max_refinements=2
                     np.abs(f_nodes[1:]) @ abs_dw)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * scale, (name, level, got, want)
-        mid, left, right = want
-        if (reference_stop is None and level >= min_level and abs(mid - prev_mid) < eta
-                and abs(left - right) < tag_tol):
-            reference_stop = level
-        prev_mid = mid
-    assert reference_stop == (reached if converged else None), (name, reached, reference_stop)
+        if level == 0:
+            continue
+        (mid, gap, spread), settled, _ = _Walk(eta, tag_tol).split(
+            level, _uniform_splits(w_nodes, f_nodes, f_mids))
+        *reference, reference_settled = _reference_split_sums(f_eval, w_eval, lo, hi, level,
+                                                              eta, tag_tol)
+        for g, w in zip((mid, gap, spread), (want[0], *reference)):
+            assert abs(g - w) <= 1e-13 * scale, (name, level, (mid, gap, spread), reference)
+        if level >= min_level:
+            if reference[0] < eta and reference[1] < tag_tol:
+                reference_stop = level
+                break
+            if 2 * reference_settled >= 2 ** (level - 1):
+                reference_local_from = level + 1
+                break
+    if converged:
+        assert (found.level if found.local_from is None else None) == reference_stop, name
+        assert found.local_from == reference_local_from, (name, found, reference_local_from)
+    else:
+        assert reference_stop is None, (name, reached, reference_stop)
 
 
 def test_nested_sums_match_reference_on_suite_pairs(tmp_path):
@@ -858,13 +892,13 @@ def _level_bound(level, arrays=3):
     return 8 * 2**level * (arrays + 6 * _BLOCK / 2**level)
 
 
-def test_integral_to_level_20_holds_three_level_arrays():
+def test_integral_to_level_20_holds_under_one_mib():
+    # only the intervals next to the jump at 0.5 are refined past level 6
     f, omega = compile_expression("exp(x) + 0.3"), compile_expression("step(x-0.5) + 0.7")
-    peak, (value, (w_nodes, _, _)) = _traced_peak(
-        lambda: _rs_integrate_info(f, omega, 0.0, 1.0, 1e-6, 24))
-    assert w_nodes.size == 2**20 + 1
-    assert abs(value - (math.exp(0.5) + 0.3)) < 1e-6
-    assert peak <= _level_bound(20), peak / 2**20
+    peak, found = _traced_peak(lambda: _rs_integrate_info(f, omega, 0.0, 1.0, 1e-6, 24))
+    assert (found.level, found.local_from) == (20, MIN_REFINEMENTS + 1)
+    assert abs(found.value - (math.exp(0.5) + 0.3)) < 1e-6
+    assert peak < 2**20, peak / 2**20
 
 
 def test_integral_that_reaches_the_cap_holds_three_level_arrays():
@@ -889,3 +923,132 @@ def test_level_wide_work_goes_through_the_block_walk():
     assert "np.dot" not in source
     diffs = re.findall(r"np\.diff\(([^)]*)\)", source)
     assert diffs == ["x_arr", "values[b.start:b.stop + 1]"]  # the CSV samples and one block
+
+
+# -- local refinement: off-node jumps, sup|F|, the interval budget ----------------------
+
+
+def _bump(a, b):
+    """exp(x) d(x + step(x-a) - step(x-b)) over [0, 1] in closed form."""
+    return math.e - 1 + math.exp(a) - math.exp(b)
+
+
+BUMP = "x + step(x-0.3) - step(x-0.301)"
+KINK = 0.123456
+
+# (f, omega, eta, closed form, level it stops at; None where level 24 is not
+# enough and it raises): the pairs whose jumps and kinks are off the dyadic
+# nodes.  In signed whole-level sums a bump's up-jump and down-jump cancel, and
+# a rule on them stops at 31.6 eta (1e-6), 74 eta (1e-8) and 631 eta (1e-10)
+# from the closed form.
+OFF_NODE_PAIRS = {
+    "bump_1e-6": ("exp(x)", BUMP, 1e-6, _bump(0.3, 0.301), 21),
+    "bump_1e-8": ("exp(x)", BUMP, 1e-8, _bump(0.3, 0.301), None),
+    "bump_1e-10": ("exp(x)", BUMP, 1e-10, _bump(0.3, 0.301), None),
+    "bump_at_0.1": ("exp(x)", "x + step(x-0.1) - step(x-0.101)", 1e-6, _bump(0.1, 0.101), 21),
+    "wide_bump": ("exp(x)", "x + step(x-0.3) - step(x-0.31)", 1e-6, _bump(0.3, 0.31), 21),
+    "one_jump": ("exp(x)", "x + step(x-0.3)", 1e-6, math.e - 1 + math.exp(0.3), 20),
+    "exp_step_0.1": ("exp(x)", "step(x-0.1)", 1e-4, math.exp(0.1), 13),
+    "kink": (f"abs(x-{KINK})", "x^2", 1e-10, 2 / 3 - KINK + 2 * KINK**3 / 3, 17),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_NODE_PAIRS))
+def test_off_node_pairs_are_within_eta_or_raise(case):
+    f, omega, eta, exact, level = OFF_NODE_PAIRS[case]
+    f, omega = compile_expression(f), compile_expression(omega)
+    if level is None:
+        with pytest.raises(NonConvergenceError, match="still converging") as info:
+            _rs_integrate_info(f, omega, 0.0, 1.0, eta, MAX_REFINEMENTS)
+        assert info.value.level == MAX_REFINEMENTS
+    else:
+        found = _rs_integrate_info(f, omega, 0.0, 1.0, eta, MAX_REFINEMENTS)
+        assert abs(found.value - exact) < eta, abs(found.value - exact) / eta
+        assert found.level == level
+
+
+@pytest.mark.parametrize("f, omega, exact, points", [
+    ("exp(x)", BUMP, _bump(0.3, 0.301), 200_000),
+    # the jump at 0.5 is a node of every level: the sums converge as O(h)
+    ("x^2", "step(x-0.5)", 0.25, 400),
+])
+def test_jumps_at_1e_8_converge_with_more_levels(f, omega, exact, points):
+    f, omega = Counting(compile_expression(f)), Counting(compile_expression(omega))
+    value = rs_integrate(f, omega, 0.0, 1.0, 1e-8, max_refinements=30)
+    assert abs(value - exact) < 1e-8
+    assert f.points + omega.points < points
+
+
+def test_local_result_agrees_with_a_deep_uniform_reference():
+    # smooth pairs whose detail sits in one place, so most intervals settle
+    # early; level 20's midpoint sum is within 1e-3 eta of each integral
+    pairs = [
+        ("exp(-((x-0.3)*50)^2)", "x^2", 1e-9),
+        ("1/(1 + (100*(x-0.3))^2)", "x^3", 1e-8),
+        ("sin(x)", "exp(-((x-0.7)*30)^2)", 1e-8),
+        ("sqrt(abs(x-0.3))", "x^2", 1e-7),
+    ]
+    for f, omega, eta in pairs:
+        f, omega = compile_expression(f), compile_expression(omega)
+        found = _rs_integrate_info(f, omega, 0.0, 1.0, eta, MAX_REFINEMENTS)
+        assert found.local_from is not None
+        reference = _level_sums(f, omega, 0.0, 1.0, 2**20)[0]
+        assert abs(found.value - reference) < eta, (found, reference)
+
+
+def test_benchmark_pairs_hold_under_six_mib(tmp_path):
+    table = tmp_path / "weight_table.csv"
+    table.write_text("x,value\n" + "".join(f"{j / 32!r},{0.2 + j / 20!r}\n" for j in range(33)))
+    pairs = [
+        ("exp(x) + 0.3", "x^3 + 0.7", 0.0, 1.0, 1e-9),
+        ("sin(2*pi*x) + 0.3", "x^2 + 0.7", 0.0, 1.0, 1e-8),
+        ("x^2 + 0.3", WeightFunction.from_csv(table), 0.0, 1.0, 1e-8),
+        ("exp(x) + 0.3", "step(x-0.5) + 0.7", 0.0, 1.0, 1e-6),
+        ("50*x + 0.3", "x^2 + 0.7", 0.0, 1.0, 1e-6),
+        ("cos(x) + 0.3", "sin(x) + 0.7", 0.0, TWO_PI, 1e-6),
+    ]
+    for f, omega, lo, hi, eta in pairs:
+        f, omega = (compile_expression(g) if isinstance(g, str) else g for g in (f, omega))
+        peak, _ = _traced_peak(lambda: variation_lower_bound_check(f, omega, lo, hi, eta))
+        assert peak < 6 * 2**20, peak / 2**20
+
+
+class Recording:
+    """Callable that keeps a copy of every array it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.seen = fn, []
+
+    def __call__(self, x):
+        self.seen.append(np.array(x, dtype=float, copy=True))
+        return self.fn(x)
+
+
+def test_lower_bound_takes_sup_f_over_every_sampled_value():
+    f = Recording(compile_expression("2 - abs(x - 0.30003)"))  # peak by the jump
+    for omega, rises in ((BUMP, False), ("x + step(x-0.3)", True)):
+        report = variation_lower_bound_check(f, compile_expression(omega), 0.0, 1.0)
+        assert report.sup_f == max(float(np.abs(f.fn(x)).max()) for x in f.seen)
+        assert report.omega_nondecreasing is rises  # the bump falls at 0.301
+        f.seen.clear()
+
+
+def test_levels_over_the_interval_budget_are_refused_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(riemann_stieltjes, "_MAX_INTERVALS", 2**10)
+    over = "dyadic level {} would hold 2048 intervals, over the budget of 1024 intervals per level"
+    x, x2 = _linear(1.0), lambda x: np.asarray(x, float) ** 2
+    # below eta = 1e-300 no interval settles, so every level is uniform
+    with pytest.raises(ValueError, match=over.format(11)):
+        rs_integrate(x, x2, 0.0, 1.0, eta=1e-300, max_refinements=40)
+    with pytest.raises(ValueError, match=over.format(11)):
+        variation_sup(compile_expression("sin(1000*x)"), 0.0, 1.0, 40, tol=1e-300)
+    # the weight is flat on [0, 0.5], whose intervals settle at level 6; the
+    # others double per level, 2**(L-1) at level L
+    omega = Counting(compile_expression("(x-0.5)*step(x-0.5)"))
+    with pytest.raises(ValueError, match=over.format(12)):
+        rs_integrate(np.exp, omega, 0.0, 1.0, eta=1e-300, max_refinements=40)
+    assert omega.points < 2**11
+    # deep levels with few intervals stay allowed
+    found = _rs_integrate_info(compile_expression("x^2"), compile_expression("step(x-0.5)"),
+                               0.0, 1.0, 1e-8, 30)
+    assert found.level == 26 and abs(found.value - 0.25) < 1e-8
