@@ -4,12 +4,14 @@ Every library operation is reachable from one executable with
 machine-readable output:
 
     sustkit verify-solutions [--k 2,3,4,5]
-    sustkit rs sum|integrate|variation|bound --f EXPR --omega EXPR ...
+    sustkit rs sum|integrate|variation|bound --omega EXPR --lo A --hi B ...
     sustkit solve --spec scenario.json
     sustkit figures --which fig4|fig5
     sustkit index eval|seven|fit ...
     sustkit pavement table|reduction ...
 
+Options follow the verb, and each verb's parser holds only the options its
+handler reads: any other is a usage error, which exits 1 like every error.
 Functions for the ``rs`` verbs are expressions in x (see
 :mod:`sustkit.expressions`) or ``table:FILE.csv`` sample tables.  All
 subcommands are deterministic given their inputs and seeds.  The default
@@ -85,39 +87,51 @@ def _cmd_verify_solutions(args) -> int:
     return 0 if all(c.ok for c in checks) else 1
 
 
-def _cmd_rs(args) -> int:
-    lo, hi, eta, max_refinements = args.lo, args.hi, args.eta, args.max_refinements
-    f = _function_arg(args.f)
-    omega = _function_arg(args.omega)
-    if args.verb == "sum":
-        if args.n is None:
-            raise ValueError("rs sum needs --n (number of subintervals)")
-        p = rs.make_uniform_partition(lo, hi, args.n, args.tag_rule)
-        print(_fmt(rs.rs_sum(f, omega, p), args.precision))
-    elif args.verb == "integrate":
-        value = rs.rs_integrate(f, omega, lo, hi, eta=eta, max_refinements=max_refinements)
-        print(_fmt(value, args.precision))
-    elif args.verb == "variation":
-        if args.n is not None:
-            p = rs.make_uniform_partition(lo, hi, args.n, args.tag_rule)
-            value = rs.total_variation(omega, p)
-        else:
-            value = rs.variation_sup(omega, lo, hi, max_refinements)
-        print(_fmt(value, args.precision))
-    else:  # bound
-        report = rs.variation_lower_bound_check(
-            f, omega, lo, hi, eta=eta, max_refinements=max_refinements
-        )
-        if args.format == "json":
-            print(json.dumps(asdict(report), sort_keys=True))
-        else:
-            print(
-                f"lhs={_fmt(report.lhs, args.precision)} "
-                f"rhs={_fmt(report.rhs, args.precision)} "
-                f"holds={report.holds}"
-            )
-        return 0 if report.holds else 1
+def _refinement(args, eta: str = "eta") -> dict:
+    """The --eta and --max-refinements given, keyed by the library's parameter
+    names; the library's defaults (1e-6 and MAX_REFINEMENTS) stand for the rest."""
+    given = {eta: args.eta, "max_refinements": args.max_refinements}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _rs_sum(args) -> int:
+    f, omega = _function_arg(args.f), _function_arg(args.omega)
+    p = rs.make_uniform_partition(args.lo, args.hi, args.n, args.tag_rule)
+    print(_fmt(rs.rs_sum(f, omega, p), args.precision))
     return 0
+
+
+def _rs_integrate(args) -> int:
+    f, omega = _function_arg(args.f), _function_arg(args.omega)
+    print(_fmt(rs.rs_integrate(f, omega, args.lo, args.hi, **_refinement(args)), args.precision))
+    return 0
+
+
+def _rs_variation(args) -> int:
+    omega = _function_arg(args.omega)
+    refinement = _refinement(args, eta="tol")
+    if args.n is None:
+        value = rs.variation_sup(omega, args.lo, args.hi, **refinement)
+    elif refinement:
+        raise ValueError("rs variation --n reads neither --eta nor --max-refinements")
+    else:
+        value = rs.total_variation(omega, rs.make_uniform_partition(args.lo, args.hi, args.n))
+    print(_fmt(value, args.precision))
+    return 0
+
+
+def _rs_bound(args) -> int:
+    f, omega = _function_arg(args.f), _function_arg(args.omega)
+    report = rs.variation_lower_bound_check(f, omega, args.lo, args.hi, **_refinement(args))
+    if args.format == "json":
+        print(json.dumps(asdict(report), sort_keys=True))
+    else:
+        print(
+            f"lhs={_fmt(report.lhs, args.precision)} "
+            f"rhs={_fmt(report.rhs, args.precision)} "
+            f"holds={report.holds}"
+        )
+    return 0 if report.holds else 1
 
 
 def _cmd_solve(args) -> int:
@@ -151,12 +165,11 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _make_inputs(args, need_k: int | None = None) -> index.IndexInputs:
+def _make_inputs(args, k: int | None) -> index.IndexInputs:
     psi = _float_list(args.psi)
     weights = _float_list(args.weights) if args.weights else [1.0] * len(psi)
-    k = need_k if need_k is not None else (args.k if args.k is not None else len(psi))
     return index.IndexInputs(
-        k=k,
+        k=len(psi) if k is None else k,
         t=args.t,
         psi=tuple(psi),
         weights=tuple(weights),
@@ -165,50 +178,70 @@ def _make_inputs(args, need_k: int | None = None) -> index.IndexInputs:
     )
 
 
-def _cmd_index(args) -> int:
-    if args.verb == "eval":
-        value = index.index_value(_make_inputs(args), args.family)
-        print(_fmt(value, args.precision))
-    elif args.verb == "seven":
-        value = index.index_seven_ab(_make_inputs(args, need_k=7))
-        print(_fmt(value, args.precision))
-    else:  # fit
-        if args.observations is None:
-            raise ValueError("index fit needs --observations")
-        result = index.fit_alpha_beta(index.read_observations(args.observations))
-        if args.out:
-            index.write_fit_report(result, args.out)
-        if args.format == "json":
-            print(json.dumps(asdict(result), sort_keys=True))
-        else:
-            print(
-                f"alpha={_fmt(result.alpha, args.precision)} "
-                f"beta={_fmt(result.beta, args.precision)} "
-                f"residual_norm={_fmt(result.residual_norm, args.precision)} "
-                f"n_obs={result.n_obs}"
-            )
+def _index_eval(args) -> int:
+    print(_fmt(index.index_value(_make_inputs(args, args.k), args.family), args.precision))
     return 0
 
 
-def _cmd_pavement(args) -> int:
+def _index_seven(args) -> int:
+    print(_fmt(index.index_seven_ab(_make_inputs(args, 7)), args.precision))
+    return 0
+
+
+def _index_fit(args) -> int:
+    result = index.fit_alpha_beta(index.read_observations(args.observations))
+    if args.out:
+        index.write_fit_report(result, args.out)
+    if args.format == "json":
+        print(json.dumps(asdict(result), sort_keys=True))
+    else:
+        print(
+            f"alpha={_fmt(result.alpha, args.precision)} "
+            f"beta={_fmt(result.beta, args.precision)} "
+            f"residual_norm={_fmt(result.residual_norm, args.precision)} "
+            f"n_obs={result.n_obs}"
+        )
+    return 0
+
+
+def _pavement_table(args) -> int:
     designs = pavement.load_mix_table(args.table)
-    if args.verb == "table":
-        if args.format == "json":
-            print(json.dumps([asdict(d) for d in designs], indent=2, sort_keys=True))
-        else:
-            pavement.write_mix_table(designs, sys.stdout)
-    else:  # reduction
-        baseline = pavement.find_mix(designs, args.baseline)
-        if args.mix:
-            mix = pavement.find_mix(designs, args.mix)
-            print(_fmt(pavement.thickness_reduction(mix, baseline), args.precision))
-        else:
-            for label, pct in pavement.reduction_table(designs, args.baseline):
-                print(f"{label},{_fmt(pct, args.precision)}")
+    if args.format == "json":
+        print(json.dumps([asdict(d) for d in designs], indent=2, sort_keys=True))
+    else:
+        pavement.write_mix_table(designs, sys.stdout)
+    return 0
+
+
+def _pavement_reduction(args) -> int:
+    designs = pavement.load_mix_table(args.table)
+    baseline = pavement.find_mix(designs, args.baseline)
+    if args.mix:
+        mix = pavement.find_mix(designs, args.mix)
+        print(_fmt(pavement.thickness_reduction(mix, baseline), args.precision))
+    else:
+        for label, pct in pavement.reduction_table(designs, args.baseline):
+            print(f"{label},{_fmt(pct, args.precision)}")
     return 0
 
 
 # -- parser --------------------------------------------------------------------
+
+_PRECISION = dict(choices=("default", "full"), default="default")
+
+
+def _verbs(sub, command: str, help: str, **handlers) -> dict:
+    """The parser of each verb of ``command``, by name, set to call its handler."""
+    verbs = sub.add_parser(command, help=help).add_subparsers(dest="verb", required=True)
+    for verb, handler in handlers.items():
+        verbs.add_parser(verb).set_defaults(handler=handler)
+    return verbs.choices
+
+
+def _option(parsers: dict, verbs: str, flag: str, **kwargs) -> None:
+    """Declare one option on each of the named verbs, the only ones that read it."""
+    for verb in verbs.split():
+        parsers[verb].add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,19 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify_solutions)
 
-    p = sub.add_parser("rs", help="Riemann-Stieltjes sums, integrals and variation")
-    p.add_argument("verb", choices=("sum", "integrate", "variation", "bound"))
-    p.add_argument("--f", default="1", help="integrand expression or table:FILE")
-    p.add_argument("--omega", required=True, help="weight expression or table:FILE")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--n", type=int, default=None, help="subintervals (sum/variation)")
-    p.add_argument("--tag-rule", choices=rs.TAG_RULES, default="midpoint")
-    p.add_argument("--eta", type=float, default=1e-6)
-    p.add_argument("--max-refinements", type=int, default=rs.MAX_REFINEMENTS)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--precision", choices=("default", "full"), default="default")
-    p.set_defaults(handler=_cmd_rs)
+    v = _verbs(sub, "rs", "Riemann-Stieltjes sums, integrals and variation", sum=_rs_sum,
+               integrate=_rs_integrate, variation=_rs_variation, bound=_rs_bound)
+    _option(v, "sum integrate bound", "--f", default="1", help="integrand expression or table:FILE")
+    _option(v, "sum integrate variation bound", "--omega", required=True,
+            help="weight expression or table:FILE")
+    _option(v, "sum integrate variation bound", "--lo", type=float, required=True)
+    _option(v, "sum integrate variation bound", "--hi", type=float, required=True)
+    _option(v, "sum", "--n", type=int, required=True, help="subintervals")
+    _option(v, "variation", "--n", type=int, help="subintervals of one partition")
+    _option(v, "sum", "--tag-rule", choices=rs.TAG_RULES, default="midpoint")
+    # None unless given (see _refinement)
+    _option(v, "integrate variation bound", "--eta", type=float)
+    _option(v, "integrate variation bound", "--max-refinements", type=int)
+    _option(v, "bound", "--format", choices=("text", "json"), default="text")
+    _option(v, "sum integrate variation bound", "--precision", **_PRECISION)
 
     p = sub.add_parser("solve", help="run a scenario from a JSON spec and export grids")
     p.add_argument("--spec", required=True)
@@ -262,31 +297,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export grids divided by s*t")
     p.set_defaults(handler=_cmd_figures)
 
-    p = sub.add_parser("index", help="evaluate or fit the weighted index")
-    p.add_argument("verb", choices=("eval", "seven", "fit"))
-    p.add_argument("--family", default="C1w", choices=polynomials.FAMILY_VARIANTS)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--psi", default="", help="comma-separated factor values")
-    p.add_argument("--weights", default="", help="comma-separated weights (default all 1)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--observations",
-                   help="CSV (t, psi1.., omega1.., H_obs) or JSON observations (fit)")
-    p.add_argument("--out", default=None, help="write the fit report JSON here")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--precision", choices=("default", "full"), default="default")
-    p.set_defaults(handler=_cmd_index)
+    v = _verbs(sub, "index", "evaluate or fit the weighted index",
+               eval=_index_eval, seven=_index_seven, fit=_index_fit)
+    _option(v, "eval", "--family", default="C1w", choices=polynomials.FAMILY_VARIANTS)
+    _option(v, "eval", "--k", type=int, help="number of factors (default: as many as --psi)")
+    _option(v, "eval seven", "--t", type=float, default=0.0)
+    _option(v, "eval seven", "--psi", default="", help="comma-separated factor values")
+    _option(v, "eval seven", "--weights", default="", help="comma-separated weights (default all 1)")
+    _option(v, "eval seven", "--alpha", type=float)
+    _option(v, "eval seven", "--beta", type=float)
+    _option(v, "fit", "--observations", required=True,
+            help="CSV (t, psi1.., omega1.., H_obs) or JSON observations")
+    _option(v, "fit", "--out", help="write the fit report JSON here")
+    _option(v, "fit", "--format", choices=("text", "json"), default="text")
+    _option(v, "eval seven fit", "--precision", **_PRECISION)
 
-    p = sub.add_parser("pavement", help="mix-design table and thickness reductions")
-    p.add_argument("verb", choices=("table", "reduction"))
-    p.add_argument("--table", default=None, help="mix-design CSV (default: embedded table)")
-    p.add_argument("--mix", default=None, help="mix label for a single reduction")
-    p.add_argument("--baseline", default=pavement.BASELINE_LABEL)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", choices=("default", "full"), default="default")
-    p.set_defaults(handler=_cmd_pavement)
-
+    v = _verbs(sub, "pavement", "mix-design table and thickness reductions",
+               table=_pavement_table, reduction=_pavement_reduction)
+    _option(v, "table reduction", "--table", help="mix-design CSV (default: embedded table)")
+    _option(v, "reduction", "--mix", help="mix label for a single reduction")
+    _option(v, "reduction", "--baseline", default=pavement.BASELINE_LABEL)
+    _option(v, "table", "--format", choices=("csv", "json"), default="csv")
+    _option(v, "reduction", "--precision", **_PRECISION)
     return parser
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from jsonschema import validate
 
 from sustkit import riemann_stieltjes
-from sustkit.cli import main
+from sustkit.cli import build_parser, main
 from sustkit.expressions import ExpressionError, compile_expression
 
 FIT_REPORT_SCHEMA = {
@@ -790,15 +790,17 @@ RS_VERBS = st.sampled_from(["integrate", "variation", "bound"])
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    # eta is read by integrate and bound only
-    st.tuples(st.sampled_from(["integrate", "bound"]), BAD_ETA.map(lambda v: [f"--eta={v}"])),
+    # each of these verbs reads --eta, --lo, --hi and --max-refinements
+    st.tuples(RS_VERBS, BAD_ETA.map(lambda v: [f"--eta={v}"])),
     st.tuples(RS_VERBS, BAD_INTERVAL.map(lambda p: [f"--lo={p[0]}", f"--hi={p[1]}"])),
     st.tuples(RS_VERBS, BAD_REFINEMENTS.map(lambda v: [f"--max-refinements={v}"])),
 ))
 def test_cli_rs_drawn_bad_numbers_exit_one(case):
     verb, options = case
-    _assert_exits_one_with_error_line(
-        ["rs", verb, "--f", "x", "--omega", "x^2", "--lo=0", "--hi=1", *options])
+    integrand = [] if verb == "variation" else ["--f", "x"]  # variation has no integrand
+    err = _assert_exits_one_with_error_line(
+        ["rs", verb, *integrand, "--omega", "x^2", "--lo=0", "--hi=1", *options])
+    assert "unrecognized arguments" not in err  # the drawn value was parsed and refused
 
 
 def _bad_whole(minimum):
@@ -894,8 +896,98 @@ def test_cli_field_over_csv_limit_names_file_line(tmp_path, argv, head, line):
     assert err.startswith(f"error: {table}, line {line}: field larger than field limit")
 
 
+# -- each verb takes only the options it reads ------------------------------------------
+
+# the options of each command, and of those the ones each verb reads
+COMMAND_OPTIONS = {
+    "rs": "--f --omega --lo --hi --n --tag-rule --eta --max-refinements --format --precision",
+    "index": "--family --k --t --psi --weights --alpha --beta --observations --out --format "
+             "--precision",
+    "pavement": "--table --mix --baseline --format --precision",
+}
+VERB_OPTIONS = {
+    ("rs", "sum"): "--f --omega --lo --hi --n --tag-rule --precision",
+    ("rs", "integrate"): "--f --omega --lo --hi --eta --max-refinements --precision",
+    ("rs", "variation"): "--omega --lo --hi --n --eta --max-refinements --precision",
+    ("rs", "bound"): "--f --omega --lo --hi --eta --max-refinements --format --precision",
+    ("index", "eval"): "--family --k --t --psi --weights --alpha --beta --precision",
+    ("index", "seven"): "--t --psi --weights --alpha --beta --precision",
+    ("index", "fit"): "--observations --out --format --precision",
+    ("pavement", "table"): "--table --format",
+    ("pavement", "reduction"): "--table --mix --baseline --precision",
+}
+# the required options of each verb
+VERB_BASE = {
+    ("rs", "sum"): ["--omega", "x", "--lo", "0", "--hi", "1", "--n", "4"],
+    ("index", "fit"): ["--observations", "obs.csv"],
+}
+# values that parse, several of them out of their domain; with these,
+# rs sum --eta, rs integrate --n and --tag-rule, index seven --k and
+# pavement reduction --format were read by no verb and exited 0
+OPTION_VALUES = {
+    "--f": "x", "--omega": "x", "--lo": "0", "--hi": "1", "--n": "0", "--tag-rule": "left",
+    "--eta": "nan", "--max-refinements": "0", "--format": "json", "--precision": "full",
+    "--family": "T1a", "--k": "5", "--t": "1", "--psi": "0.1,0.2", "--weights": "1,1",
+    "--alpha": "1", "--beta": "1", "--observations": "obs.csv", "--out": "fit.json",
+    "--table": "mixes.csv", "--mix": "100R:0VA+20F", "--baseline": "0R:100VA",
+}
+
+
+def _verb_argv(command, verb):
+    base = ["--omega", "x", "--lo", "0", "--hi", "1"] if command == "rs" else []
+    return [command, verb, *VERB_BASE.get((command, verb), base)]
+
+
+READ_PAIRS = [(c, v, option) for (c, v), options in VERB_OPTIONS.items()
+              for option in options.split()]
+REFUSED_PAIRS = [(c, v, option) for (c, v), options in VERB_OPTIONS.items()
+                 for option in COMMAND_OPTIONS[c].split() if option not in options.split()]
+
+
+def test_cli_verbs_read_53_pairs_and_refuse_30():
+    assert (len(READ_PAIRS), len(REFUSED_PAIRS)) == (53, 30)
+
+
+@pytest.mark.parametrize("command, verb, option", READ_PAIRS)
+def test_cli_verb_parses_each_option_it_reads(command, verb, option):
+    value = OPTION_VALUES[option]
+    args = build_parser().parse_args([*_verb_argv(command, verb), option, value])
+    parsed = getattr(args, option[2:].replace("-", "_"))
+    assert args.verb == verb
+    assert str(parsed) in (value, repr(float(value)) if _parses(float, value) else value)
+
+
+@pytest.mark.parametrize("command, verb, option", REFUSED_PAIRS)
+def test_cli_verb_refuses_each_option_it_does_not_read(command, verb, option):
+    argv = [*_verb_argv(command, verb), option, OPTION_VALUES[option]]
+    err = _assert_exits_one_with_error_line(argv)
+    assert err == f"error: unrecognized arguments: {option} {OPTION_VALUES[option]}\n"
+
+
+@pytest.mark.parametrize("option", [["--eta", "1e-3"], ["--max-refinements", "30"]])
+def test_cli_rs_variation_of_one_partition_refuses_refinement_options(option):
+    err = _assert_exits_one_with_error_line(
+        ["rs", "variation", "--omega", "x^2", "--lo", "0", "--hi", "1", "--n", "4", *option])
+    assert "reads neither --eta nor --max-refinements" in err
+
+
+def test_cli_rs_variation_reads_eta(capsys):
+    # the variation of sin(40x) on [0, 1] is 26 - sin(40); at the default 1e-6
+    # the estimate stops about 1e-7 short of it
+    argv = ["rs", "variation", "--omega", "sin(40*x)", "--lo", "0", "--hi", "1",
+            "--precision", "full"]
+    assert main(argv) == 0
+    default = float(capsys.readouterr().out)
+    assert main(argv + ["--eta", "1e-9"]) == 0
+    fine = float(capsys.readouterr().out)
+    assert abs(fine - (26 - math.sin(40))) < 1e-9 < abs(default - (26 - math.sin(40)))
+
+
 @pytest.mark.parametrize("argv", [
     ["rs", "integrate", "--omega", "x", "--lo", "0"],  # --hi missing
+    ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1"],  # --n missing
+    ["rs", "--omega", "x", "integrate", "--lo", "0", "--hi", "1"],  # options before the verb
+    ["rs"],
     ["index", "frobnicate"],
     [],
 ])
