@@ -87,13 +87,6 @@ def _cmd_verify_solutions(args) -> int:
     return 0 if all(c.ok for c in checks) else 1
 
 
-def _refinement(args, eta: str = "eta") -> dict:
-    """The --eta and --max-refinements given, keyed by the library's parameter
-    names; the library's defaults (1e-6 and MAX_REFINEMENTS) stand for the rest."""
-    given = {eta: args.eta, "max_refinements": args.max_refinements}
-    return {name: value for name, value in given.items() if value is not None}
-
-
 def _rs_sum(args) -> int:
     f, omega = _function_arg(args.f), _function_arg(args.omega)
     p = rs.make_uniform_partition(args.lo, args.hi, args.n, args.tag_rule)
@@ -103,26 +96,26 @@ def _rs_sum(args) -> int:
 
 def _rs_integrate(args) -> int:
     f, omega = _function_arg(args.f), _function_arg(args.omega)
-    print(_fmt(rs.rs_integrate(f, omega, args.lo, args.hi, **_refinement(args)), args.precision))
+    value = rs.rs_integrate(f, omega, args.lo, args.hi, args.eta, args.max_refinements)
+    print(_fmt(value, args.precision))
     return 0
 
 
 def _rs_variation(args) -> int:
     omega = _function_arg(args.omega)
-    refinement = _refinement(args, eta="tol")
-    if args.n is None:
-        value = rs.variation_sup(omega, args.lo, args.hi, **refinement)
-    elif refinement:
-        raise ValueError("rs variation --n reads neither --eta nor --max-refinements")
-    else:
+    if args.n is not None:
         value = rs.total_variation(omega, rs.make_uniform_partition(args.lo, args.hi, args.n))
+    else:
+        max_refinements = rs.MAX_REFINEMENTS if args.max_refinements is None else args.max_refinements
+        value = rs.variation_sup(omega, args.lo, args.hi, max_refinements)
     print(_fmt(value, args.precision))
     return 0
 
 
 def _rs_bound(args) -> int:
     f, omega = _function_arg(args.f), _function_arg(args.omega)
-    report = rs.variation_lower_bound_check(f, omega, args.lo, args.hi, **_refinement(args))
+    report = rs.variation_lower_bound_check(f, omega, args.lo, args.hi, args.eta,
+                                            args.max_refinements)
     if args.format == "json":
         print(json.dumps(asdict(report), sort_keys=True))
     else:
@@ -268,11 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     _option(v, "sum integrate variation bound", "--lo", type=float, required=True)
     _option(v, "sum integrate variation bound", "--hi", type=float, required=True)
     _option(v, "sum", "--n", type=int, required=True, help="subintervals")
-    _option(v, "variation", "--n", type=int, help="subintervals of one partition")
     _option(v, "sum", "--tag-rule", choices=rs.TAG_RULES, default="midpoint")
-    # None unless given (see _refinement)
-    _option(v, "integrate variation bound", "--eta", type=float)
-    _option(v, "integrate variation bound", "--max-refinements", type=int)
+    _option(v, "integrate bound", "--eta", type=float, default=1e-6)
+    _option(v, "integrate bound", "--max-refinements", type=int, default=rs.MAX_REFINEMENTS)
+    # one partition of --n intervals, or the supremum over refinements up to the cap
+    one_or_sup = v["variation"].add_mutually_exclusive_group()
+    one_or_sup.add_argument("--n", type=int, help="subintervals of one partition")
+    one_or_sup.add_argument("--max-refinements", type=int,
+                            help=f"refinement cap (default {rs.MAX_REFINEMENTS})")
     _option(v, "bound", "--format", choices=("text", "json"), default="text")
     _option(v, "sum integrate variation bound", "--precision", **_PRECISION)
 

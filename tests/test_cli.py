@@ -790,8 +790,8 @@ RS_VERBS = st.sampled_from(["integrate", "variation", "bound"])
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    # each of these verbs reads --eta, --lo, --hi and --max-refinements
-    st.tuples(RS_VERBS, BAD_ETA.map(lambda v: [f"--eta={v}"])),
+    # eta is read by integrate and bound only
+    st.tuples(st.sampled_from(["integrate", "bound"]), BAD_ETA.map(lambda v: [f"--eta={v}"])),
     st.tuples(RS_VERBS, BAD_INTERVAL.map(lambda p: [f"--lo={p[0]}", f"--hi={p[1]}"])),
     st.tuples(RS_VERBS, BAD_REFINEMENTS.map(lambda v: [f"--max-refinements={v}"])),
 ))
@@ -908,7 +908,7 @@ COMMAND_OPTIONS = {
 VERB_OPTIONS = {
     ("rs", "sum"): "--f --omega --lo --hi --n --tag-rule --precision",
     ("rs", "integrate"): "--f --omega --lo --hi --eta --max-refinements --precision",
-    ("rs", "variation"): "--omega --lo --hi --n --eta --max-refinements --precision",
+    ("rs", "variation"): "--omega --lo --hi --n --max-refinements --precision",
     ("rs", "bound"): "--f --omega --lo --hi --eta --max-refinements --format --precision",
     ("index", "eval"): "--family --k --t --psi --weights --alpha --beta --precision",
     ("index", "seven"): "--t --psi --weights --alpha --beta --precision",
@@ -922,8 +922,9 @@ VERB_BASE = {
     ("index", "fit"): ["--observations", "obs.csv"],
 }
 # values that parse, several of them out of their domain; with these,
-# rs sum --eta, rs integrate --n and --tag-rule, index seven --k and
-# pavement reduction --format were read by no verb and exited 0
+# rs sum --eta, rs integrate --n and --tag-rule, rs variation --eta,
+# index seven --k and pavement reduction --format were read by no verb
+# and exited 0
 OPTION_VALUES = {
     "--f": "x", "--omega": "x", "--lo": "0", "--hi": "1", "--n": "0", "--tag-rule": "left",
     "--eta": "nan", "--max-refinements": "0", "--format": "json", "--precision": "full",
@@ -944,8 +945,8 @@ REFUSED_PAIRS = [(c, v, option) for (c, v), options in VERB_OPTIONS.items()
                  for option in COMMAND_OPTIONS[c].split() if option not in options.split()]
 
 
-def test_cli_verbs_read_53_pairs_and_refuse_30():
-    assert (len(READ_PAIRS), len(REFUSED_PAIRS)) == (53, 30)
+def test_cli_verbs_read_52_pairs_and_refuse_31():
+    assert (len(READ_PAIRS), len(REFUSED_PAIRS)) == (52, 31)
 
 
 @pytest.mark.parametrize("command, verb, option", READ_PAIRS)
@@ -964,23 +965,12 @@ def test_cli_verb_refuses_each_option_it_does_not_read(command, verb, option):
     assert err == f"error: unrecognized arguments: {option} {OPTION_VALUES[option]}\n"
 
 
-@pytest.mark.parametrize("option", [["--eta", "1e-3"], ["--max-refinements", "30"]])
-def test_cli_rs_variation_of_one_partition_refuses_refinement_options(option):
-    err = _assert_exits_one_with_error_line(
-        ["rs", "variation", "--omega", "x^2", "--lo", "0", "--hi", "1", "--n", "4", *option])
-    assert "reads neither --eta nor --max-refinements" in err
-
-
-def test_cli_rs_variation_reads_eta(capsys):
-    # the variation of sin(40x) on [0, 1] is 26 - sin(40); at the default 1e-6
-    # the estimate stops about 1e-7 short of it
-    argv = ["rs", "variation", "--omega", "sin(40*x)", "--lo", "0", "--hi", "1",
-            "--precision", "full"]
-    assert main(argv) == 0
-    default = float(capsys.readouterr().out)
-    assert main(argv + ["--eta", "1e-9"]) == 0
-    fine = float(capsys.readouterr().out)
-    assert abs(fine - (26 - math.sin(40))) < 1e-9 < abs(default - (26 - math.sin(40)))
+# 24 is the default cap: given, it is refused all the same
+@pytest.mark.parametrize("cap", ["24", "30"])
+def test_cli_rs_variation_of_one_partition_refuses_a_refinement_cap(cap):
+    err = _assert_exits_one_with_error_line(["rs", "variation", "--omega", "x^2", "--lo", "0",
+                                             "--hi", "1", "--n", "4", "--max-refinements", cap])
+    assert err == "error: argument --max-refinements: not allowed with argument --n\n"
 
 
 @pytest.mark.parametrize("argv", [
