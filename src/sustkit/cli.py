@@ -11,7 +11,8 @@ machine-readable output:
     sustkit pavement table|reduction ...
 
 Options follow the verb, and each verb's parser holds only the options its
-handler reads: any other is a usage error, which exits 1 like every error.
+handler reads: any other, or an option before the verb, is a usage error,
+which exits 1 like every error.
 Functions for the ``rs`` verbs are expressions in x (see
 :mod:`sustkit.expressions`) or ``table:FILE.csv`` sample tables.  All
 subcommands are deterministic given their inputs and seeds.  The default
@@ -57,7 +58,19 @@ _float_list, _int_list = _list_of(float), _list_of(int)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as ValueError, so they exit 1 like every other error."""
+    """Raises usage errors as ValueError, so they exit 1 like every other error.
+
+    A command parser with ``verbs`` refuses an option before its verb, which
+    argparse would otherwise report as an invalid verb named by the option's
+    value."""
+
+    verbs: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.verbs and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            raise ValueError(f"options follow the verb: {self.prog} VERB {args[0]} ..., "
+                             f"where VERB is one of {', '.join(self.verbs)}")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValueError(message)
@@ -225,7 +238,9 @@ _PRECISION = dict(choices=("default", "full"), default="default")
 
 def _verbs(sub, command: str, help: str, **handlers) -> dict:
     """The parser of each verb of ``command``, by name, set to call its handler."""
-    verbs = sub.add_parser(command, help=help).add_subparsers(dest="verb", required=True)
+    parser = sub.add_parser(command, help=help)
+    parser.verbs = tuple(handlers)
+    verbs = parser.add_subparsers(dest="verb", required=True)
     for verb, handler in handlers.items():
         verbs.add_parser(verb).set_defaults(handler=handler)
     return verbs.choices

@@ -7,47 +7,55 @@ Forward-time centred-space (FTCS) stepping of
 on a rectangular lattice with time-dependent Dirichlet boundary data.
 Dimension k = 2 is the main use; k = 1..3 are supported.
 
-Rule callables are vectorised: a boundary rule receives ``(coords, t)``
-where ``coords`` is a tuple of broadcastable coordinate arrays (one per
-axis) and must return an array broadcastable to their common shape, or a
-scalar.  ``lambda coords, t: s * t`` and numpy expressions both qualify.
+Rule callables are vectorised.  An initial rule receives ``coords``, a
+tuple of broadcastable coordinate arrays (one per axis), and must return
+an array broadcastable to their common shape, or a scalar.  A boundary
+rule receives ``(coords, t)`` where ``coords`` holds k read-only 1-D
+arrays, one entry per boundary node (corners included), and must return
+one value per node or a scalar; its value must not depend on which face a
+node lies on, as the paper's boundary data are pointwise in (psi, t).
+``lambda coords, t: s * t`` and numpy expressions both qualify.
 
 :func:`run_scenario` takes one of two paths.  The discrete sine basis
 diagonalises the interior Laplacian ``A``, and with ``v = H - g`` for a
-boundary value ``g`` that is the same on every face, the FTCS update is
-``v <- (I + dt*A) v - (g_new - g)`` under zero Dirichlet data:
+boundary value ``g`` that is the same on every boundary node, the FTCS
+update is ``v <- (I + dt*A) v - (g_new - g)`` under zero Dirichlet data:
 
 * **modal**, when the boundary is uniform at t = 0.  The initial data
   enters at snapshots only.  When the boundary rule is an
   :class:`AffineRule` ``a + s*t`` (JSON specs and the pavement figures
   build these), the forcing is a geometric series in each mode, so every
   snapshot is computed directly, without the steps in between.  Any other
-  rule is called once per face per step, and a step is one multiply-add
-  per sine mode that the forcing reaches (all wave numbers odd);
-* **stepping**, one FTCS step at a time, double-buffered (reads the
-  previous level, writes the next), with the scratch arrays of one run
-  allocated once, before its first step.  A modal run hands over to
-  stepping at the first step whose faces differ or are not finite scalars,
-  or whose forcing could overflow the modes: the previous level is rebuilt
-  from the modes and that step is finished with the face values already
-  returned.
+  rule is called once per step, and a step is one multiply-add per sine
+  mode that the forcing reaches (all wave numbers odd);
+* **stepping**, one FTCS step at a time on the flat row-major lattice,
+  double-buffered (reads the previous level, writes the next), with the
+  scratch arrays of one run allocated once, before its first step.  A step
+  calls the rule once and writes its value into every boundary node with
+  one assignment.  A modal run hands over to stepping at the first step
+  whose value is not one finite scalar, or whose forcing could overflow
+  the modes: the previous level is rebuilt from the modes and that step is
+  finished with the value already returned.
 
 Unless the boundary rule is an :class:`AffineRule`, a run takes every step,
-and one of more than :data:`MAX_STEPS` steps is refused.
+calling the rule ``1 + steps`` times, and one of more than
+:data:`MAX_STEPS` steps is refused.
 
 Both paths snap snapshots to the same steps and write boundary nodes with
-the values the rule returned.  Scenario runs share no state, so
-independent runs may execute concurrently.
+the values the rule returned.  Scenario runs share no mutable state (the
+boundary nodes of a lattice are cached read-only), so independent runs may
+execute concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +64,12 @@ from ._checks import check_interval, check_positive, finite, is_number, whole_nu
 CFL_SAFETY = 0.9
 # Most steps run_scenario takes one at a time (any boundary rule but an AffineRule).
 MAX_STEPS = 10**7
+# Lattices whose boundary nodes are kept for reuse by later runs and steps.
+_BOUNDARY_CACHE = 16
+# The value argument of _stepped_iterates when the rule is still to be called.
+_UNCALLED = object()
+# Grid values that field_to_json encodes at a time.
+_JSON_CHUNK = 4096
 
 
 class StabilityError(ValueError):
@@ -159,8 +173,9 @@ class ScalarField:
 class ScenarioSpec:
     """One solver run: domain, lattice, data rules and horizon.
 
-    ``boundary_rule(coords, t)`` supplies Dirichlet values on every face
-    (corners included); ``initial_rule(coords)`` fills the lattice at t=0.
+    ``boundary_rule(coords, t)`` supplies Dirichlet values on every boundary
+    node (corners included), given as 1-D coordinate arrays;
+    ``initial_rule(coords)`` fills the lattice at t=0.
     ``dt`` is a float or "auto" (the stability bound).
     """
 
@@ -204,85 +219,95 @@ class ScenarioSpec:
             time=0.0,
         )
         fld.values[...] = self.initial_rule(fld.coordinate_grids())
-        _apply_boundary(fld.values, _boundary_faces(fld), self.boundary_rule, 0.0)
+        boundary = _field_boundary(fld)
+        boundary.write(fld.values, self.boundary_rule(boundary.coords, 0.0))
         if not np.all(np.isfinite(fld.values)):
             raise NonFiniteFieldError("initial data is not finite")
         return fld
 
 
-def _boundary_faces(field: ScalarField):
-    """(index, coords) for every boundary face of a lattice: the face's
-    index and its slice of each coordinate grid."""
-    grids, whole = field.coordinate_grids(), (slice(None),) * field.k
-    faces = []
-    for a in range(field.k):
-        for side in (0, -1):
-            idx = whole[:a] + (side,) + whole[a + 1:]
-            faces.append((idx, tuple([g[idx] for g in grids])))
-    return faces
+class _Boundary(NamedTuple):
+    """The boundary nodes of a lattice: ``index``, their ascending flat
+    row-major indices, and ``coords``, one 1-D array per axis of their
+    coordinates, the values of :meth:`ScalarField.axis_coords`.  The arrays
+    are read-only, so every run on the lattice may share them."""
+
+    index: np.ndarray
+    coords: tuple[np.ndarray, ...]
+
+    def write(self, values: np.ndarray, value) -> None:
+        """Write a boundary rule's ``value`` into the C-contiguous ``values``."""
+        values.reshape(-1)[self.index] = value
 
 
-def _face_values(faces, boundary_rule: Callable, t: float) -> list:
-    """The rule's value on each face at time ``t``, one call per face."""
-    return [boundary_rule(coords, t) for _, coords in faces]
+@functools.lru_cache(maxsize=_BOUNDARY_CACHE)
+def _boundary(extents: tuple[int, ...], spacings: tuple[float, ...],
+              origin: tuple[float, ...]) -> _Boundary:
+    mask = np.ones(extents, dtype=bool)
+    mask[(slice(1, -1),) * len(extents)] = False
+    index = np.flatnonzero(mask)
+    position = np.unravel_index(index, extents)
+    coords = tuple((o + h * np.arange(n))[j]
+                   for o, h, n, j in zip(origin, spacings, extents, position))
+    for array in (index, *coords):
+        array.flags.writeable = False
+    return _Boundary(index, coords)
 
 
-def _write_faces(values: np.ndarray, faces, face_values) -> None:
-    for (idx, _), x in zip(faces, face_values):
-        values[idx] = x
+def _field_boundary(field: ScalarField) -> _Boundary:
+    return _boundary(field.extents, field.spacings, field.origin)
 
 
-def _apply_boundary(values: np.ndarray, faces, boundary_rule: Callable, t: float) -> None:
-    _write_faces(values, faces, _face_values(faces, boundary_rule, t))
-
-
-def _common_value(face_values) -> float | None:
-    """The finite float that every face value equals, or None when a face
-    returned an array, a non-finite value or a different value.  The
-    ``isinstance`` test spares the slower ``np.ndim`` for Python and numpy
-    floats."""
-    g = face_values[0]
-    for x in face_values:
-        if not (isinstance(x, float) or np.ndim(x) == 0) or x != g:
-            return None
+def _uniform_value(value) -> float | None:
+    """A boundary rule's ``value`` as a float when it is one finite scalar,
+    else None.  The ``isinstance`` test spares the slower ``np.ndim`` for
+    Python and numpy floats."""
+    if not (isinstance(value, float) or np.ndim(value) == 0):
+        return None
     try:
-        g = float(g)
+        value = float(value)
     except (TypeError, ValueError, OverflowError):
         return None
-    return g if math.isfinite(g) else None
+    return value if math.isfinite(value) else None
 
 
 def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable:
     """The FTCS step for one run on a lattice of ``extents``.
 
-    The returned ``step(u, out, faces, face_values, dt, t_new)`` writes the
-    successor of ``u`` into ``out`` (a distinct array of the same shape):
-    interior from the discrete Laplacian, then each boundary face from its
-    value at ``t_new``, as :func:`_face_values` returns them.  Slices,
-    ``h**2`` and scratch arrays are built here, once per stepper, so a step
-    allocates nothing; each step evaluates
-    ``u + dt * sum_i (u[i+1] - 2u + u[i-1]) / h_i**2`` in that order, with
-    in-place ufuncs.  Steppers share no buffers.
+    The returned ``step(u, out, boundary, value, dt, t_new)`` writes the
+    successor of ``u`` into ``out``, both flat C-order arrays of the lattice
+    (distinct): the stencil, then the boundary rule's ``value`` at ``t_new``
+    into the nodes of ``boundary`` (a :class:`_Boundary`).  With row-major
+    strides ``s_i`` the stencil runs on the contiguous span
+    ``[sum_i s_i, N - sum_i s_i)`` and its shifts by ``±s_i``, which hold
+    every interior node; the other nodes of the span are boundary nodes,
+    overwritten before the finiteness check, so their arithmetic, which may
+    overflow where the interior does not, runs with floating-point errors
+    ignored.  Each node evaluates
+    ``u + dt * sum_i (u[+s_i] - 2u + u[-s_i]) / h_i**2`` in that order, with
+    in-place ufuncs into scratch arrays built here, once per stepper, so a
+    step allocates nothing.  Steppers share no buffers.
     """
-    core = (slice(1, -1),) * len(extents)
-    axes = [(core[:a] + (slice(2, None),) + core[a + 1:],
-             core[:a] + (slice(0, -2),) + core[a + 1:],
-             h**2) for a, h in enumerate(spacings)]
-    interior = tuple(n - 2 for n in extents)
-    lap, two, tmp = np.empty(interior), np.empty(interior), np.empty(interior)
-    finite = np.empty(extents, dtype=bool)
+    strides = [math.prod(extents[a + 1:]) for a in range(len(extents))]
+    n, edge = math.prod(extents), sum(strides)
+    span = slice(edge, n - edge)
+    axes = [(slice(edge + s, n - edge + s), slice(edge - s, n - edge - s), h**2)
+            for s, h in zip(strides, spacings)]
+    lap, two, tmp = np.empty(n - 2 * edge), np.empty(n - 2 * edge), np.empty(n - 2 * edge)
+    finite = np.empty(n, dtype=bool)
 
-    def step(u, out, faces, face_values, dt: float, t_new: float) -> None:
-        lap.fill(0.0)
-        np.multiply(u[core], 2.0, out=two)
-        for hi, lo, h2 in axes:
-            np.subtract(u[hi], two, out=tmp)
-            np.add(tmp, u[lo], out=tmp)
-            np.divide(tmp, h2, out=tmp)
-            np.add(lap, tmp, out=lap)
-        np.multiply(lap, dt, out=lap)
-        np.add(u[core], lap, out=out[core])
-        _write_faces(out, faces, face_values)
+    def step(u, out, boundary: _Boundary, value, dt: float, t_new: float) -> None:
+        with np.errstate(all="ignore"):
+            lap.fill(0.0)
+            np.multiply(u[span], 2.0, out=two)
+            for hi, lo, h2 in axes:
+                np.subtract(u[hi], two, out=tmp)
+                np.add(tmp, u[lo], out=tmp)
+                np.divide(tmp, h2, out=tmp)
+                np.add(lap, tmp, out=lap)
+            np.multiply(lap, dt, out=lap)
+            np.add(u[span], lap, out=out[span])
+        out[boundary.index] = value
         if not np.isfinite(out, out=finite).all():
             raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
 
@@ -291,7 +316,8 @@ def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable
 
 def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> ScalarField:
     """One FTCS step: interior updated from the discrete Laplacian, then
-    every boundary node overwritten with the rule at the new time.
+    every boundary node overwritten with the rule at the new time, called
+    once with the coordinates of all of them.
 
     ``dt`` must be positive and satisfy
     dt <= CFL_SAFETY / (2 * sum_i 1/dpsi_i^2); any other step is rejected
@@ -301,10 +327,11 @@ def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> Sca
         raise ValueError("stepping needs at least 3 points per axis")
     dt = _checked_dt(dt, field.spacings)
     t_new = field.time + dt
-    faces = _boundary_faces(field)
-    out = np.empty_like(field.values)
+    boundary = _field_boundary(field)
+    out = np.empty(field.extents)
     step = _ftcs_stepper(field.extents, field.spacings)
-    step(field.values, out, faces, _face_values(faces, boundary_rule, t_new), dt, t_new)
+    step(field.values.reshape(-1), out.reshape(-1), boundary,
+         boundary_rule(boundary.coords, t_new), dt, t_new)
     return replace(field, values=out, time=t_new)
 
 
@@ -317,9 +344,11 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     :func:`_modal_iterates`), otherwise it is stepped.  An
     :class:`AffineRule` boundary ``a + s*t`` is called at t = 0 and at the
     snapshot steps only, each snapshot being the exact FTCS iterate in
-    closed form.  Any other boundary rule is called once per face per step,
-    and a scenario that needs more than :data:`MAX_STEPS` such steps is
-    refused with ``ValueError`` before any rule is called.  The modal
+    closed form.  Any other boundary rule is called once per step, with the
+    coordinates of every boundary node (see :class:`_Boundary`), so
+    ``1 + steps`` times in all, and a scenario that needs more than
+    :data:`MAX_STEPS` such steps is refused with ``ValueError`` before any
+    rule is called.  The modal
     interiors agree with stepping to rounding error.  Either way the
     boundary nodes hold the values the rule returned and every snapshot is
     checked for non-finite values.
@@ -342,37 +371,40 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
                          "boundary reaches a snapshot without taking every step")
 
     field = spec.initial_field()
-    faces = _boundary_faces(field)
+    boundary = _field_boundary(field)
     out: list[ScalarField | None] = [None] * len(snapshot_times)
     for pos in want.get(0, ()):
         out[pos] = field.copy()
 
-    edge = field.values[field.boundary_mask()]
+    edge = field.values.reshape(-1)[boundary.index]
     iterates = _modal_iterates if np.all(edge == edge[0]) else _stepped_iterates
-    for step, values in iterates(field, faces, spec.boundary_rule, dt, steps):
+    for step, values in iterates(field, boundary, spec.boundary_rule, dt, steps):
         for pos in want[step]:
             out[pos] = replace(field, values=values.copy(), time=step * dt)
     return out  # type: ignore[return-value]
 
 
-def _stepped_iterates(field, faces, boundary_rule: Callable, dt: float, steps,
-                      start: int = 0, face_values=None):
+def _stepped_iterates(field, boundary: _Boundary, boundary_rule: Callable, dt: float, steps,
+                      start: int = 0, value=_UNCALLED):
     """Yield ``(step, values)`` for each of the ascending ``steps`` by FTCS
-    stepping from ``field``, the lattice of step ``start``; ``face_values``,
-    if given, are the rule's values for step ``start + 1``, which is then
-    not called for that step.  ``values`` is a buffer reused by later
-    steps."""
+    stepping from ``field``, the lattice of step ``start``; ``value``, if
+    given, is the rule's value for step ``start + 1``, which is then not
+    called for that step.  ``values`` is a buffer reused by later steps."""
     # Double buffering: each step reads u and overwrites every node of nxt.
-    u, nxt = field.values, np.empty_like(field.values)
+    buffers = np.empty(field.extents), np.empty(field.extents)
+    buffers[0][...] = field.values
+    u, nxt = (b.reshape(-1) for b in buffers)
     ftcs_step = _ftcs_stepper(field.extents, field.spacings)
     wanted = set(steps)
     for step in range(start + 1, max(steps, default=0) + 1):
         t = step * dt
-        ftcs_step(u, nxt, faces, face_values or _face_values(faces, boundary_rule, t), dt, t)
-        face_values = None
+        if value is _UNCALLED:
+            value = boundary_rule(boundary.coords, t)
+        ftcs_step(u, nxt, boundary, value, dt, t)
+        value = _UNCALLED
         u, nxt = nxt, u
         if step in wanted:
-            yield step, u
+            yield step, u.reshape(field.extents)
 
 
 def _sine_modes(field: ScalarField, dt: float):
@@ -410,12 +442,12 @@ def _sine_modes(field: ScalarField, dt: float):
     return transform, -dt * mu, ones
 
 
-def _modal_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
+def _modal_iterates(field, boundary: _Boundary, boundary_rule: Callable, dt: float, steps):
     """Yield ``(step, values)`` for each of the ascending ``steps`` in the
     sine basis; the boundary of ``field``, the lattice of step 0, must be
     uniform.
 
-    With ``v_n = H_n - g_n`` for the common face value ``g_n`` of step n,
+    With ``v_n = H_n - g_n`` for the boundary value ``g_n`` of step n,
     ``v_{n+1} = (I + dt*A) v_n - (g_{n+1} - g_n)`` with zero Dirichlet data,
     so in the basis of :func:`_sine_modes` ``v_n = r^n v_0 + w_n * ones``.
     ``r^n v_0`` is computed at snapshot steps only.  The interior is clipped
@@ -425,70 +457,70 @@ def _modal_iterates(field, faces, boundary_rule: Callable, dt: float, steps):
     * An :class:`AffineRule` boundary ``a + s*t`` gives the geometric series
       ``w_n = s*dt (r^n - 1) / (1 - r)``, so only the snapshot steps are
       visited and the rule is called at those alone.
-    * Any other rule is called once per face per step, and
+    * Any other rule is called once per step, and
       ``w_n = r w_{n-1} - (g_n - g_{n-1})`` is advanced every step on the
       all-odd modes alone.  For stable dt ``|r| <= 1``, so ``|w_n|`` is at
       most ``reach``, the sum of ``|g_j - g_{j-1}|``.  At the first step n
-      whose faces are not one finite scalar, or whose ``reach`` could
+      whose value is not one finite scalar, or whose ``reach`` could
       overflow the forced modes, the lattice of step n-1 is rebuilt from the
-      modes and stepping takes over, beginning with the face values of step n.
+      modes and stepping takes over, beginning with the rule's value for
+      step n.
     """
     g = float(field.values.flat[0])
     transform, decay, ones = _sine_modes(field, dt)
     core = (slice(1, -1),) * field.k
     initial = transform(field.values[core] - g)
     if not np.isfinite(initial).all():
-        yield from _stepped_iterates(field, faces, boundary_rule, dt, steps)
+        yield from _stepped_iterates(field, boundary, boundary_rule, dt, steps)
         return
     growth = 1.0 - decay
     lo, hi = float(field.values.min()), float(field.values.max())
 
-    def lattice(step, modes, face_values):
+    def lattice(step, modes, value):
         """The lattice of ``step`` from its modes, checked for non-finite values."""
         values = np.empty(field.extents)
         values[core] = np.clip(transform(modes) + g, lo, hi)
-        _write_faces(values, faces, face_values)
+        boundary.write(values, value)
         if not np.isfinite(values).all():
             raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
         return values
 
     if isinstance(boundary_rule, AffineRule):
         for step in steps:
-            face_values = _face_values(faces, boundary_rule, step * dt)
-            g = face_values[0]
+            g = boundary_rule(boundary.coords, step * dt)
             lo, hi = min(lo, g), max(hi, g)
             power = growth**step
             w = boundary_rule.s * dt * (power - 1.0) / decay
-            yield step, lattice(step, power * initial + w * ones, face_values)
+            yield step, lattice(step, power * initial + w * ones, g)
         return
 
     odd = (slice(None, None, 2),) * field.k
     rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
     reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
 
-    def forced_lattice(step, face_values):
+    def forced_lattice(step, value):
         """The lattice of ``step``, the last step the modes were advanced to."""
         v = growth**step * initial
         v[odd] += forced * ones[odd]
-        return lattice(step, v, face_values)
+        return lattice(step, v, value)
 
     wanted, previous = set(steps), None
     for step in range(1, max(steps, default=0) + 1):
-        face_values = _face_values(faces, boundary_rule, step * dt)
-        g_new = _common_value(face_values)
+        value = boundary_rule(boundary.coords, step * dt)
+        g_new = _uniform_value(value)
         if g_new is not None:
             reach += abs(g_new - g)
         if g_new is None or reach > reach_limit:
             start = field if step == 1 else replace(field, values=forced_lattice(step - 1, previous))
-            yield from _stepped_iterates(start, faces, boundary_rule, dt,
-                                         [n for n in steps if n >= step], step - 1, face_values)
+            yield from _stepped_iterates(start, boundary, boundary_rule, dt,
+                                         [n for n in steps if n >= step], step - 1, value)
             return
         np.multiply(forced, rate, out=forced)
         np.subtract(forced, g_new - g, out=forced)
-        g, previous = g_new, face_values
+        g, previous = g_new, value
         lo, hi = min(lo, g), max(hi, g)
         if step in wanted:
-            yield step, forced_lattice(step, face_values)
+            yield step, forced_lattice(step, value)
 
 
 # -- verification ------------------------------------------------------------
@@ -589,17 +621,25 @@ def field_to_csv(field: ScalarField, path: str | Path) -> None:
 
 
 def field_to_json(field: ScalarField, path: str | Path) -> None:
-    data = {
-        "k": field.k,
-        "extents": list(field.extents),
-        "spacings": list(field.spacings),
-        "origin": list(field.origin),
-        "time": field.time,
-        "values": field.values.ravel().tolist(),
-    }
+    """The field as one JSON object with sorted keys and a final newline,
+    the bytes ``json.dump(data, fh, sort_keys=True)`` writes.
+
+    ``json.dumps`` takes the C encoder, which ``json.dump`` does not; both
+    write each float as its ``repr`` and ``", "`` between list items.  The
+    values, the last key, are encoded :data:`_JSON_CHUNK` at a time, so
+    neither their text nor a list of them is ever held whole."""
+    head = json.dumps({"k": field.k, "extents": list(field.extents),
+                       "spacings": list(field.spacings), "origin": list(field.origin),
+                       "time": field.time, "values": []}, sort_keys=True)
+    values = field.values.ravel()
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head[:-len("]}")])
+        separator = ""
+        for start in range(0, values.size, _JSON_CHUNK):
+            # each chunk's list text without its brackets
+            fh.write(separator + json.dumps(values[start:start + _JSON_CHUNK].tolist())[1:-1])
+            separator = ", "
+        fh.write("]}\n")
 
 
 def export_snapshots(out_dir: Path, stem: str, times, fields, fmt: str = "csv") -> list[dict]:

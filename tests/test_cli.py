@@ -588,6 +588,7 @@ def test_cli_index_eval_full_precision_matches_exact_value(capsys):
 FIT_HEADER = "t,psi1,psi2,omega1,omega2,H_obs\n"
 SPEC = {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [5, 5], "t_end": 0.1}
 RS = ["rs", "integrate", "--omega", "x", "--lo", "0", "--hi", "1"]
+ALL_RS_VERBS = "sum, integrate, variation, bound"
 
 BAD_INPUT = {
     "variation_negative_refinements": (
@@ -692,6 +693,10 @@ BAD_INPUT = {
     "spec_step_count_beyond_float_range": ({**SPEC, "dt": 1e-320}, ["solve"]),
     "figures_step_count_beyond_float_range": (
         None, ["figures", "--which", "fig5", "--t-end", "1e308"]),
+    # an option before its verb: the error says so, not that its value is no verb
+    "rs_option_before_verb": (None, ["rs", "--omega", "x", "integrate", "--lo", "0", "--hi", "1"]),
+    "index_option_before_verb": (None, ["index", "--psi", "0.1", "eval"]),
+    "pavement_option_before_verb": (None, ["pavement", "--format", "json", "table"]),
 }
 
 
@@ -971,6 +976,18 @@ def test_cli_rs_variation_of_one_partition_refuses_a_refinement_cap(cap):
     err = _assert_exits_one_with_error_line(["rs", "variation", "--omega", "x^2", "--lo", "0",
                                              "--hi", "1", "--n", "4", "--max-refinements", cap])
     assert err == "error: argument --max-refinements: not allowed with argument --n\n"
+
+
+@pytest.mark.parametrize("argv, verbs", [
+    (["rs", "--omega", "x", "integrate", "--lo", "0", "--hi", "1"], ALL_RS_VERBS),
+    (["rs", "--omega=x", "integrate", "--lo", "0", "--hi", "1"], ALL_RS_VERBS),
+    (["index", "--psi", "0.1", "eval"], "eval, seven, fit"),
+    (["pavement", "--format", "json", "table"], "table, reduction"),
+])
+def test_cli_option_before_its_verb_is_named(argv, verbs):
+    err = _assert_exits_one_with_error_line(argv)
+    assert err == (f"error: options follow the verb: sustkit {argv[0]} VERB {argv[1]} ..., "
+                   f"where VERB is one of {verbs}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 import sys
 import tempfile
 import threading
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,13 +30,7 @@ from sustkit.diffusion import (
     stable_dt,
     step_explicit,
 )
-from sustkit.diffusion import (
-    _apply_boundary,
-    _boundary_faces,
-    _face_values,
-    _ftcs_stepper,
-    _stepped_iterates,
-)
+from sustkit.diffusion import _field_boundary, _ftcs_stepper, _stepped_iterates
 
 
 def unit_square_spec(resolution=11, t_end=1.0, boundary=None, initial=None, k=2):
@@ -135,9 +130,28 @@ def _interior_laplacian(u, spacings):
     return lap
 
 
+def _boundary_faces(field: ScalarField):
+    """(index, coords) for every boundary face of a lattice: the face's
+    index and its slice of each coordinate grid."""
+    grids, whole = field.coordinate_grids(), (slice(None),) * field.k
+    faces = []
+    for a in range(field.k):
+        for side in (0, -1):
+            idx = whole[:a] + (side,) + whole[a + 1:]
+            faces.append((idx, tuple([g[idx] for g in grids])))
+    return faces
+
+
+def _apply_boundary(values, faces, rule, t):
+    """Reference boundary write: the rule called on each face in turn with
+    that face's coordinates, and its value written there."""
+    for idx, coords in faces:
+        values[idx] = rule(coords, t)
+
+
 def _reference_step(u, faces, spacings, rule, dt, t_new):
     """Reference FTCS successor of ``u``: ``u + dt*lap`` inside, the rule on
-    the boundary."""
+    the boundary, face by face."""
     core = tuple(slice(1, -1) for _ in range(u.ndim))
     out = np.empty_like(u)
     out[core] = u[core] + dt * _interior_laplacian(u, spacings)
@@ -183,13 +197,14 @@ def _rough_field(extents, domain, seed):
 @pytest.mark.parametrize("extents, domain", KERNEL_LATTICES, ids=str)
 def test_stepper_matches_reference_bit_for_bit(extents, domain, dt_factor):
     fld = _rough_field(extents, domain, seed=sum(extents))
-    faces = _boundary_faces(fld)
+    faces, boundary = _boundary_faces(fld), _field_boundary(fld)
     dt = dt_factor * stable_dt(fld.spacings)
     step = _ftcs_stepper(fld.extents, fld.spacings)
     ref, u, out = fld.values.copy(), fld.values.copy(), np.empty_like(fld.values)
     for n in range(1, 31):
         ref = _reference_step(ref, faces, fld.spacings, _wavy_rule, dt, n * dt)
-        step(u, out, faces, _face_values(faces, _wavy_rule, n * dt), dt, n * dt)
+        step(u.reshape(-1), out.reshape(-1), boundary, _wavy_rule(boundary.coords, n * dt),
+             dt, n * dt)
         assert np.array_equal(_bits(out), _bits(ref)), n
         u, out = out, u
     # step_explicit builds its own stepper per call and gives the same bits
@@ -201,15 +216,15 @@ def test_stepper_matches_reference_bit_for_bit(extents, domain, dt_factor):
 @pytest.mark.parametrize("extents, domain", KERNEL_LATTICES, ids=str)
 def test_stepper_keeps_signed_zeros_as_the_reference(extents, domain):
     fld = _rough_field(extents, domain, seed=1)
-    faces = _boundary_faces(fld)
+    faces, boundary = _boundary_faces(fld), _field_boundary(fld)
     dt = stable_dt(fld.spacings)
     for fill in (-0.0, 0.0):
         for rule in (lambda coords, t: -0.0, lambda coords, t: 0.0):
             u = np.full(fld.extents, fill)
             u[np.indices(fld.extents).sum(axis=0) % 2 == 1] = -fill  # checkerboard of zeros
             out = np.empty_like(u)
-            _ftcs_stepper(fld.extents, fld.spacings)(u, out, faces, _face_values(faces, rule, dt),
-                                                     dt, dt)
+            _ftcs_stepper(fld.extents, fld.spacings)(u.reshape(-1), out.reshape(-1), boundary,
+                                                     rule(boundary.coords, dt), dt, dt)
             want = _reference_step(u, faces, fld.spacings, rule, dt, dt)
             assert np.array_equal(_bits(out), _bits(want))
 
@@ -244,7 +259,7 @@ def test_interleaved_runs_share_no_buffers():
     def run(rule, scale):
         fld = spec.initial_field()
         fld.values[...] = scale * _rough_field(fld.extents, spec.domain, seed=scale).values
-        return _stepped_iterates(fld, _boundary_faces(fld), rule, dt, steps)
+        return _stepped_iterates(fld, _field_boundary(fld), rule, dt, steps)
 
     def slow(coords, t):
         return np.cos(coords[0] * coords[1] + t)
@@ -306,6 +321,96 @@ def test_overflowing_step_raises_at_the_reference_time():
         with pytest.raises(NonFiniteFieldError) as via_run:
             run_scenario(spec, [spec.t_end])
     assert str(via_run.value) == f"non-finite values after step to t={n * dt:g}"
+
+
+def _reference_run(fld, rule, dt, steps):
+    """Reference iterates of ``fld``: its boundary written face by face at
+    t = 0 (as initial_field does), then ``steps`` reference steps."""
+    faces = _boundary_faces(fld)
+    u = fld.values.copy()
+    _apply_boundary(u, faces, rule, 0.0)
+    out = [u]
+    for n in range(1, steps + 1):
+        out.append(_reference_step(out[-1], faces, fld.spacings, rule, dt, n * dt))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(extents=st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**16), dt_factor=st.sampled_from([1.0, 0.37]))
+def test_flat_stepper_matches_the_face_by_face_reference(extents, seed, dt_factor):
+    domain = tuple((-0.5 * a, 1.0 + a) for a in range(len(extents)))
+    fld = _rough_field(extents, domain, seed)
+    dt = dt_factor * stable_dt(fld.spacings)
+    reference = _reference_run(fld, _wavy_rule, dt, 12)
+    spec = ScenarioSpec(domain=domain, resolution=extents, boundary_rule=_wavy_rule,
+                        initial_rule=lambda coords: fld.values, t_end=12 * dt, dt=dt)
+    for got, n in zip(run_scenario(spec, [0.0, dt, 5 * dt, 12 * dt]), (0, 1, 5, 12)):
+        assert np.array_equal(_bits(got.values), _bits(reference[n])), n
+    # step_explicit accumulates its time, which the reference then takes too
+    faces, ref, stepped = _boundary_faces(fld), reference[0], replace(fld, values=reference[0])
+    for n in range(1, 6):
+        ref = _reference_step(ref, faces, fld.spacings, _wavy_rule, dt, stepped.time + dt)
+        stepped = step_explicit(stepped, _wavy_rule, dt)
+        assert np.array_equal(_bits(stepped.values), _bits(ref)), n
+
+
+def test_boundary_rule_sees_every_boundary_node_once_per_step():
+    # one call per step, with k read-only 1-D arrays: the coordinates of the
+    # nodes of boundary_mask(), in row-major order; step_explicit calls once
+    seen = []
+
+    def rule(coords, t):
+        seen.append((t, coords))
+        return _wavy_rule(coords, t)
+
+    for extents in [(7,), (9, 5), (4, 3, 6)]:
+        seen.clear()
+        spec = ScenarioSpec(domain=tuple((-1.0, 2.0 + a) for a in range(len(extents))),
+                            resolution=extents, boundary_rule=rule,
+                            initial_rule=lambda coords: 0.0, t_end=100.0)
+        dt = spec.resolved_dt()
+        run_scenario(spec, [10 * dt])
+        assert [t for t, _ in seen] == [n * dt for n in range(11)]
+        fld = spec.initial_field()
+        mask = fld.boundary_mask()
+        want = [np.broadcast_to(g, fld.extents)[mask] for g in fld.coordinate_grids()]
+        for _, coords in seen:
+            assert len(coords) == len(extents)
+            for c, w in zip(coords, want):
+                assert c.ndim == 1 and np.array_equal(_bits(c), _bits(w))
+                with pytest.raises(ValueError):
+                    c[0] = 1.0
+        seen.clear()
+        step_explicit(fld, rule, dt)
+        assert len(seen) == 1
+
+
+@pytest.mark.parametrize("extents", [(9, 7), (3, 4), (5, 4, 6)], ids=str)
+def test_corner_values_out_of_the_stencil_stay_quiet(extents):
+    # No interior node reads a corner, but the flat stencil's boundary nodes,
+    # whose results are discarded, do: corners at 1e308 overflow there only.
+    spec = ScenarioSpec(domain=tuple((0.0, 1.0 + a) for a in range(len(extents))),
+                        resolution=extents, boundary_rule=None,
+                        initial_rule=lambda coords: 0.0, t_end=100.0)
+    ends = [(0.0, h * (n - 1)) for h, n in zip(spec.spacings(), extents)]
+
+    def rule(coords, t):
+        corner = True
+        for c, (lo, hi) in zip(coords, ends):
+            corner = corner & ((c == lo) | (c == hi))
+        return np.where(corner, 1e308, np.sin(sum(coords) + t))
+
+    spec = replace(spec, boundary_rule=rule)
+    dt = spec.resolved_dt()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_scenario(spec, [20 * dt])[0]
+        once = step_explicit(spec.initial_field(), rule, dt)
+    reference = _reference_run(spec.initial_field(), rule, dt, 20)
+    assert np.all(np.isfinite(got.values))
+    assert np.array_equal(_bits(got.values), _bits(reference[20]))
+    assert np.array_equal(_bits(once.values), _bits(reference[1]))
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -555,6 +660,38 @@ def test_field_csv_matches_reference_on_random_lattices(case):
         _csv_bytes_match_reference(fld, Path(directory))
 
 
+def _json_dump_reference(fld, path):
+    """The bytes field_to_json wrote with the pure-Python json.dump encoder."""
+    data = {"k": fld.k, "extents": list(fld.extents), "spacings": list(fld.spacings),
+            "origin": list(fld.origin), "time": fld.time, "values": fld.values.ravel().tolist()}
+    with open(path, "w") as fh:
+        json.dump(data, fh, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+# 1, 7 and 59 split the 60 values unevenly; 60 and 4096 leave them whole
+@pytest.mark.parametrize("chunk", [1, 7, 59, 60, 4096])
+def test_field_json_bytes_match_json_dump(tmp_path, monkeypatch, chunk):
+    import sustkit.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "_JSON_CHUNK", chunk)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1 / 3, -2 / 3, 123456789.01234567, 1e16 + 2.0]
+    rng = np.random.default_rng(7)
+    scales = 10.0 ** rng.integers(-300, 300, 46)
+    values = np.concatenate([specials, rng.standard_normal(46) * scales])
+    fld = ScalarField(k=2, extents=(6, 10), spacings=(1 / 3, 0.1), origin=(-0.0, 1e-310),
+                      values=values.reshape(6, 10), time=0.30000000000000004)
+    path = tmp_path / "field.json"
+    field_to_json(fld, path)
+    assert path.read_bytes() == _json_dump_reference(fld, tmp_path / "reference.json")
+    assert np.array_equal(_bits(field_from_json(path).values.ravel()), _bits(values))
+    empty = ScalarField(k=1, extents=(0,), spacings=(0.5,), origin=(1.0,), values=np.empty(0))
+    field_to_json(empty, path)
+    assert path.read_bytes() == _json_dump_reference(empty, tmp_path / "reference.json")
+
+
 def test_field_json_round_trip(tmp_path):
     spec = unit_square_spec(resolution=5)
     fld = run_scenario(spec, [spec.t_end])[0]
@@ -665,8 +802,8 @@ def test_scenario_rejects_non_finite_domain(axis):
 
 def test_run_stops_at_last_requested_snapshot():
     # fig4 panel d at t_end = 0.5: dt = 0.00225, so t_end/dt = 222.2 and the
-    # t_end snapshot is step 222; the boundary rule runs once per face (4)
-    # for the initial field and once per face for each step.
+    # t_end snapshot is step 222; the boundary rule runs once for the
+    # initial field and once for each step.
     from dataclasses import replace
 
     from sustkit.pavement import figure_scenarios
@@ -679,7 +816,7 @@ def test_run_stops_at_last_requested_snapshot():
         return 10.0 * t
 
     fields = run_scenario(replace(spec, boundary_rule=rule), [0.0, 0.5])
-    assert len(calls) == 4 * (1 + 222)
+    assert len(calls) == 1 + 222
     assert fields[1].time == 222 * spec.resolved_dt()
 
 
@@ -774,7 +911,7 @@ def stepped(spec: ScenarioSpec, times) -> list[ScalarField]:
     fld = spec.initial_field()
     want = [round(t / dt) for t in times]
     got = {0: fld.values.copy()}
-    iterates = _stepped_iterates(fld, _boundary_faces(fld), spec.boundary_rule, dt,
+    iterates = _stepped_iterates(fld, _field_boundary(fld), spec.boundary_rule, dt,
                                  sorted(set(want) - {0}))
     got.update((n, values.copy()) for n, values in iterates)
     return [replace(fld, values=got[n], time=n * dt) for n in want]
@@ -825,9 +962,8 @@ def test_affine_closed_form_matches_stepping(case):
     counting = CountingAffineRule(a, s)
     closed = run_scenario(replace(spec, boundary_rule=counting), times)
     reference = stepped(spec, times)
-    # the rule is called on every face at t = 0 and at each snapshot step only
-    faces = 2 * len(domain)
-    assert counting.calls == [n * dt for n in (0, 1, 7, 40, 150) for _ in range(faces)]
+    # the rule is called once at t = 0 and once at each snapshot step only
+    assert counting.calls == [n * dt for n in (0, 1, 7, 40, 150)]
     boundary = reference[0].boundary_mask()
     assert np.array_equal(closed[0].values, reference[0].values)
     lo, hi = float(reference[0].values.min()), float(reference[0].values.max())
@@ -1026,9 +1162,9 @@ def test_modal_path_matches_stepping(domain, resolution, dt_factor, initial, swi
     got = run_scenario(replace(spec, boundary_rule=_uniform_then_varying(calls, dt, switch)),
                        times)
 
-    # the rule runs once per face for the initial field and once per face
-    # per step; the kernel runs only from the step where the faces differ
-    assert len(calls) == 2 * k * (1 + MODAL_STEPS)
+    # the rule runs once for the initial field and once per step; the
+    # kernel runs only from the step where the boundary values differ
+    assert len(calls) == 1 + MODAL_STEPS
     assert calls == ref_calls
     assert len(taken) == max(0, MODAL_STEPS + 1 - switch)
     # Tolerance: 1e-12 of the data's size, max(|H_0|, max |g|); the two
@@ -1057,7 +1193,7 @@ def test_modal_path_keeps_the_maximum_principle():
         so_far = [math.sin(5.0 * t) for t in calls if t <= fld.time]
         assert fld.values.min() >= min(1.0, *so_far)
         assert fld.values.max() <= max(1.0, *so_far)
-    assert len(calls) == 4 * (1 + round(2.0 / dt))
+    assert len(calls) == 1 + round(2.0 / dt)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
