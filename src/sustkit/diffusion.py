@@ -21,25 +21,26 @@ diagonalises the interior Laplacian ``A``, and with ``v = H - g`` for a
 boundary value ``g`` that is the same on every boundary node, the FTCS
 update is ``v <- (I + dt*A) v - (g_new - g)`` under zero Dirichlet data:
 
-* **modal**, when the boundary is uniform at t = 0.  The initial data
-  enters at snapshots only.  When the boundary rule is an
-  :class:`AffineRule` ``a + s*t`` (JSON specs and the pavement figures
-  build these), the forcing is a geometric series in each mode, so every
-  snapshot is computed directly, without the steps in between.  Any other
-  rule is called once per step, and a step is one multiply-add per sine
-  mode that the forcing reaches (all wave numbers odd);
+* **modal**, when the boundary is uniform at t = 0 and the sine modes of
+  the initial data, which enter at snapshots only, are finite.  When the
+  boundary rule is an :class:`AffineRule` ``a + s*t`` (JSON specs and the
+  pavement figures build these), the forcing is a geometric series in each
+  mode, so every snapshot is computed directly, without the steps in
+  between.  Any other rule is called once per step, and a step is one
+  multiply-add per sine mode that the forcing reaches (all wave numbers
+  odd);
 * **stepping**, one FTCS step at a time on the flat row-major lattice,
   double-buffered (reads the previous level, writes the next), with the
   scratch arrays of one run allocated once, before its first step.  A step
   calls the rule once and writes its value into every boundary node with
-  one assignment.  A modal run hands over to stepping at the first step
-  whose value is not one finite scalar, or whose forcing could overflow
-  the modes: the previous level is rebuilt from the modes and that step is
+  one assignment.  A modal run turns to stepping at the first step whose
+  value is not one finite scalar, or whose forcing could overflow the
+  modes: the previous level is rebuilt from the modes and that step is
   finished with the value already returned.
 
-Unless the boundary rule is an :class:`AffineRule`, a run takes every step,
-calling the rule ``1 + steps`` times, and one of more than
-:data:`MAX_STEPS` steps is refused.
+Unless its boundary rule is an :class:`AffineRule` on the modal path, a
+run takes every step, calling the rule ``1 + steps`` times, and one of
+more than :data:`MAX_STEPS` steps is refused.
 
 Both paths snap snapshots to the same steps and write boundary nodes with
 the values the rule returned.  Scenario runs share no mutable state (the
@@ -66,8 +67,6 @@ CFL_SAFETY = 0.9
 MAX_STEPS = 10**7
 # Lattices whose boundary nodes are kept for reuse by later runs and steps.
 _BOUNDARY_CACHE = 16
-# The value argument of _stepped_iterates when the rule is still to be called.
-_UNCALLED = object()
 # Grid values that field_to_json encodes at a time.
 _JSON_CHUNK = 4096
 
@@ -341,15 +340,15 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     most ceil(t_end/dt); dt is not adjusted to hit the times exactly).
 
     When the boundary is uniform at t = 0 the run takes the sine basis (see
-    :func:`_modal_iterates`), otherwise it is stepped.  An
-    :class:`AffineRule` boundary ``a + s*t`` is called at t = 0 and at the
-    snapshot steps only, each snapshot being the exact FTCS iterate in
-    closed form.  Any other boundary rule is called once per step, with the
-    coordinates of every boundary node (see :class:`_Boundary`), so
-    ``1 + steps`` times in all, and a scenario that needs more than
-    :data:`MAX_STEPS` such steps is refused with ``ValueError`` before any
-    rule is called.  The modal
-    interiors agree with stepping to rounding error.  Either way the
+    :func:`_iterates`), otherwise it is stepped.  An :class:`AffineRule`
+    boundary ``a + s*t`` is called at t = 0 and at the snapshot steps only,
+    each snapshot being the exact FTCS iterate in closed form.  Any other
+    boundary rule is called once per step, with the coordinates of every
+    boundary node (see :class:`_Boundary`), so ``1 + steps`` times in all,
+    and a scenario that needs more than :data:`MAX_STEPS` such steps is
+    refused with ``ValueError`` before any rule is called (an
+    :class:`AffineRule` run that has to step, before its first step).  The
+    modal interiors agree with stepping to rounding error.  Either way the
     boundary nodes hold the values the rule returned and every snapshot is
     checked for non-finite values.
     """
@@ -366,45 +365,25 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     for pos, t in enumerate(snapshot_times):
         want.setdefault(min(last_step, max(0, round(t / dt))), []).append(pos)
     steps = sorted(step for step in want if step > 0)
-    if steps and steps[-1] > MAX_STEPS and not isinstance(spec.boundary_rule, AffineRule):
-        raise ValueError(f"{steps[-1]} steps exceed MAX_STEPS = {MAX_STEPS}; only an AffineRule "
-                         "boundary reaches a snapshot without taking every step")
+    if not isinstance(spec.boundary_rule, AffineRule):
+        _refuse_beyond_budget(steps)
 
     field = spec.initial_field()
-    boundary = _field_boundary(field)
     out: list[ScalarField | None] = [None] * len(snapshot_times)
     for pos in want.get(0, ()):
         out[pos] = field.copy()
-
-    edge = field.values.reshape(-1)[boundary.index]
-    iterates = _modal_iterates if np.all(edge == edge[0]) else _stepped_iterates
-    for step, values in iterates(field, boundary, spec.boundary_rule, dt, steps):
+    for step, values in _iterates(field, spec.boundary_rule, dt, steps):
         for pos in want[step]:
             out[pos] = replace(field, values=values.copy(), time=step * dt)
     return out  # type: ignore[return-value]
 
 
-def _stepped_iterates(field, boundary: _Boundary, boundary_rule: Callable, dt: float, steps,
-                      start: int = 0, value=_UNCALLED):
-    """Yield ``(step, values)`` for each of the ascending ``steps`` by FTCS
-    stepping from ``field``, the lattice of step ``start``; ``value``, if
-    given, is the rule's value for step ``start + 1``, which is then not
-    called for that step.  ``values`` is a buffer reused by later steps."""
-    # Double buffering: each step reads u and overwrites every node of nxt.
-    buffers = np.empty(field.extents), np.empty(field.extents)
-    buffers[0][...] = field.values
-    u, nxt = (b.reshape(-1) for b in buffers)
-    ftcs_step = _ftcs_stepper(field.extents, field.spacings)
-    wanted = set(steps)
-    for step in range(start + 1, max(steps, default=0) + 1):
-        t = step * dt
-        if value is _UNCALLED:
-            value = boundary_rule(boundary.coords, t)
-        ftcs_step(u, nxt, boundary, value, dt, t)
-        value = _UNCALLED
-        u, nxt = nxt, u
-        if step in wanted:
-            yield step, u.reshape(field.extents)
+def _refuse_beyond_budget(steps) -> None:
+    """Refuse a run that takes each of the ascending ``steps`` past :data:`MAX_STEPS`."""
+    if steps and steps[-1] > MAX_STEPS:
+        raise ValueError(f"{steps[-1]} steps exceed MAX_STEPS = {MAX_STEPS}; only an AffineRule "
+                         "boundary over initial data with finite sine modes reaches a snapshot "
+                         "without taking every step")
 
 
 def _sine_modes(field: ScalarField, dt: float):
@@ -412,13 +391,14 @@ def _sine_modes(field: ScalarField, dt: float):
     basis, as ``(transform, decay, ones)``.
 
     ``transform`` maps interior values to mode amplitudes and back: it is
-    its own inverse.  In that basis the interior Laplacian ``A`` is diagonal
-    with eigenvalues ``mu = sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so a
-    step multiplies each mode by ``r = 1 + dt*mu`` (LeVeque, Finite
-    Difference Methods for ODEs and PDEs, 2007, sec. 2.10).  ``decay`` is
-    ``-dt*mu``, which is ``1 - r`` without its rounding.  ``ones`` holds the
-    amplitudes of the interior all-ones array; they vanish, up to rounding,
-    unless every wave number ``j_i`` is odd.
+    its own inverse, and overflows to inf or NaN without a warning.  In that
+    basis the interior Laplacian ``A`` is diagonal with eigenvalues
+    ``mu = sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so a step multiplies
+    each mode by ``r = 1 + dt*mu`` (LeVeque, Finite Difference Methods for
+    ODEs and PDEs, 2007, sec. 2.10).  ``decay`` is ``-dt*mu``, which is
+    ``1 - r`` without its rounding.  ``ones`` holds the amplitudes of the
+    interior all-ones array; they vanish, up to rounding, unless every wave
+    number ``j_i`` is odd.
     """
     k = field.k
     bases, mu, ones = [], np.zeros(()), np.ones(())
@@ -435,17 +415,19 @@ def _sine_modes(field: ScalarField, dt: float):
         bases.append(basis)
 
     def transform(v):
-        for axis, basis in enumerate(bases):
-            v = np.moveaxis(np.tensordot(basis, v, axes=([1], [axis])), 0, axis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for axis, basis in enumerate(bases):
+                v = np.moveaxis(np.tensordot(basis, v, axes=([1], [axis])), 0, axis)
         return v
 
     return transform, -dt * mu, ones
 
 
-def _modal_iterates(field, boundary: _Boundary, boundary_rule: Callable, dt: float, steps):
-    """Yield ``(step, values)`` for each of the ascending ``steps`` in the
-    sine basis; the boundary of ``field``, the lattice of step 0, must be
-    uniform.
+def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
+    """Yield ``(step, values)`` for each of the ascending ``steps`` from
+    ``field``, the lattice of step 0; ``values`` may be a buffer that later
+    steps reuse.  The run is modal when the boundary of ``field`` is uniform
+    and the sine modes of its interior are finite, else it is stepped.
 
     With ``v_n = H_n - g_n`` for the boundary value ``g_n`` of step n,
     ``v_{n+1} = (I + dt*A) v_n - (g_{n+1} - g_n)`` with zero Dirichlet data,
@@ -457,70 +439,81 @@ def _modal_iterates(field, boundary: _Boundary, boundary_rule: Callable, dt: flo
     * An :class:`AffineRule` boundary ``a + s*t`` gives the geometric series
       ``w_n = s*dt (r^n - 1) / (1 - r)``, so only the snapshot steps are
       visited and the rule is called at those alone.
-    * Any other rule is called once per step, and
-      ``w_n = r w_{n-1} - (g_n - g_{n-1})`` is advanced every step on the
-      all-odd modes alone.  For stable dt ``|r| <= 1``, so ``|w_n|`` is at
-      most ``reach``, the sum of ``|g_j - g_{j-1}|``.  At the first step n
-      whose value is not one finite scalar, or whose ``reach`` could
-      overflow the forced modes, the lattice of step n-1 is rebuilt from the
-      modes and stepping takes over, beginning with the rule's value for
-      step n.
+    * Any other rule is called once per step.  While the run is modal,
+      ``w_n = r w_{n-1} - (g_n - g_{n-1})`` is advanced on the all-odd
+      modes alone.  For stable dt ``|r| <= 1``, so ``|w_n|`` is at most
+      ``reach``, the sum of ``|g_j - g_{j-1}|``.  At the first step n whose
+      value is not one finite scalar, or whose ``reach`` could overflow the
+      forced modes, the lattice of step n-1 is rebuilt from the modes and
+      stepping takes over with the value of step n.
     """
-    g = float(field.values.flat[0])
-    transform, decay, ones = _sine_modes(field, dt)
-    core = (slice(1, -1),) * field.k
-    initial = transform(field.values[core] - g)
-    if not np.isfinite(initial).all():
-        yield from _stepped_iterates(field, boundary, boundary_rule, dt, steps)
-        return
-    growth = 1.0 - decay
-    lo, hi = float(field.values.min()), float(field.values.max())
+    boundary = _field_boundary(field)
+    edge = field.values.reshape(-1)[boundary.index]
+    g, core = float(edge[0]), (slice(1, -1),) * field.k
+    modal = bool(np.all(edge == g))
+    if modal:
+        transform, decay, ones = _sine_modes(field, dt)
+        initial = transform(field.values[core] - g)
+        modal = bool(np.isfinite(initial).all())
+    if isinstance(boundary_rule, AffineRule) and not modal:
+        _refuse_beyond_budget(steps)
+    if modal:
+        growth = 1.0 - decay
+        lo, hi = float(field.values.min()), float(field.values.max())
 
-    def lattice(step, modes, value):
-        """The lattice of ``step`` from its modes, checked for non-finite values."""
-        values = np.empty(field.extents)
-        values[core] = np.clip(transform(modes) + g, lo, hi)
-        boundary.write(values, value)
-        if not np.isfinite(values).all():
-            raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
-        return values
+        def lattice(step, modes, value):
+            """The lattice of ``step`` from its modes, checked for non-finite values."""
+            values = np.empty(field.extents)
+            values[core] = np.clip(transform(modes) + g, lo, hi)
+            boundary.write(values, value)
+            if not np.isfinite(values).all():
+                raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
+            return values
 
-    if isinstance(boundary_rule, AffineRule):
-        for step in steps:
-            g = boundary_rule(boundary.coords, step * dt)
-            lo, hi = min(lo, g), max(hi, g)
-            power = growth**step
-            w = boundary_rule.s * dt * (power - 1.0) / decay
-            yield step, lattice(step, power * initial + w * ones, g)
-        return
-
-    odd = (slice(None, None, 2),) * field.k
-    rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
-    reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
-
-    def forced_lattice(step, value):
-        """The lattice of ``step``, the last step the modes were advanced to."""
-        v = growth**step * initial
-        v[odd] += forced * ones[odd]
-        return lattice(step, v, value)
-
-    wanted, previous = set(steps), None
-    for step in range(1, max(steps, default=0) + 1):
-        value = boundary_rule(boundary.coords, step * dt)
-        g_new = _uniform_value(value)
-        if g_new is not None:
-            reach += abs(g_new - g)
-        if g_new is None or reach > reach_limit:
-            start = field if step == 1 else replace(field, values=forced_lattice(step - 1, previous))
-            yield from _stepped_iterates(start, boundary, boundary_rule, dt,
-                                         [n for n in steps if n >= step], step - 1, value)
+        if isinstance(boundary_rule, AffineRule):
+            for step in steps:
+                g = boundary_rule(boundary.coords, step * dt)
+                lo, hi = min(lo, g), max(hi, g)
+                power = growth**step
+                w = boundary_rule.s * dt * (power - 1.0) / decay
+                yield step, lattice(step, power * initial + w * ones, g)
             return
-        np.multiply(forced, rate, out=forced)
-        np.subtract(forced, g_new - g, out=forced)
-        g, previous = g_new, value
-        lo, hi = min(lo, g), max(hi, g)
+
+        odd = (slice(None, None, 2),) * field.k
+        rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
+        reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
+
+        def forced_lattice(step, value):
+            """The lattice of ``step``, the last step the modes were advanced to."""
+            v = growth**step * initial
+            v[odd] += forced * ones[odd]
+            return lattice(step, v, value)
+
+    wanted, previous, u = set(steps), None, None  # u stays None while the run is modal
+    for step in range(1, max(steps, default=0) + 1):
+        t = step * dt
+        value = boundary_rule(boundary.coords, t)
+        if u is None:
+            g_new = _uniform_value(value) if modal else None
+            if g_new is not None:
+                reach += abs(g_new - g)
+                if reach <= reach_limit:
+                    np.multiply(forced, rate, out=forced)
+                    np.subtract(forced, g_new - g, out=forced)
+                    g, previous = g_new, value
+                    lo, hi = min(lo, g), max(hi, g)
+                    if step in wanted:
+                        yield step, forced_lattice(step, value)
+                    continue
+            # Double buffering from the previous lattice: each step reads u
+            # and overwrites every node of nxt.
+            start = field.values if step == 1 else forced_lattice(step - 1, previous)
+            u, nxt = start.reshape(-1).copy(), np.empty(start.size)
+            ftcs_step = _ftcs_stepper(field.extents, field.spacings)
+        ftcs_step(u, nxt, boundary, value, dt, t)
+        u, nxt = nxt, u
         if step in wanted:
-            yield step, forced_lattice(step, value)
+            yield step, u.reshape(field.extents)
 
 
 # -- verification ------------------------------------------------------------

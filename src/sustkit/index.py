@@ -15,6 +15,7 @@ into arrays and :func:`fit_alpha_beta` is the one place that validates them.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from contextlib import suppress
 from dataclasses import asdict, dataclass
@@ -184,14 +185,22 @@ def _reject_rows(bad: np.ndarray, what: str) -> None:
         raise ValueError(f"observation {int(np.argmax(bad))}: {what}")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed by einsum in a fixed order, where the BLAS dot product
+    sums in an order that depends on its thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def fit_alpha_beta(observations: Observations) -> FitResult:
     """Least-squares fit of (alpha, beta) in H = alpha*u + beta*v.
 
     u and v are the C2w_ab closed form at (alpha, beta) = (1, 0) and (0, 1).
-    Each column is scaled to unit 2-norm and the problem solved by
-    ``numpy.linalg.lstsq`` (SVD), which avoids squaring the condition
-    number as the normal equations do (Golub & Van Loan, Matrix
-    Computations, 5.3).  This is the one place the columns are validated.
+    Each column is scaled to unit 2-norm and the problem solved by modified
+    Gram-Schmidt QR on the scaled columns augmented by H (Bjorck, Numerical
+    Methods for Least Squares Problems, 1996, sec. 2.4), which avoids
+    squaring the condition number as the normal equations do.  Every
+    reduction sums in a fixed order, so the fit does not depend on the BLAS
+    thread count.  This is the one place the columns are validated.
     """
     t, psi, w, h = (np.asarray(column, dtype=float) for column in observations)
     if not (t.ndim == 1 and psi.ndim == 2 and w.shape == psi.shape
@@ -212,19 +221,31 @@ def fit_alpha_beta(observations: Observations) -> FitResult:
         u[rows] = _evaluate(family_coefficients("C2w_ab", k, 1.0, 0.0, w[rows]), t[rows], psi[rows])
         v[rows] = _evaluate(family_coefficients("C2w_ab", k, 0.0, 1.0, w[rows]), t[rows], psi[rows])
     _reject_rows(~(np.isfinite(u) & np.isfinite(v)), "non-finite basis value")
-    su, sv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    su, sv = math.sqrt(_dot(u, u)), math.sqrt(_dot(v, v))
     if su == 0.0 or sv == 0.0:
         raise RankDeficiencyError(
             "a basis column is identically zero; alpha and beta are not identifiable"
         )
-    scaled, _, rank, singular = np.linalg.lstsq(np.column_stack((u / su, v / sv)), h, rcond=None)
-    if rank < 2 or singular[1] < _MIN_SINGULAR_RATIO * singular[0]:
+    if math.isinf(su) or math.isinf(sv):
+        raise ValueError("a basis column's 2-norm is beyond the float range")
+    a, b = u / su, v / sv  # a = r11*q1 and b = r12*q1 + r22*q2
+    r11 = math.sqrt(_dot(a, a))
+    q1 = a / r11
+    r12 = _dot(q1, b)
+    b -= r12 * q1
+    r22 = math.sqrt(_dot(b, b))
+    # The singular values of R = [[r11, r12], [0, r22]]: the largest is half
+    # the sum of two hypotenuses, the smallest |det R| over the largest.
+    largest = (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12)) / 2.0
+    if r11 * r22 / largest < _MIN_SINGULAR_RATIO * largest:
         raise RankDeficiencyError(
             "observations are proportional in (u, v); the design matrix has rank < 2"
         )
-    alpha, beta = float(scaled[0]) / su, float(scaled[1]) / sv
-    resid = float(np.linalg.norm(alpha * u + beta * v - h))
-    return FitResult(alpha=alpha, beta=beta, residual_norm=resid, n_obs=n)
+    c1 = _dot(q1, h)
+    scaled_beta = _dot(b / r22, h - c1 * q1) / r22
+    alpha, beta = (c1 - r12 * scaled_beta) / r11 / su, scaled_beta / sv
+    r = alpha * u + beta * v - h
+    return FitResult(alpha=alpha, beta=beta, residual_norm=math.sqrt(_dot(r, r)), n_obs=n)
 
 
 def dHdt_interval(intervals: Sequence[Interval]) -> Interval:

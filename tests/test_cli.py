@@ -226,6 +226,28 @@ def test_cli_full_precision_integral_is_the_same_under_any_blas_thread_count(f, 
     assert one == two
 
 
+def test_cli_full_precision_fit_is_the_same_under_any_blas_thread_count(tmp_path):
+    # 20,000 rows, where lstsq gave last-digit differences between 1 and 2
+    # threads; the fit's reductions must not go through BLAS
+    rng = np.random.default_rng(7)
+    n, k = 20000, 7
+    t, psi, w = rng.uniform(0.1, 2.0, n), rng.uniform(0, 1, (n, k)), rng.uniform(0.5, 2.0, (n, k))
+    u = math.factorial(k) * w.sum(axis=1) * t + (w * psi**k).sum(axis=1)
+    v = w.prod(axis=1) * (t + psi.prod(axis=1))
+    h = 1.3 * u + 0.7 * v + rng.normal(0, 1e-3, n)
+    path = tmp_path / "obs.csv"
+    header = ",".join(["t"] + [f"psi{i}" for i in range(1, k + 1)]
+                      + [f"omega{i}" for i in range(1, k + 1)] + ["H_obs"])
+    np.savetxt(path, np.column_stack((t, psi, w, h)), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    argv = [sys.executable, "-m", "sustkit.cli", "index", "fit", "--observations", str(path),
+            "--precision", "full"]
+    one, two = (subprocess.run(argv, capture_output=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2"))
+    assert one == two
+
+
 def test_cli_bad_expression_reports_error(capsys):
     rc = main(["rs", "sum", "--f", "nope(x)", "--omega", "x", "--lo", "0",
                "--hi", "1", "--n", "2"])
@@ -693,6 +715,10 @@ BAD_INPUT = {
     "spec_step_count_beyond_float_range": ({**SPEC, "dt": 1e-320}, ["solve"]),
     "figures_step_count_beyond_float_range": (
         None, ["figures", "--which", "fig5", "--t-end", "1e308"]),
+    # the initial sine modes overflow, so the AffineRule run would take all 44 M steps
+    "spec_stepped_affine_beyond_step_budget": (
+        {"domain": [[0, 900], [0, 900]], "resolution": [91, 91], "t_end": 1e9, "initial": 1e307},
+        ["solve"]),
     # an option before its verb: the error says so, not that its value is no verb
     "rs_option_before_verb": (None, ["rs", "--omega", "x", "integrate", "--lo", "0", "--hi", "1"]),
     "index_option_before_verb": (None, ["index", "--psi", "0.1", "eval"]),

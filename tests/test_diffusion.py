@@ -30,7 +30,7 @@ from sustkit.diffusion import (
     stable_dt,
     step_explicit,
 )
-from sustkit.diffusion import _field_boundary, _ftcs_stepper, _stepped_iterates
+from sustkit.diffusion import _field_boundary, _ftcs_stepper, _iterates
 
 
 def unit_square_spec(resolution=11, t_end=1.0, boundary=None, initial=None, k=2):
@@ -259,7 +259,7 @@ def test_interleaved_runs_share_no_buffers():
     def run(rule, scale):
         fld = spec.initial_field()
         fld.values[...] = scale * _rough_field(fld.extents, spec.domain, seed=scale).values
-        return _stepped_iterates(fld, _field_boundary(fld), rule, dt, steps)
+        return _iterates(fld, rule, dt, steps)
 
     def slow(coords, t):
         return np.cos(coords[0] * coords[1] + t)
@@ -906,14 +906,17 @@ def test_affine_rule_keeps_numbers_as_given():
 
 def stepped(spec: ScenarioSpec, times) -> list[ScalarField]:
     """The snapshots run_scenario gives for ``times``, computed by FTCS
-    stepping (the reference path) whatever the rules return."""
+    stepping (the reference path) whatever the rules return: the kernel is
+    called directly, once per step, not through the run loop."""
     dt = spec.resolved_dt()
     fld = spec.initial_field()
     want = [round(t / dt) for t in times]
+    boundary, step = _field_boundary(fld), _ftcs_stepper(fld.extents, fld.spacings)
     got = {0: fld.values.copy()}
-    iterates = _stepped_iterates(fld, _field_boundary(fld), spec.boundary_rule, dt,
-                                 sorted(set(want) - {0}))
-    got.update((n, values.copy()) for n, values in iterates)
+    for n in range(1, max(want) + 1):
+        got[n] = np.empty(fld.extents)
+        step(got[n - 1].reshape(-1), got[n].reshape(-1), boundary,
+             spec.boundary_rule(boundary.coords, n * dt), dt, n * dt)
     return [replace(fld, values=got[n], time=n * dt) for n in want]
 
 
@@ -1206,3 +1209,77 @@ def test_modal_path_non_finite_boundary_raises_at_its_step(bad):
     with pytest.raises(NonFiniteFieldError) as raised:
         run_scenario(spec, [spec.t_end])
     assert str(raised.value) == f"non-finite values after step to t={10 * dt:g}"
+
+
+# The spec of a 91x91 run at h = 10 whose initial data, 1e307 on the
+# interior, has sine modes beyond the float range.
+HUGE_SPEC = {"domain": [[0, 900], [0, 900]], "resolution": [91, 91], "t_end": 1e9,
+             "initial": 1e307}
+
+
+@pytest.mark.parametrize("initial", [
+    lambda coords: 1e307 * (-1.0) ** ((coords[0] + coords[1]) / 10.0), AffineRule(1e307)],
+    ids=["checkerboard", "constant"])
+@pytest.mark.parametrize("boundary", [lambda coords, t: 0.0, AffineRule(0.0)],
+                         ids=["callable", "affine"])
+def test_overflowing_initial_modes_step_as_the_kernel(boundary, initial, monkeypatch):
+    # +-1e307 or 1e307 under a uniform boundary: the modes overflow (the
+    # constant's in a BLAS dot that would warn), so the run is stepped from
+    # step 1, bit for bit, and with no warning.
+    spec = replace(scenario_from_json({**HUGE_SPEC, "t_end": 1.0}), boundary_rule=boundary,
+                   initial_rule=initial)
+    dt = spec.resolved_dt()
+    times = [0.0, dt, 7 * dt, 40 * dt]
+    reference = stepped(replace(spec, t_end=40 * dt), times)
+    taken = _counting_steppers(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_scenario(replace(spec, t_end=40 * dt), times)
+    assert len(taken) == 40
+    for have, want in zip(got, reference):
+        assert have.time == want.time
+        assert np.array_equal(_bits(have.values), _bits(want.values))
+    assert 1e300 < np.max(np.abs(got[-1].values)) < math.inf
+
+
+@pytest.mark.parametrize("last_step", [5, 6])
+def test_stepped_affine_run_counts_against_the_step_budget(monkeypatch, last_step):
+    # An AffineRule run whose initial modes overflow takes every step, so
+    # the budget applies: refused after the t = 0 call, before any step.
+    import sustkit.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "MAX_STEPS", 5)
+    spec = scenario_from_json(HUGE_SPEC)
+    dt = spec.resolved_dt()
+    counting = CountingAffineRule(spec.boundary_rule.a, spec.boundary_rule.s)
+    taken = _counting_steppers(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if last_step > 5:
+            with pytest.raises(ValueError, match="6 steps exceed MAX_STEPS = 5"):
+                run_scenario(replace(spec, boundary_rule=counting), [last_step * dt])
+            assert counting.calls == [0.0] and taken == []
+        else:
+            run_scenario(replace(spec, boundary_rule=counting), [last_step * dt])
+            assert len(counting.calls) == 1 + last_step == 1 + len(taken)
+
+
+def test_hand_over_at_step_one(monkeypatch):
+    # Uniform at t = 0 and an array from step 1: the run steps from step 1,
+    # calling the rule 1 + steps times, as a run that is never uniform.
+    steps = 30
+    calls, ref_calls = [], []
+    spec = unit_square_spec(resolution=13, t_end=1.0,
+                            initial=lambda coords: np.sin(3.0 * coords[0]) * coords[1])
+    dt = spec.resolved_dt()
+    spec = replace(spec, t_end=steps * dt)
+    times = [0.0, dt, 2 * dt, steps * dt]
+    reference = stepped(replace(spec, boundary_rule=_uniform_then_varying(ref_calls, dt, 1)),
+                        times)
+    taken = _counting_steppers(monkeypatch)
+    got = run_scenario(replace(spec, boundary_rule=_uniform_then_varying(calls, dt, 1)), times)
+    assert len(calls) == 1 + steps and calls == ref_calls
+    assert len(taken) == steps
+    for have, want in zip(got, reference):
+        assert have.time == want.time
+        assert np.array_equal(_bits(have.values), _bits(want.values))
