@@ -109,7 +109,7 @@ def _rs_sum(args) -> int:
 
 def _rs_integrate(args) -> int:
     f, omega = _function_arg(args.f), _function_arg(args.omega)
-    value = rs.rs_integrate(f, omega, args.lo, args.hi, args.eta, args.max_refinements)
+    value = rs.rs_integrate(f, omega, args.lo, args.hi, args.eta)
     print(_fmt(value, args.precision))
     return 0
 
@@ -119,16 +119,14 @@ def _rs_variation(args) -> int:
     if args.n is not None:
         value = rs.total_variation(omega, rs.make_uniform_partition(args.lo, args.hi, args.n))
     else:
-        max_refinements = rs.MAX_REFINEMENTS if args.max_refinements is None else args.max_refinements
-        value = rs.variation_sup(omega, args.lo, args.hi, max_refinements)
+        value = rs.variation_sup(omega, args.lo, args.hi)
     print(_fmt(value, args.precision))
     return 0
 
 
 def _rs_bound(args) -> int:
     f, omega = _function_arg(args.f), _function_arg(args.omega)
-    report = rs.variation_lower_bound_check(f, omega, args.lo, args.hi, args.eta,
-                                            args.max_refinements)
+    report = rs.variation_lower_bound_check(f, omega, args.lo, args.hi, args.eta)
     if args.format == "json":
         print(json.dumps(asdict(report), sort_keys=True))
     else:
@@ -278,12 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     _option(v, "sum", "--n", type=int, required=True, help="subintervals")
     _option(v, "sum", "--tag-rule", choices=rs.TAG_RULES, default="midpoint")
     _option(v, "integrate bound", "--eta", type=float, default=1e-6)
-    _option(v, "integrate bound", "--max-refinements", type=int, default=rs.MAX_REFINEMENTS)
-    # one partition of --n intervals, or the supremum over refinements up to the cap
-    one_or_sup = v["variation"].add_mutually_exclusive_group()
-    one_or_sup.add_argument("--n", type=int, help="subintervals of one partition")
-    one_or_sup.add_argument("--max-refinements", type=int,
-                            help=f"refinement cap (default {rs.MAX_REFINEMENTS})")
+    _option(v, "variation", "--n", type=int,
+            help="subintervals of one partition (default: the supremum over dyadic refinements)")
     _option(v, "bound", "--format", choices=("text", "json"), default="text")
     _option(v, "sum integrate variation bound", "--precision", **_PRECISION)
 

@@ -17,6 +17,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,9 +28,6 @@ import numpy as np
 from ._checks import check_interval, check_positive, csv_rows, finite, is_number, whole_number
 
 TAG_RULES = ("left", "right", "midpoint")
-
-#: default cap on dyadic refinement (finest partition has 2**24 intervals)
-MAX_REFINEMENTS = 24
 
 #: refinements required before convergence may be declared; prevents the
 #: n = 1, 2 grids from "converging" on data they cannot resolve (e.g. the
@@ -48,10 +46,17 @@ BOUND_TOLERANCE = 1e-9
 #: intervals per block of the walk over a level (see _blocks); even
 _BLOCK = 2**16
 
-#: the most intervals a refinement level may hold, whether every interval
-#: of [lo, hi] is refined or only some; a deeper level is refused before it
-#: is allocated
-_MAX_INTERVALS = 2**MAX_REFINEMENTS
+#: the most intervals a uniform partition or a refinement level may hold,
+#: whether every interval of [lo, hi] is refined or only some; a deeper level
+#: is refused before it is allocated
+_MAX_INTERVALS = 2**24
+
+#: the most integrand and weight points one refinement may evaluate
+_MAX_POINTS = 2**26
+
+#: the deepest refinement level: the node indices j, 2k+1 and 4k+3 times its
+#: spacing stay below 2**53, so each node is lo + j*(hi-lo)/2**level rounded once
+_MAX_LEVEL = 50
 
 
 class DomainMismatchError(ValueError):
@@ -227,6 +232,8 @@ def make_uniform_partition(
 ) -> TaggedPartition:
     """Uniform n-interval tagged partition of [lo, hi]."""
     n = whole_number("n", n, 1)
+    if n > _MAX_INTERVALS:
+        raise ValueError(f"n = {n} intervals is over the budget of {_MAX_INTERVALS} intervals")
     lo, hi = check_interval(lo, hi)
     if tag_rule not in TAG_RULES:
         raise ValueError(f"tag_rule must be one of {TAG_RULES}, got {tag_rule!r}")
@@ -308,20 +315,27 @@ def _refined(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dyadic_levels(w_eval, f_eval, lo: float, hi: float, max_refinements: int):
-    """Yield (level, w_nodes, f_nodes, f_mids) for level = 0..max_refinements
-    (f arrays None when f_eval is None).  Node j is lo + j*(hi-lo)/2**level, the
-    last hi, so a level's nodes are the last level's nodes and midpoints, bit for
-    bit: it evaluates the weight at those midpoints and the integrand at its own.
-    A level holds only these three arrays; the caller drops them before asking
-    for the next level, which is built from them."""
+def _uniform_points(level: int, integrand: bool) -> int:
+    """The points of uniform levels 0..level: the weight at 2**level + 1 nodes,
+    the integrand (if any) at those and at 2**level midpoints."""
+    return (3 << level) + 2 if integrand else (1 << level) + 1
+
+
+def _dyadic_levels(w_eval, f_eval, lo: float, hi: float):
+    """Yield (level, w_nodes, f_nodes, f_mids) for level = 0, 1, ... until one is
+    over a budget (f arrays None when f_eval is None).  Node j is
+    lo + j*(hi-lo)/2**level, the last hi, so a level's nodes are the last
+    level's nodes and midpoints, bit for bit: it evaluates the weight at those
+    midpoints and the integrand at its own.  A level holds only these three
+    arrays; the caller drops them before asking for the next level, which is
+    built from them."""
     w_nodes = _finite_or_raise(_eval_on(w_eval, np.array([lo, hi])), "weight")
     f_nodes = f_mids = None
     if f_eval is not None:
         f_nodes = _finite_or_raise(_eval_on(f_eval, np.array([lo, hi])), "integrand")
-    for level in range(max_refinements + 1):
+    for level in itertools.count():
         if level:
-            _check_budget(level, 1 << level)
+            _check_budget(level, 1 << level, _uniform_points(level, f_eval is not None))
             w_nodes = _refined(w_nodes)
             _eval_midpoints(w_eval, "weight", level - 1, lo, hi, w_nodes[1::2])
             if f_eval is not None:
@@ -337,39 +351,28 @@ def _tagged_sums(level, w_nodes, f_nodes, f_mids):
     return _rs_sums(f"at dyadic level {level}", w_nodes, f_mids, f_nodes[:-1], f_nodes[1:])
 
 
-def _check_refinement(lo, hi, max_refinements, **tolerances) -> tuple[int, int]:
-    """Validate finite lo < hi, positive finite tolerances (eta, tol) and a
-    whole max_refinements >= 1; return it as an int with the first level
-    that may count as converged."""
-    check_interval(lo, hi)
-    for name, value in tolerances.items():
-        check_positive(name, (value,))
-    max_refinements = whole_number("max_refinements", max_refinements, 1)
-    return max_refinements, min(MIN_REFINEMENTS, max(1, max_refinements - 1))
-
-
 class _StopRule:
-    """When a refinement stops: at a level >= min_level whose local gaps sum to
+    """When a refinement stops: at a level >= MIN_REFINEMENTS whose local gaps sum to
     less than eta and whose local spreads sum to less than the tag tolerance.
     It gives up once the spread has not decayed for STALL_LEVELS levels."""
 
-    def __init__(self, eta: float, min_level: int, length: float):
+    def __init__(self, eta: float, length: float):
         # Tag sensitivity shrinks like O(h) for integrable pairs while the
         # midpoint gap shrinks like O(h^2), so sqrt(eta) keeps the two
         # criteria on the same grid scale.  A pair whose tag spread never decays
         # (e.g. integrand and weight sharing a jump) is reported non-integrable.
         self.eta, self.tag_tol = eta, max(eta, math.sqrt(eta))
-        self.min_level, self.length = min_level, length
+        self.length = length
         self.spread, self.stalled, self.decaying = math.inf, 0, True
 
     def converged(self, level: int, gap: float, spread: float) -> bool:
         """Whether level may stop; raises once the spread has stalled."""
         prev_spread, self.level, self.gap, self.spread = self.spread, level, gap, spread
-        if level >= self.min_level and gap < self.eta and spread < self.tag_tol:
+        if level >= MIN_REFINEMENTS and gap < self.eta and spread < self.tag_tol:
             return True
         # An integrable pair's tag spread falls like O(h), halving per level.
         self.decaying = spread < self.tag_tol or spread <= 0.75 * prev_spread
-        self.stalled = 0 if self.decaying or level <= self.min_level else self.stalled + 1
+        self.stalled = 0 if self.decaying or level <= MIN_REFINEMENTS else self.stalled + 1
         if self.stalled == STALL_LEVELS:
             raise self.error()
         return False
@@ -377,7 +380,7 @@ class _StopRule:
     def error(self) -> NonConvergenceError:
         """The error of a refinement that ends at the last level checked."""
         if self.decaying:
-            cause = ("the sums are still converging: raise eta or max_refinements "
+            cause = ("the sums are still converging: raise eta "
                      "(an eta below the rounding error of the sums is never reached)")
         else:
             cause = ("the tag spread is not decaying: the integrand may not be integrable "
@@ -509,28 +512,33 @@ class _Integral(NamedTuple):
     nondecreasing: bool
 
 
-def _check_budget(level: int, intervals: int) -> None:
+def _check_budget(level: int, intervals: int, points: int) -> None:
+    """Refuse a level over either budget before it is evaluated."""
     if intervals > _MAX_INTERVALS:
         raise ValueError(f"dyadic level {level} would hold {intervals} intervals, over the "
                          f"budget of {_MAX_INTERVALS} intervals per level")
+    if points > _MAX_POINTS:
+        raise ValueError(f"dyadic level {level} would take the refinement to {points} points, "
+                         f"over the budget of {_MAX_POINTS} points per refinement")
 
 
-def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements) -> _Integral:
+def _rs_integrate_info(f, omega, lo, hi, eta) -> _Integral:
     """Refine every interval while most of them still carry error, then only
     those that do.  Level L's local gap of a split of [a, b] is
     |f(q1)(w(m)-w(a)) + f(q3)(w(b)-w(m)) - f(m)(w(b)-w(a))|, and the local
     spread of each half [c, d] is |f(d)-f(c)|*|w(d)-w(c)|.  From the first
-    level >= min_level at which at least half the splits settle, settled
+    level >= MIN_REFINEMENTS at which at least half the splits settle, settled
     splits are frozen: they keep their midpoint sum, gap and spread in the
     totals, and only the halves of the rest are split at the next level.
     Absolute local estimates cannot cancel between an up-jump and a down-jump,
     as the difference of two whole-level sums can."""
-    max_refinements, min_level = _check_refinement(lo, hi, max_refinements, eta=eta)
+    check_interval(lo, hi)
+    check_positive("eta", (eta,))
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
-    rule = _StopRule(eta, min_level, hi - lo)
+    rule = _StopRule(eta, hi - lo)
     walk = _Walk(eta, rule.tag_tol)
-    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi, max_refinements):
+    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi):
         if level == 0:  # one interval, the split of none: its spread is |left - right|
             _, left, right = _tagged_sums(level, w_nodes, f_nodes, f_mids)
             rule.converged(level, math.inf, abs(left - right))  # never at level 0
@@ -540,17 +548,16 @@ def _rs_integrate_info(f, omega, lo, hi, eta, max_refinements) -> _Integral:
         if rule.converged(level, gap, spread):
             least = min(float(dw.min()) for _, dw in _increments(w_nodes))
             return _Integral(mid, level, None, _sup_abs(f_nodes, f_mids), least >= -1e-12)
-        if level >= min_level and 2 * settled >= f_mids.size // 2:
+        if level >= MIN_REFINEMENTS and 2 * settled >= f_mids.size // 2:
             break
         del w_nodes, f_nodes, f_mids  # the next level is built without this one's arrays
-    else:
-        raise rule.error()
-    local_from = level + 1
+    local_from, points = level + 1, _uniform_points(level, True)
     walk.sup_f = _sup_abs(f_nodes, f_mids)
     *_, active = walk.split(level, _uniform_splits(w_nodes, f_nodes, f_mids), freeze=True)
     del w_nodes, f_nodes, f_mids
-    for level in range(local_from, max_refinements + 1):
-        _check_budget(level, 2 * active.shape[1])
+    for level in range(local_from, _MAX_LEVEL + 1):
+        points += 3 * active.shape[1]  # the weight at each midpoint, the integrand at two quarters
+        _check_budget(level, 2 * active.shape[1], points)
         splits = _local_splits(level, active, w_eval, f_eval, lo, hi)
         (mid, gap, spread), _, active = walk.split(level, splits, freeze=True)
         if rule.converged(level, gap, spread):
@@ -569,7 +576,6 @@ def rs_integrate(
     lo: float,
     hi: float,
     eta: float = 1e-6,
-    max_refinements: int = MAX_REFINEMENTS,
 ) -> float:
     """Riemann-Stieltjes integral of f d(omega) over [lo, hi] by dyadic
     midpoint refinement.
@@ -581,12 +587,13 @@ def rs_integrate(
     rejects pairs that are not integrable (a shared jump keeps the tag spread
     from decaying).  Once most intervals have settled, only the others are
     halved further.  Raises :class:`NonConvergenceError` when level
-    ``max_refinements`` is passed first or the tag spread stalls for
+    ``_MAX_LEVEL`` (50) is passed first or the tag spread stalls for
     ``STALL_LEVELS`` levels (jumps closer than (hi-lo)/2**14 look shared),
-    and ``ValueError`` before building a level of more than
-    2**MAX_REFINEMENTS intervals.
+    and ``ValueError`` before evaluating a level of more than
+    ``_MAX_INTERVALS`` (2**24) intervals or one that would take the
+    refinement past ``_MAX_POINTS`` (2**26) points.
     """
-    return _rs_integrate_info(f, omega, lo, hi, eta, max_refinements).value
+    return _rs_integrate_info(f, omega, lo, hi, eta).value
 
 
 def total_variation(omega, partition: TaggedPartition) -> float:
@@ -602,27 +609,26 @@ def variation_sup(
     omega,
     lo: float,
     hi: float,
-    max_refinements: int = MAX_REFINEMENTS,
+    *,
     tol: float = 1e-6,
 ) -> float:
     """Supremum estimate of the variation of omega over [lo, hi].
 
     Variation sums are non-decreasing under refinement, so dyadic uniform
-    refinement is run until one more halving adds less than ``tol`` (or the
-    cap is reached) and the largest sum is returned.  The estimate is a
-    lower bound on the true variation.  A level of more than
-    2**MAX_REFINEMENTS intervals is refused with ``ValueError`` before it is
-    built.
+    refinement is run until one more halving adds less than ``tol``, or
+    until the next level would hold more than ``_MAX_INTERVALS`` (2**24)
+    intervals, and the last sum is returned.  The estimate is a lower bound
+    on the true variation.
     """
-    max_refinements, min_level = _check_refinement(lo, hi, max_refinements, tol=tol)
+    check_interval(lo, hi)
+    check_positive("tol", (tol,))
     w_eval = _as_callable(omega, lo, hi, "weight")
-    prev = None
-    for level, w_nodes, _, _ in _dyadic_levels(w_eval, None, lo, hi, max_refinements):
+    prev = -math.inf
+    for level, w_nodes, _, _ in _dyadic_levels(w_eval, None, lo, hi):
         cur = _variation(f"at dyadic level {level}", w_nodes)
-        if level >= min_level and prev is not None and cur - prev < tol:
+        if (level >= MIN_REFINEMENTS and cur - prev < tol) or 2 << level > _MAX_INTERVALS:
             return cur
         prev = cur
-    return prev
 
 
 @dataclass
@@ -651,7 +657,6 @@ def variation_lower_bound_check(
     lo: float,
     hi: float,
     eta: float = 1e-6,
-    max_refinements: int = MAX_REFINEMENTS,
 ) -> VariationBoundReport:
     """Check variation(omega) >= |integral F d(omega)| / sup|F| on [lo, hi].
 
@@ -660,9 +665,8 @@ def variation_lower_bound_check(
     assumed.  When sup|F| is 0 the bound is vacuous: rhs is defined as 0 and
     the report is flagged instead of raising.
     """
-    integral, _, _, sup_f, nondecreasing = _rs_integrate_info(f, omega, lo, hi, eta,
-                                                              max_refinements)
-    lhs = variation_sup(omega, lo, hi, max_refinements, tol=eta)
+    integral, _, _, sup_f, nondecreasing = _rs_integrate_info(f, omega, lo, hi, eta)
+    lhs = variation_sup(omega, lo, hi, tol=eta)
     rhs = 0.0 if sup_f == 0.0 else abs(integral) / sup_f
     return VariationBoundReport(
         lhs=lhs,

@@ -201,8 +201,7 @@ def test_cli_weight_table_header_after_blank_lines(tmp_path, capsys):
 
 def test_cli_rs_non_convergence_exit_code(capsys):
     rc = main(["rs", "integrate", "--f", "step(x-0.5)", "--omega", "step(x-0.5)",
-               "--lo", "0", "--hi", "1", "--eta", "1e-9",
-               "--max-refinements", "12"])
+               "--lo", "0", "--hi", "1", "--eta", "1e-9"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
@@ -613,18 +612,17 @@ RS = ["rs", "integrate", "--omega", "x", "--lo", "0", "--hi", "1"]
 ALL_RS_VERBS = "sum, integrate, variation, bound"
 
 BAD_INPUT = {
-    "variation_negative_refinements": (
-        None, ["rs", "variation", "--omega", "x", "--lo", "0", "--hi", "1",
-               "--max-refinements", "-1"]),
-    "integrate_zero_refinements": (None, RS + ["--max-refinements", "0"]),
     "integrate_nan_eta": (None, RS + ["--eta", "nan"]),
     "bound_negative_eta": (None, ["rs", "bound"] + RS[2:] + ["--eta", "-1"]),
     "integrate_unreachable_eta": (
-        None, ["rs", "integrate", "--f", "1+0.1*x", "--omega", "0.7*x", "--lo", "-1.3",
-               "--hi", "4.1", "--eta", "1e-300", "--max-refinements", "8"]),
+        None, ["rs", "integrate", "--f", "exp(x)", "--omega", "step(x-0.5)", "--lo", "0",
+               "--hi", "1", "--eta", "1e-17"]),
     "integrate_shared_jump": (
         None, ["rs", "integrate", "--f", "step(x-0.5)", "--omega", "step(x-0.5)",
-               "--lo", "0", "--hi", "1", "--max-refinements", "8"]),
+               "--lo", "0", "--hi", "1"]),
+    "sum_over_the_interval_budget": (
+        None, ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1",
+               "--n", "100000000"]),
     "spec_fractional_resolution": ({**SPEC, "resolution": [3.7, 5]}, ["solve"]),
     "spec_boolean_boundary": ({**SPEC, "boundary": True}, ["solve"]),
     "spec_boolean_initial": ({**SPEC, "initial": False}, ["solve"]),
@@ -758,17 +756,20 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
     _assert_exits_one_with_error_line(argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ["rs", "integrate", "--f", "x", "--omega", "x^2", "--lo", "0", "--hi", "1", "--eta", "1e-300",
-     "--max-refinements", "40"],
-    ["rs", "variation", "--omega", "sin(1000*x)", "--lo", "0", "--hi", "1",
-     "--max-refinements", "40"],
-])
-def test_cli_level_over_the_interval_budget_exits_one(argv, monkeypatch):
+def test_cli_level_over_the_interval_budget_exits_one(monkeypatch, capsys):
     # the same refusal as at the 2**24 budget, which needs about 400 MB first
     monkeypatch.setattr(riemann_stieltjes, "_MAX_INTERVALS", 2**10)
-    err = _assert_exits_one_with_error_line(argv)
+    err = _assert_exits_one_with_error_line(["rs", "integrate", "--f", "x", "--omega", "x^2",
+                                             "--lo", "0", "--hi", "1", "--eta", "1e-300"])
     assert "dyadic level 11 would hold 2048 intervals, over the budget of 1024" in err
+    # the variation stops at the last level within the budget and gives its sum
+    omega = "sin(1000*x)"
+    assert main(["rs", "variation", "--omega", omega, "--lo", "0", "--hi", "1", "--n", "1024",
+                 "--precision", "full"]) == 0
+    level_10 = float(capsys.readouterr().out)
+    assert main(["rs", "variation", "--omega", omega, "--lo", "0", "--hi", "1",
+                 "--precision", "full"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(level_10, rel=1e-12)
 
 
 def test_cli_family_beyond_the_float_range_is_named_in_one_short_line():
@@ -811,11 +812,6 @@ BAD_INTERVAL = st.one_of(
     st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER).map(lambda v: (v, "1")),
     st.one_of(NON_FINITE_TEXT, NOT_A_NUMBER).map(lambda v: ("0", v)),
 )
-BAD_REFINEMENTS = st.one_of(
-    NON_FINITE_TEXT, st.integers(max_value=0).map(str),
-    st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr),
-    st.text(max_size=8).filter(lambda t: not _parses(int, t)),
-)
 RS_VERBS = st.sampled_from(["integrate", "variation", "bound"])
 
 
@@ -824,7 +820,6 @@ RS_VERBS = st.sampled_from(["integrate", "variation", "bound"])
     # eta is read by integrate and bound only
     st.tuples(st.sampled_from(["integrate", "bound"]), BAD_ETA.map(lambda v: [f"--eta={v}"])),
     st.tuples(RS_VERBS, BAD_INTERVAL.map(lambda p: [f"--lo={p[0]}", f"--hi={p[1]}"])),
-    st.tuples(RS_VERBS, BAD_REFINEMENTS.map(lambda v: [f"--max-refinements={v}"])),
 ))
 def test_cli_rs_drawn_bad_numbers_exit_one(case):
     verb, options = case
@@ -929,7 +924,9 @@ def test_cli_field_over_csv_limit_names_file_line(tmp_path, argv, head, line):
 
 # -- each verb takes only the options it reads ------------------------------------------
 
-# the options of each command, and of those the ones each verb reads
+# the options of each command, and of those the ones each verb reads; no rs verb
+# reads --max-refinements, which set the refinement depth before that depth came
+# from double precision and the budgets
 COMMAND_OPTIONS = {
     "rs": "--f --omega --lo --hi --n --tag-rule --eta --max-refinements --format --precision",
     "index": "--family --k --t --psi --weights --alpha --beta --observations --out --format "
@@ -938,9 +935,9 @@ COMMAND_OPTIONS = {
 }
 VERB_OPTIONS = {
     ("rs", "sum"): "--f --omega --lo --hi --n --tag-rule --precision",
-    ("rs", "integrate"): "--f --omega --lo --hi --eta --max-refinements --precision",
-    ("rs", "variation"): "--omega --lo --hi --n --max-refinements --precision",
-    ("rs", "bound"): "--f --omega --lo --hi --eta --max-refinements --format --precision",
+    ("rs", "integrate"): "--f --omega --lo --hi --eta --precision",
+    ("rs", "variation"): "--omega --lo --hi --n --precision",
+    ("rs", "bound"): "--f --omega --lo --hi --eta --format --precision",
     ("index", "eval"): "--family --k --t --psi --weights --alpha --beta --precision",
     ("index", "seven"): "--t --psi --weights --alpha --beta --precision",
     ("index", "fit"): "--observations --out --format --precision",
@@ -958,7 +955,7 @@ VERB_BASE = {
 # and exited 0
 OPTION_VALUES = {
     "--f": "x", "--omega": "x", "--lo": "0", "--hi": "1", "--n": "0", "--tag-rule": "left",
-    "--eta": "nan", "--max-refinements": "0", "--format": "json", "--precision": "full",
+    "--eta": "nan", "--max-refinements": "24", "--format": "json", "--precision": "full",
     "--family": "T1a", "--k": "5", "--t": "1", "--psi": "0.1,0.2", "--weights": "1,1",
     "--alpha": "1", "--beta": "1", "--observations": "obs.csv", "--out": "fit.json",
     "--table": "mixes.csv", "--mix": "100R:0VA+20F", "--baseline": "0R:100VA",
@@ -976,8 +973,8 @@ REFUSED_PAIRS = [(c, v, option) for (c, v), options in VERB_OPTIONS.items()
                  for option in COMMAND_OPTIONS[c].split() if option not in options.split()]
 
 
-def test_cli_verbs_read_52_pairs_and_refuse_31():
-    assert (len(READ_PAIRS), len(REFUSED_PAIRS)) == (52, 31)
+def test_cli_verbs_read_49_pairs_and_refuse_34():
+    assert (len(READ_PAIRS), len(REFUSED_PAIRS)) == (49, 34)
 
 
 @pytest.mark.parametrize("command, verb, option", READ_PAIRS)
@@ -996,12 +993,11 @@ def test_cli_verb_refuses_each_option_it_does_not_read(command, verb, option):
     assert err == f"error: unrecognized arguments: {option} {OPTION_VALUES[option]}\n"
 
 
-# 24 is the default cap: given, it is refused all the same
 @pytest.mark.parametrize("cap", ["24", "30"])
 def test_cli_rs_variation_of_one_partition_refuses_a_refinement_cap(cap):
     err = _assert_exits_one_with_error_line(["rs", "variation", "--omega", "x^2", "--lo", "0",
                                              "--hi", "1", "--n", "4", "--max-refinements", cap])
-    assert err == "error: argument --max-refinements: not allowed with argument --n\n"
+    assert err == f"error: unrecognized arguments: --max-refinements {cap}\n"
 
 
 @pytest.mark.parametrize("argv, verbs", [

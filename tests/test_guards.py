@@ -207,21 +207,6 @@ def test_field_from_json_rejects(field_json, changes):
         field_from_json(field_json)
 
 
-# -- refinement depth ----------------------------------------------------------------
-
-BAD_DEPTH = st.one_of(st.floats(1.0, 60.0).filter(lambda x: not x.is_integer()),
-                      st.just(math.inf), st.just(True))
-
-
-@GUARD_SETTINGS
-@given(BAD_DEPTH)
-def test_refinement_depth_must_be_whole(depth):
-    with pytest.raises(ValueError, match="max_refinements must be a whole number >= 1"):
-        rs_integrate(lambda x: x, lambda x: x, 0.0, 1.0, max_refinements=depth)
-    with pytest.raises(ValueError, match="max_refinements must be a whole number >= 1"):
-        variation_sup(lambda x: x, 0.0, 1.0, max_refinements=depth)
-
-
 # -- bools, strings and None ----------------------------------------------------------
 #
 # The guards above also refuse bools, strings and None.  A number is an int or a

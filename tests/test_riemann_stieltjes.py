@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -15,7 +16,6 @@ from scipy.integrate import quad
 from sustkit import riemann_stieltjes
 from sustkit.expressions import compile_expression
 from sustkit.riemann_stieltjes import (
-    MAX_REFINEMENTS,
     MIN_REFINEMENTS,
     STALL_LEVELS,
     _BLOCK,
@@ -71,6 +71,14 @@ def test_uniform_partition_rejects_zero_intervals():
 def test_uniform_partition_rejects_unknown_rule():
     with pytest.raises(ValueError):
         make_uniform_partition(0.0, 1.0, 2, "random")
+
+
+def test_uniform_partition_over_the_interval_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(riemann_stieltjes, "_MAX_INTERVALS", 2**10)
+    assert len(make_uniform_partition(0.0, 1.0, 2**10).tags) == 2**10
+    over = "^n = 1025 intervals is over the budget of 1024 intervals$"
+    with pytest.raises(ValueError, match=over):
+        make_uniform_partition(0.0, 1.0, 2**10 + 1)
 
 
 def test_partition_invariants():
@@ -331,7 +339,7 @@ def test_rs_integrate_constant_telescopes():
 def test_rs_integrate_shared_jump_is_not_integrable():
     step = lambda x: np.where(np.asarray(x, float) >= 0.5, 1.0, 0.0)  # noqa: E731
     with pytest.raises(NonConvergenceError):
-        rs_integrate(step, step, 0.0, 1.0, eta=1e-9, max_refinements=16)
+        rs_integrate(step, step, 0.0, 1.0, eta=1e-9)
 
 
 def test_rs_integrate_jump_against_smooth_weight_is_fine():
@@ -532,8 +540,6 @@ def _linear(slope, offset=0.0):
         ({"eta": math.nan}, "eta must be positive and finite"),
         ({"eta": math.inf}, "eta must be positive and finite"),
         ({"eta": 0.0}, "eta must be positive and finite"),
-        ({"max_refinements": 0}, "max_refinements must be a whole number >= 1"),
-        ({"max_refinements": -1}, "max_refinements must be a whole number >= 1"),
         ({"hi": math.inf}, "need finite lo < hi"),
         ({"lo": math.nan}, "need finite lo < hi"),
         ({"hi": 0.0}, "need finite lo < hi"),
@@ -542,13 +548,13 @@ def _linear(slope, offset=0.0):
 def test_refinement_arguments_checked_in_one_place(kwargs, message):
     f, omega = _linear(1.0), _linear(2.0)
     lo, hi = kwargs.get("lo", 0.0), kwargs.get("hi", 1.0)
-    eta, levels = kwargs.get("eta", 1e-6), kwargs.get("max_refinements", 10)
+    eta = kwargs.get("eta", 1e-6)
     with pytest.raises(ValueError, match=message):
-        rs_integrate(f, omega, lo, hi, eta=eta, max_refinements=levels)
+        rs_integrate(f, omega, lo, hi, eta=eta)
     with pytest.raises(ValueError, match=message):
-        variation_lower_bound_check(f, omega, lo, hi, eta=eta, max_refinements=levels)
+        variation_lower_bound_check(f, omega, lo, hi, eta=eta)
     with pytest.raises(ValueError, match=message.replace("eta", "tol")):
-        variation_sup(omega, lo, hi, max_refinements=levels, tol=eta)
+        variation_sup(omega, lo, hi, tol=eta)
 
 
 def test_interval_whose_length_overflows_is_refused_where_intervals_are_checked():
@@ -590,12 +596,17 @@ def _gap_and_spread(message):
     return float(found.group(1)), float(found.group(2))
 
 
+# F is smooth at omega's jump, a node of every level, so the sums converge as
+# O(h) down to the rounding error of F near e^0.5, about 2e-16: eta = 1e-17 is
+# never reached, and the walk gives up at the deepest level
+UNREACHABLE = (np.exp, compile_expression("step(x-0.5)"), 0.0, 1.0, 1e-17)
+
+
 def test_non_convergence_reports_rounding_floor_gap():
-    # A linear pair is integrated exactly by every midpoint sum, so the gap
-    # is rounding alone; eta = 1e-300 cannot be reached and the tag spread
-    # is still halving, so integrability is not blamed.
+    # the gap is rounding alone and the tag spread is still halving, so
+    # integrability is not blamed
     with pytest.raises(NonConvergenceError) as info:
-        rs_integrate(_linear(0.1, 1.0), _linear(0.7), -1.3, 4.1, eta=1e-300, max_refinements=8)
+        rs_integrate(*UNREACHABLE)
     gap, spread = _gap_and_spread(str(info.value))
     assert gap <= 1e-14
     assert 0.0 < spread < 0.01
@@ -609,7 +620,7 @@ def test_non_convergence_reports_shared_jump_spread():
     f = lambda x: np.where(np.asarray(x, float) >= 0.5, 2.0, 0.0)  # noqa: E731
     omega = lambda x: np.where(np.asarray(x, float) >= 0.5, 1.5, 0.0)  # noqa: E731
     with pytest.raises(NonConvergenceError) as info:
-        rs_integrate(f, omega, 0.0, 1.0, eta=1e-6, max_refinements=8)
+        rs_integrate(f, omega, 0.0, 1.0, eta=1e-6)
     _, spread = _gap_and_spread(str(info.value))
     assert spread == pytest.approx(3.0)
     assert "not be integrable" in str(info.value)
@@ -617,14 +628,14 @@ def test_non_convergence_reports_shared_jump_spread():
 
 def test_non_convergence_names_the_level_reached():
     with pytest.raises(NonConvergenceError) as info:
-        rs_integrate(_linear(0.1, 1.0), _linear(0.7), -1.3, 4.1, eta=1e-300, max_refinements=8)
+        rs_integrate(*UNREACHABLE)
     exc = info.value
-    assert exc.level == 8
+    assert exc.level == riemann_stieltjes._MAX_LEVEL == 50
     assert _gap_and_spread(str(exc)) == pytest.approx((exc.gap, exc.spread), rel=5e-3)
-    assert "by dyadic level 8:" in str(exc)
+    assert "by dyadic level 50:" in str(exc)
     assert "2^14" not in str(exc)  # no early stop, so no resolution limit
     copy = pickle.loads(pickle.dumps(exc))
-    assert (str(copy), copy.level, copy.gap, copy.spread) == (str(exc), 8, exc.gap, exc.spread)
+    assert (str(copy), copy.level, copy.gap, copy.spread) == (str(exc), 50, exc.gap, exc.spread)
 
 
 # -- nested refinement: evaluation counts and early failure -----------------------------
@@ -645,7 +656,7 @@ class Counting:
 def test_each_level_evaluates_only_new_points():
     f, w = Counting(np.exp), Counting(np.sin)
     seen_f = seen_w = 0
-    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w, f, 0.0, 2.0, 12):
+    for level, w_nodes, f_nodes, f_mids in itertools.islice(_dyadic_levels(w, f, 0.0, 2.0), 13):
         if level:
             assert f.points - seen_f <= 2**level
             assert w.points - seen_w <= 2 ** (level - 1) + 1
@@ -661,7 +672,7 @@ def test_each_level_evaluates_only_new_points():
 
 def test_weight_only_levels_skip_the_integrand():
     w = Counting(np.cos)
-    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w, None, -1.0, 3.0, 9):
+    for level, w_nodes, f_nodes, f_mids in itertools.islice(_dyadic_levels(w, None, -1.0, 3.0), 10):
         assert f_nodes is None and f_mids is None
         assert np.array_equal(w_nodes, np.cos(np.linspace(-1.0, 3.0, 2**level + 1)))
     assert w.points == 2**9 + 1
@@ -733,22 +744,22 @@ def _reference_split_sums(f_eval, w_eval, lo, hi, level, eta, tag_tol):
     return float(gaps.sum()), float(spreads.sum()), int(settled.sum())
 
 
-def _check_against_reference(name, f, omega, lo, hi, eta=1e-6, max_refinements=24):
+def _check_against_reference(name, f, omega, lo, hi, eta=1e-6):
     """Every uniform level the refinement walks has the reference's sums within
     1e-13 * sum|f dw|, and the stopping rule applied to the reference sums
     stops on the same level, or goes local on the same level (or never stops,
     when the refinement raised)."""
     try:
-        found = _rs_integrate_info(f, omega, lo, hi, eta, max_refinements)
+        found = _rs_integrate_info(f, omega, lo, hi, eta)
         reached, converged = found.level, True
     except NonConvergenceError as exc:
         reached, converged = exc.level, False
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
     tag_tol = max(eta, math.sqrt(eta))
-    min_level = min(MIN_REFINEMENTS, max(1, max_refinements - 1))
     reference_stop = reference_local_from = None
-    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi, reached):
+    levels = itertools.islice(_dyadic_levels(w_eval, f_eval, lo, hi), reached + 1)
+    for level, w_nodes, f_nodes, f_mids in levels:
         got = _tagged_sums(level, w_nodes, f_nodes, f_mids)
         want = _level_sums(f_eval, w_eval, lo, hi, 2**level)
         abs_dw = np.abs(np.diff(w_nodes))
@@ -764,7 +775,7 @@ def _check_against_reference(name, f, omega, lo, hi, eta=1e-6, max_refinements=2
                                                               eta, tag_tol)
         for g, w in zip((mid, gap, spread), (want[0], *reference)):
             assert abs(g - w) <= 1e-13 * scale, (name, level, (mid, gap, spread), reference)
-        if level >= min_level:
+        if level >= MIN_REFINEMENTS:
             if reference[0] < eta and reference[1] < tag_tol:
                 reference_stop = level
                 break
@@ -785,7 +796,7 @@ def test_nested_sums_match_reference_on_suite_pairs(tmp_path):
     pairs = [
         ("x_x2", lambda x: x, lambda x: x * x, 0.0, 1.0, 1e-6),
         ("const_exp", lambda x: np.full_like(np.asarray(x, float), 4.0), np.exp, 0.0, 1.0, 1e-3),
-        ("shared_jump", step, step, 0.0, 1.0, 1e-9, 16),
+        ("shared_jump", step, step, 0.0, 1.0, 1e-9),
         ("jump_smooth", step, lambda x: x, 0.0, 1.0, 1e-4),
         ("exp_sin", np.exp, np.sin, 0.0, 2.0, 1e-7),
         ("cubic_quadratic", lambda x: x**3 - x, lambda x: x**2 + 0.5 * x, -1.0, 1.5, 1e-7),
@@ -798,10 +809,10 @@ def test_nested_sums_match_reference_on_suite_pairs(tmp_path):
         ("bound_zero_integrand", lambda x: np.zeros_like(np.asarray(x, float)),
          lambda x: x, 0.0, 1.0),
         ("bound_sine_weight", lambda x: x, np.sin, 0.0, TWO_PI),
-        ("rounding_floor", _linear(0.1, 1.0), _linear(0.7), -1.3, 4.1, 1e-300, 8),
+        ("rounding_floor", *UNREACHABLE),
         ("jumps_2_and_1.5",
          lambda x: np.where(np.asarray(x, float) >= 0.5, 2.0, 0.0),
-         lambda x: np.where(np.asarray(x, float) >= 0.5, 1.5, 0.0), 0.0, 1.0, 1e-6, 8),
+         lambda x: np.where(np.asarray(x, float) >= 0.5, 1.5, 0.0), 0.0, 1.0, 1e-6),
     ]
     rng = random.Random(20240817)  # the draws of test_lower_bound_randomized_suite
     pairs += [(f"random_{case}", *random_bound_case(rng), 0.0, 1.0) for case in range(100)]
@@ -872,7 +883,7 @@ def _traced_peak(run):
     tracemalloc.start()
     try:
         result = run()
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ValueError) as exc:
         result = exc
     finally:
         peak = tracemalloc.get_traced_memory()[1]
@@ -895,25 +906,29 @@ def _level_bound(level, arrays=3):
 def test_integral_to_level_20_holds_under_one_mib():
     # only the intervals next to the jump at 0.5 are refined past level 6
     f, omega = compile_expression("exp(x) + 0.3"), compile_expression("step(x-0.5) + 0.7")
-    peak, found = _traced_peak(lambda: _rs_integrate_info(f, omega, 0.0, 1.0, 1e-6, 24))
+    peak, found = _traced_peak(lambda: _rs_integrate_info(f, omega, 0.0, 1.0, 1e-6))
     assert (found.level, found.local_from) == (20, MIN_REFINEMENTS + 1)
     assert abs(found.value - (math.exp(0.5) + 0.3)) < 1e-6
     assert peak < 2**20, peak / 2**20
 
 
-def test_integral_that_reaches_the_cap_holds_three_level_arrays():
-    # x^2 d step(x-0.5) converges as O(h) (README, notes on numerics)
-    f, omega = compile_expression("x^2"), compile_expression("step(x-0.5)")
-    peak, exc = _traced_peak(lambda: rs_integrate(f, omega, 0.0, 1.0, 1e-8, max_refinements=18))
-    assert isinstance(exc, NonConvergenceError) and exc.level == 18
+def test_integral_that_reaches_the_budget_holds_three_level_arrays(monkeypatch):
+    # below eta = 1e-300 no interval settles, so every level is uniform, up to
+    # level 18 at a budget of 2**18 intervals
+    monkeypatch.setattr(riemann_stieltjes, "_MAX_INTERVALS", 2**18)
+    f, omega = compile_expression("x"), compile_expression("x^2")
+    peak, exc = _traced_peak(lambda: rs_integrate(f, omega, 0.0, 1.0, 1e-300))
+    assert isinstance(exc, ValueError) and "dyadic level 19 would hold" in str(exc)
     assert peak <= _level_bound(18), peak / 2**20
 
 
-def test_variation_to_level_20_holds_one_and_a_half_level_arrays():
+def test_variation_to_level_20_holds_one_and_a_half_level_arrays(monkeypatch):
     # the weight's nodes only: level L's 2**L + 1 built beside level L-1's
-    # 2**(L-1) + 1, so 1.5 + 6 * _BLOCK / 2**L = 1.875 at level 20
+    # 2**(L-1) + 1, so 1.5 + 6 * _BLOCK / 2**L = 1.875 at level 20, the last
+    # within a budget of 2**20 intervals
+    monkeypatch.setattr(riemann_stieltjes, "_MAX_INTERVALS", 2**20)
     omega = compile_expression("sin(40*x)")
-    peak, value = _traced_peak(lambda: variation_sup(omega, 0.0, 1.0, 20, tol=1e-300))
+    peak, value = _traced_peak(lambda: variation_sup(omega, 0.0, 1.0, tol=1e-300))
     assert value == pytest.approx(26 - math.sin(40), rel=1e-9)  # integral of |40 cos(40x)|
     assert peak <= _level_bound(20, arrays=1.5), peak / 2**20
 
@@ -936,15 +951,14 @@ def _bump(a, b):
 BUMP = "x + step(x-0.3) - step(x-0.301)"
 KINK = 0.123456
 
-# (f, omega, eta, closed form, level it stops at; None where level 24 is not
-# enough and it raises): the pairs whose jumps and kinks are off the dyadic
-# nodes.  In signed whole-level sums a bump's up-jump and down-jump cancel, and
-# a rule on them stops at 31.6 eta (1e-6), 74 eta (1e-8) and 631 eta (1e-10)
-# from the closed form.
+# (f, omega, eta, closed form, level it stops at): the pairs whose jumps and
+# kinks are off the dyadic nodes.  In signed whole-level sums a bump's up-jump
+# and down-jump cancel, and a rule on them stops at 31.6 eta (1e-6), 74 eta
+# (1e-8) and 631 eta (1e-10) from the closed form.
 OFF_NODE_PAIRS = {
     "bump_1e-6": ("exp(x)", BUMP, 1e-6, _bump(0.3, 0.301), 21),
-    "bump_1e-8": ("exp(x)", BUMP, 1e-8, _bump(0.3, 0.301), None),
-    "bump_1e-10": ("exp(x)", BUMP, 1e-10, _bump(0.3, 0.301), None),
+    "bump_1e-8": ("exp(x)", BUMP, 1e-8, _bump(0.3, 0.301), 28),
+    "bump_1e-10": ("exp(x)", BUMP, 1e-10, _bump(0.3, 0.301), 34),
     "bump_at_0.1": ("exp(x)", "x + step(x-0.1) - step(x-0.101)", 1e-6, _bump(0.1, 0.101), 21),
     "wide_bump": ("exp(x)", "x + step(x-0.3) - step(x-0.31)", 1e-6, _bump(0.3, 0.31), 21),
     "one_jump": ("exp(x)", "x + step(x-0.3)", 1e-6, math.e - 1 + math.exp(0.3), 20),
@@ -954,17 +968,12 @@ OFF_NODE_PAIRS = {
 
 
 @pytest.mark.parametrize("case", sorted(OFF_NODE_PAIRS))
-def test_off_node_pairs_are_within_eta_or_raise(case):
+def test_off_node_pairs_are_within_eta(case):
     f, omega, eta, exact, level = OFF_NODE_PAIRS[case]
     f, omega = compile_expression(f), compile_expression(omega)
-    if level is None:
-        with pytest.raises(NonConvergenceError, match="still converging") as info:
-            _rs_integrate_info(f, omega, 0.0, 1.0, eta, MAX_REFINEMENTS)
-        assert info.value.level == MAX_REFINEMENTS
-    else:
-        found = _rs_integrate_info(f, omega, 0.0, 1.0, eta, MAX_REFINEMENTS)
-        assert abs(found.value - exact) < eta, abs(found.value - exact) / eta
-        assert found.level == level
+    found = _rs_integrate_info(f, omega, 0.0, 1.0, eta)
+    assert abs(found.value - exact) < eta, abs(found.value - exact) / eta
+    assert found.level == level
 
 
 @pytest.mark.parametrize("f, omega, exact, points", [
@@ -974,7 +983,7 @@ def test_off_node_pairs_are_within_eta_or_raise(case):
 ])
 def test_jumps_at_1e_8_converge_with_more_levels(f, omega, exact, points):
     f, omega = Counting(compile_expression(f)), Counting(compile_expression(omega))
-    value = rs_integrate(f, omega, 0.0, 1.0, 1e-8, max_refinements=30)
+    value = rs_integrate(f, omega, 0.0, 1.0, 1e-8)
     assert abs(value - exact) < 1e-8
     assert f.points + omega.points < points
 
@@ -990,7 +999,7 @@ def test_local_result_agrees_with_a_deep_uniform_reference():
     ]
     for f, omega, eta in pairs:
         f, omega = compile_expression(f), compile_expression(omega)
-        found = _rs_integrate_info(f, omega, 0.0, 1.0, eta, MAX_REFINEMENTS)
+        found = _rs_integrate_info(f, omega, 0.0, 1.0, eta)
         assert found.local_from is not None
         reference = _level_sums(f, omega, 0.0, 1.0, 2**20)[0]
         assert abs(found.value - reference) < eta, (found, reference)
@@ -1039,16 +1048,53 @@ def test_levels_over_the_interval_budget_are_refused_before_they_are_built(monke
     x, x2 = _linear(1.0), lambda x: np.asarray(x, float) ** 2
     # below eta = 1e-300 no interval settles, so every level is uniform
     with pytest.raises(ValueError, match=over.format(11)):
-        rs_integrate(x, x2, 0.0, 1.0, eta=1e-300, max_refinements=40)
-    with pytest.raises(ValueError, match=over.format(11)):
-        variation_sup(compile_expression("sin(1000*x)"), 0.0, 1.0, 40, tol=1e-300)
+        rs_integrate(x, x2, 0.0, 1.0, eta=1e-300)
+    # the variation returns its sum at level 10, the last within the budget
+    omega = compile_expression("sin(1000*x)")
+    level_10 = total_variation(omega, make_uniform_partition(0.0, 1.0, 2**10))
+    assert variation_sup(omega, 0.0, 1.0, tol=1e-300) == pytest.approx(level_10, rel=1e-12)
     # the weight is flat on [0, 0.5], whose intervals settle at level 6; the
     # others double per level, 2**(L-1) at level L
     omega = Counting(compile_expression("(x-0.5)*step(x-0.5)"))
     with pytest.raises(ValueError, match=over.format(12)):
-        rs_integrate(np.exp, omega, 0.0, 1.0, eta=1e-300, max_refinements=40)
+        rs_integrate(np.exp, omega, 0.0, 1.0, eta=1e-300)
     assert omega.points < 2**11
     # deep levels with few intervals stay allowed
     found = _rs_integrate_info(compile_expression("x^2"), compile_expression("step(x-0.5)"),
-                               0.0, 1.0, 1e-8, 30)
+                               0.0, 1.0, 1e-8)
     assert found.level == 26 and abs(found.value - 0.25) < 1e-8
+
+
+def test_points_over_the_budget_are_refused_before_the_level_is_evaluated(monkeypatch):
+    monkeypatch.setattr(riemann_stieltjes, "_MAX_POINTS", 256)
+    over = r"^dyadic level (\d+) would take the refinement to (\d+) points, over the budget of " \
+           r"256 points per refinement$"
+    # uniform: levels 0..L take 3 * 2**L + 2 points, 194 through level 6
+    f, omega = Counting(_linear(1.0)), Counting(compile_expression("x^2"))
+    with pytest.raises(ValueError, match=over) as info:
+        rs_integrate(f, omega, 0.0, 1.0, eta=1e-300)
+    assert re.match(over, str(info.value)).groups() == ("7", "386")
+    assert f.points + omega.points == 194
+    # local from level 7: at 1e-8 this pair takes 314 points through level 26
+    f, omega = Counting(compile_expression("x^2")), Counting(compile_expression("step(x-0.5)"))
+    with pytest.raises(ValueError, match=over) as info:
+        rs_integrate(f, omega, 0.0, 1.0, eta=1e-8)
+    level, points = map(int, re.match(over, str(info.value)).groups())
+    assert 7 < level < 26 and f.points + omega.points <= 256 < points
+
+
+# [lo, hi] far from 0 and short: past level 23, lo + j*(hi-lo)/2**level rounds
+# several nodes to one double.  The references are taken on the doubles: the
+# length L = hi - lo, which is not 1e-3, and F at the double c where the step
+# jumps.
+FAR_LO, FAR_HI, FAR_C = 1e6, 1e6 + 1e-3, 1e6 + 3.7e-4
+
+
+@pytest.mark.parametrize("eta", [1e-8, 1e-12, 1e-14, 1e-17])
+def test_short_interval_far_from_zero_is_within_eta(eta):
+    f = compile_expression("exp(x-1e6)")
+    smooth = rs_integrate(f, compile_expression("x"), FAR_LO, FAR_HI, eta)
+    assert abs(smooth - math.expm1(FAR_HI - FAR_LO)) < eta
+    found = _rs_integrate_info(f, compile_expression(f"step(x-{FAR_C!r})"), FAR_LO, FAR_HI, eta)
+    assert abs(found.value - math.exp(FAR_C - 1e6)) < eta
+    assert found.level <= 25
