@@ -162,11 +162,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return replace(self, values=self.values.copy())
 
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.ones(self.extents, dtype=bool)
-        mask[tuple(slice(1, -1) for _ in range(self.k))] = False
-        return mask
-
 
 @dataclass
 class ScenarioSpec:

@@ -19,14 +19,14 @@ import math
 import warnings
 from contextlib import suppress
 from dataclasses import asdict, dataclass
-from itertools import filterfalse, islice
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import riemann_stieltjes as rs
-from ._checks import blank, check_positive, csv_rows, finite, is_number, whole_number
+from ._checks import check_positive, csv_rows, finite, is_number, whole_number
 from .polynomials import SolutionFamily, family_coefficients
 
 #: the seven factor variables of the headline index: (symbol, name, what the
@@ -288,19 +288,20 @@ def read_observations_csv(path: str | Path) -> Observations:
     """Read fit observations from CSV with header
     t, psi1..psik, omega1..omegak, H_obs (k inferred from the header).
     A row that is not 2k+2 numbers raises ValueError naming its file line."""
-    header = [h.strip() for h in next(csv_rows(path), (0, []))[1]]
+    header_line, header = next(csv_rows(path), (0, []))
+    header = [h.strip() for h in header]
     k = sum(1 for h in header if h.startswith("psi"))
     numbers = range(1, k + 1)
     expected = ["t", *(f"psi{i}" for i in numbers), *(f"omega{i}" for i in numbers), "H_obs"]
     if k == 0 or header != expected:
         raise ValueError(f"{path}: expected header t, psi1..psik, omega1..omegak, "
                          f"H_obs, got {header}")
-    # the fast path; should it fail, the rows are read again as CSV to name the bad row's line
+    # the fast path, which skips empty lines; should it fail, as on a whitespace-only
+    # line, the rows are read again as CSV to name the bad row's line
     with open(path, newline="") as fh, suppress(ValueError), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body is reported by the fit
         # comments=None: a "#" is a malformed number, not a comment that drops data
-        data = np.loadtxt(islice(filterfalse(blank, fh), 1, None), delimiter=",", ndmin=2,
-                          comments=None)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, skiprows=header_line)
         if data.shape[1] == len(header):
             return _columns(data, k)
     rows = []

@@ -195,7 +195,8 @@ def _eval_on(fn: Callable, xs):
             out = np.broadcast_to(out, arr.shape)
         return out
     except (TypeError, ValueError):
-        flat = [float(fn(float(x))) for x in arr.ravel()]
+        # a memoryview yields Python floats one at a time, with no list of the inputs
+        flat = [float(fn(x)) for x in memoryview(arr.ravel())]
         return np.asarray(flat, dtype=float).reshape(arr.shape)
 
 

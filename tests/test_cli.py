@@ -299,6 +299,16 @@ def test_cli_solve_from_spec(tmp_path, capsys):
     assert len(manifest["files"]) == 2
 
 
+def test_cli_solve_initial_value_off_the_boundary(tmp_path):
+    # an initial value that differs from the boundary's takes the closed form too
+    spec = tmp_path / "offset.json"
+    spec.write_text(json.dumps({"domain": [[0, 4], [0, 6]], "resolution": [41, 61],
+                                "t_end": 0.5, "initial": 1.25}))
+    out = tmp_path / "out"
+    assert main(["solve", "--spec", str(spec), "--snapshots", "0,0.1,0.5", "--out", str(out)]) == 0
+    assert len(json.loads((out / "offset_manifest.json").read_text())["files"]) == 3
+
+
 def test_cli_solve_dt_override(tmp_path, capsys):
     spec = tmp_path / "sq.json"
     spec.write_text(
@@ -443,6 +453,9 @@ def test_cli_pavement_table_round_trips(tmp_path, capsys):
     from sustkit.pavement import load_mix_table
 
     assert load_mix_table(path) == load_mix_table()
+    # and prints the same bytes again
+    assert main(["pavement", "table", "--table", str(path)]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_cli_pavement_unknown_mix(capsys):
@@ -877,6 +890,7 @@ def drawn_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(OTHER_VERB_CASES)
 @example((INDEX_EVAL, "--k", "0"))
+@example((FIGURES, "--s", "abc"))
 def test_cli_other_verbs_drawn_bad_numbers_exit_one(drawn_dir, case):
     argv, option, value = case
     if argv[0] == "solve":
@@ -907,6 +921,13 @@ def test_cli_bad_mix_row_names_file_line(tmp_path, body, line):
                      + body)
     err = _assert_exits_one_with_error_line(["pavement", "table", "--table", str(table)])
     assert err.startswith(f"error: {table}, line {line}: ")
+
+
+def test_cli_bad_observation_after_blank_lines_names_file_line(tmp_path):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(FIT_HEADER + "0.1,0.2,0.3,1,1,0.5\n\n  \n0.2,x,0.3,1,1,0.5\n")
+    err = _assert_exits_one_with_error_line(["index", "fit", "--observations", str(obs)])
+    assert err.startswith(f"error: {obs}, line 5: could not convert")
 
 
 @pytest.mark.parametrize("argv, head, line", [
@@ -1022,3 +1043,62 @@ def test_cli_option_before_its_verb_is_named(argv, verbs):
 ])
 def test_cli_usage_errors_exit_one(argv):
     _assert_exits_one_with_error_line(argv)
+
+
+# -- checks that need a fresh process ---------------------------------------------------
+
+
+def _fresh_cli(argv, timeout, python_flags=(), **kwargs):
+    """``sustkit argv`` in a fresh interpreter; past ``timeout`` seconds it is
+    killed and the test fails, so a hang cannot pass."""
+    return subprocess.run([sys.executable, *python_flags, "-m", "sustkit.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, **kwargs)
+
+
+def _assert_process_exits_one_with_error_line(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_cli_shared_jump_fails_fast():
+    proc = _fresh_cli(["rs", "integrate", "--f", "step(x-0.5)", "--omega", "step(x-0.5)",
+                       "--lo", "0", "--hi", "1"], timeout=30)
+    _assert_process_exits_one_with_error_line(proc)
+
+
+def test_cli_full_scale_fig4_reaches_its_horizon(tmp_path):
+    # about 41 M FTCS steps if stepped; its AffineRule boundaries jump to each snapshot
+    proc = _fresh_cli(["figures", "--which", "fig4", "--out", str(tmp_path)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_stepped_affine_run_beyond_the_step_budget_warns_nothing(tmp_path):
+    # the initial sine modes overflow, so the run would step 44 M times: refused up
+    # front, with no numpy warning first (-W error would make one a traceback)
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"domain": [[0, 900], [0, 900]], "resolution": [91, 91], "t_end": 1e9, '
+                    '"initial": 1e307}')
+    proc = _fresh_cli(["solve", "--spec", str(spec), "--out", str(tmp_path / "out")],
+                      timeout=30, python_flags=["-W", "error"])
+    _assert_process_exits_one_with_error_line(proc)
+    assert "MAX_STEPS" in proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("argv", [
+    ["rs", "integrate", "--f", "x", "--omega", "x^2", "--lo", "0", "--hi", "1", "--eta", "1e-300"],
+    ["rs", "sum", "--f", "x", "--omega", "x", "--lo", "0", "--hi", "1", "--n", "100000000"],
+], ids=["integrate_level_25", "sum_of_1e8_intervals"])
+def test_cli_interval_budget_refuses_before_allocating(argv):
+    # under a 1.5 GB address space, which 2**25 or 1e8 intervals would overrun:
+    # the refusal must come before the level or the partition is allocated
+    import resource
+
+    limit = 1_500_000 * 1024
+
+    def limit_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = _fresh_cli(argv, timeout=60, preexec_fn=limit_address_space)
+    _assert_process_exits_one_with_error_line(proc)
+    assert "over the budget of 16777216 intervals" in proc.stderr

@@ -1,5 +1,6 @@
 import json
 import math
+import subprocess
 import sys
 import tempfile
 import threading
@@ -108,7 +109,7 @@ def test_boundary_nodes_equal_rule_after_step():
     fld = spec.initial_field()
     dt = stable_dt(fld.spacings)
     stepped = step_explicit(fld, spec.boundary_rule, dt)
-    mask = stepped.boundary_mask()
+    mask = _boundary_mask(stepped)
     assert np.all(stepped.values[mask] == 10.0 * stepped.time)
 
 
@@ -161,6 +162,13 @@ def _reference_step(u, faces, spacings, rule, dt, t_new):
 
 def _bits(values):
     return values.view(np.int64)
+
+
+def _boundary_mask(fld):
+    """True on the nodes of the lattice's boundary, corners included."""
+    mask = np.ones(fld.extents, dtype=bool)
+    mask[tuple(slice(1, -1) for _ in range(fld.k))] = False
+    return mask
 
 
 def _wavy_rule(coords, t):
@@ -335,6 +343,22 @@ def _reference_run(fld, rule, dt, steps):
     return out
 
 
+def test_stepper_sums_the_laplacian_from_plus_zero():
+    # -0.0 beside -5e-324 on a spacing of 10: the axis term underflows to -0.0,
+    # and only a sum that starts from +0.0, as the reference's does, leaves
+    # u + dt*lap at +0.0 there; a stencil that starts from the first term gives -0.0
+    fld = ScalarField(k=1, extents=(5,), spacings=(10.0,), origin=(0.0,),
+                      values=np.array([-5e-324, -0.0, -0.0, 0.0, 0.0]))
+
+    def rule(coords, t):
+        return np.where(coords[0] == 0.0, -5e-324, 0.0)
+
+    dt = stable_dt(fld.spacings)
+    want = _reference_step(fld.values, _boundary_faces(fld), fld.spacings, rule, dt, dt)
+    assert not np.signbit(want[1])
+    assert np.array_equal(_bits(step_explicit(fld, rule, dt).values), _bits(want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(extents=st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple),
        seed=st.integers(0, 2**16), dt_factor=st.sampled_from([1.0, 0.37]))
@@ -357,7 +381,7 @@ def test_flat_stepper_matches_the_face_by_face_reference(extents, seed, dt_facto
 
 def test_boundary_rule_sees_every_boundary_node_once_per_step():
     # one call per step, with k read-only 1-D arrays: the coordinates of the
-    # nodes of boundary_mask(), in row-major order; step_explicit calls once
+    # nodes of _boundary_mask(), in row-major order; step_explicit calls once
     seen = []
 
     def rule(coords, t):
@@ -373,7 +397,7 @@ def test_boundary_rule_sees_every_boundary_node_once_per_step():
         run_scenario(spec, [10 * dt])
         assert [t for t, _ in seen] == [n * dt for n in range(11)]
         fld = spec.initial_field()
-        mask = fld.boundary_mask()
+        mask = _boundary_mask(fld)
         want = [np.broadcast_to(g, fld.extents)[mask] for g in fld.coordinate_grids()]
         for _, coords in seen:
             assert len(coords) == len(extents)
@@ -411,6 +435,36 @@ def test_corner_values_out_of_the_stencil_stay_quiet(extents):
     assert np.all(np.isfinite(got.values))
     assert np.array_equal(_bits(got.values), _bits(reference[20]))
     assert np.array_equal(_bits(once.values), _bits(reference[1]))
+
+
+# run under -W error in a fresh interpreter, where a warning at import or at any
+# step is an exception
+RULE_CALLS_AND_QUIET_CORNERS = """
+import numpy as np
+from sustkit.diffusion import ScenarioSpec, run_scenario
+calls = []
+def wavy(coords, t):
+    calls.append(t)
+    return np.sin(coords[0] + 2.0 * coords[1] + t)
+def corners(coords, t):
+    x, y = coords
+    return np.where(((x == 0.0) | (x == 1.0)) & ((y == 0.0) | (y == 2.0)), 1e308, 0.5)
+for rule in (wavy, corners):
+    spec = ScenarioSpec(domain=((0.0, 1.0), (0.0, 2.0)), resolution=(11, 21),
+                        boundary_rule=rule, initial_rule=lambda coords: 0.0, t_end=0.01)
+    steps = round(spec.t_end / spec.resolved_dt())
+    final = run_scenario(spec, [spec.t_end])[0]
+    assert np.isfinite(final.values).all(), rule.__name__
+assert len(calls) == steps + 1, (len(calls), steps)
+"""
+
+
+def test_rule_calls_and_quiet_corners_under_warnings_as_errors():
+    # a rule not affine in t is called once for the initial field and once per
+    # step; corners at 1e308, which no interior node reads, raise no warning
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", RULE_CALLS_AND_QUIET_CORNERS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -461,7 +515,7 @@ def test_snapshots_snap_to_nearest_step():
 def test_boundary_identity_at_every_snapshot():
     spec = unit_square_spec(t_end=0.5)
     for fld in run_scenario(spec, [0.0, 0.25, 0.5]):
-        mask = fld.boundary_mask()
+        mask = _boundary_mask(fld)
         assert np.all(fld.values[mask] == 10.0 * fld.time)
 
 
@@ -719,7 +773,7 @@ def test_scenario_from_json_file(tmp_path):
     )
     spec = scenario_from_json(path)
     final = run_scenario(spec, [0.5])[0]
-    mask = final.boundary_mask()
+    mask = _boundary_mask(final)
     assert np.all(final.values[mask] == 10.0 * final.time)
 
 
@@ -967,7 +1021,7 @@ def test_affine_closed_form_matches_stepping(case):
     reference = stepped(spec, times)
     # the rule is called once at t = 0 and once at each snapshot step only
     assert counting.calls == [n * dt for n in (0, 1, 7, 40, 150)]
-    boundary = reference[0].boundary_mask()
+    boundary = _boundary_mask(reference[0])
     assert np.array_equal(closed[0].values, reference[0].values)
     lo, hi = float(reference[0].values.min()), float(reference[0].values.max())
     for got, want in zip(closed, reference):
@@ -1174,7 +1228,7 @@ def test_modal_path_matches_stepping(domain, resolution, dt_factor, initial, swi
     # paths round differently, by at most about 5e-15 of it on these lattices.
     g_max = max(abs(1.5 * math.sin(3.0 * t + 0.4) - 0.2 * t) for t in calls) + 0.1 * k
     scale = max(float(np.max(np.abs(reference[0].values))), g_max)
-    boundary = reference[0].boundary_mask()
+    boundary = _boundary_mask(reference[0])
     for have, want in zip(got, reference):
         assert have.time == want.time
         assert np.array_equal(_bits(have.values[boundary]), _bits(want.values[boundary]))

@@ -1,13 +1,17 @@
+import csv
 import math
 import random
 import re
 import warnings
+from contextlib import suppress
+from itertools import filterfalse, islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sustkit._checks import blank
 from sustkit.index import (
     FitResult,
     IndexInputs,
@@ -728,6 +732,64 @@ def test_observation_csv_skips_whitespace_lines(tmp_path, blank):
     write_csv(spaced, 2, [rows[0], blank, rows[1], "", blank, rows[2], blank])
     for expected, loaded in zip(read_observations_csv(plain), read_observations_csv(spaced)):
         assert np.array_equal(loaded, expected)
+
+
+def _blank_filter_reader(path):
+    """The reader before its fast path skipped the header by line number: every
+    blank line is filtered out in Python before np.loadtxt sees the rows."""
+    with open(path, newline="") as fh:
+        rows = [(n, row) for n, row in enumerate(csv.reader(fh), 1) if not blank(",".join(row))]
+    width = len(rows[0][1])
+    with open(path, newline="") as fh, suppress(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(islice(filterfalse(blank, fh), 1, None), delimiter=",", ndmin=2,
+                          comments=None)
+        if data.shape[1] == width:
+            return data
+    values = []
+    for line, row in rows[1:]:
+        if len(row) != width:
+            return f"line {line}: {len(row)} fields, expected {width}"
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            return f"line {line}: {exc}"
+    return np.array(values).reshape(-1, width)
+
+
+OBS_HEADER = "t,psi1,omega1,H_obs"
+OBSERVATION_FILES = {
+    "plain": f"{OBS_HEADER}\n1,2,3,4\n5,6,7,8\n",
+    "blank_lines": f"{OBS_HEADER}\n1,2,3,4\n\n5,6,7,8\n\n",
+    "whitespace_line": f"{OBS_HEADER}\n1,2,3,4\n   \n5,6,7,8\n",
+    "tab_line": f"{OBS_HEADER}\n1,2,3,4\n\t\n5,6,7,8\n",
+    "leading_blank_lines": f"\n\n  \n{OBS_HEADER}\n1,2,3,4\n5,6,7,8\n",
+    "crlf": f"\r\n{OBS_HEADER}\r\n1,2,3,4\r\n\r\n5,6,7,8\r\n",
+    "bare_cr": f"\r{OBS_HEADER}\r1,2,3,4\r\r5,6,7,8\r",
+    "mixed_endings": f"{OBS_HEADER}\r\n1,2,3,4\n\r5,6,7,8\r\r\n",
+    "header_only": f"{OBS_HEADER}\n",
+    "no_final_newline": f"{OBS_HEADER}\n1,2,3,4\n5,6,7,8",
+    "hash": f"{OBS_HEADER}\n1,2,3,4\n#5,6,7,8\n",
+    "short_row": f"{OBS_HEADER}\n1,2,3,4\n\n5,6,7\n",
+    "quoted_fields": f'"t","psi1","omega1","H_obs"\n"1","2","3","4"\n5,6,7,8\n',
+    "nan": f"{OBS_HEADER}\n1,nan,3,4\n5,6,7,8\n",
+    "spaces_around_numbers": f"{OBS_HEADER}\n 1, 2 ,3,4\n",
+    "bad_number_on_line_5": f"{OBS_HEADER}\n1,2,3,4\n\n  \n5,x,7,8\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVATION_FILES))
+def test_observation_csv_matches_the_blank_filter_reader(tmp_path, name):
+    path = tmp_path / "obs.csv"
+    path.write_bytes(OBSERVATION_FILES[name].encode())
+    want = _blank_filter_reader(path)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {re.escape(want)}$"):
+            read_observations_csv(path)
+    else:
+        got = read_observations_csv(path)
+        assert np.array_equal(np.column_stack([got.t, got.psi, got.weights, got.h_obs]), want,
+                              equal_nan=True)
 
 
 def test_observation_csv_without_rows_reaches_the_fit(tmp_path):
