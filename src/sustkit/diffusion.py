@@ -448,7 +448,8 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
     modal = bool(np.all(edge == g))
     if modal:
         transform, decay, ones = _sine_modes(field, dt)
-        initial = transform(field.values[core] - g)
+        with np.errstate(over="ignore", invalid="ignore"):  # modes that overflow make it step
+            initial = transform(field.values[core] - g)
         modal = bool(np.isfinite(initial).all())
     if isinstance(boundary_rule, AffineRule) and not modal:
         _refuse_beyond_budget(steps)
@@ -457,32 +458,40 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
         lo, hi = float(field.values.min()), float(field.values.max())
 
         def lattice(step, modes, value):
-            """The lattice of ``step`` from its modes, checked for non-finite values."""
+            """The lattice of ``step`` from the sine modes ``modes(step)``, refused
+            unless finite before its interior is clipped."""
             values = np.empty(field.extents)
-            values[core] = np.clip(transform(modes) + g, lo, hi)
+            interior = values[core]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                np.add(transform(modes(step)), g, out=interior)
             boundary.write(values, value)
             if not np.isfinite(values).all():
                 raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
+            np.clip(interior, lo, hi, out=interior)
             return values
 
         if isinstance(boundary_rule, AffineRule):
+
+            def affine_modes(step):
+                power = growth**step
+                w = boundary_rule.s * dt * (power - 1.0) / decay
+                return power * initial + w * ones
+
             for step in steps:
                 g = boundary_rule(boundary.coords, step * dt)
                 lo, hi = min(lo, g), max(hi, g)
-                power = growth**step
-                w = boundary_rule.s * dt * (power - 1.0) / decay
-                yield step, lattice(step, power * initial + w * ones, g)
+                yield step, lattice(step, affine_modes, g)
             return
 
         odd = (slice(None, None, 2),) * field.k
         rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
         reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
 
-        def forced_lattice(step, value):
-            """The lattice of ``step``, the last step the modes were advanced to."""
+        def forced_modes(step):
+            """The modes of ``step``, the last step the forced modes were advanced to."""
             v = growth**step * initial
             v[odd] += forced * ones[odd]
-            return lattice(step, v, value)
+            return v
 
     wanted, previous, u = set(steps), None, None  # u stays None while the run is modal
     for step in range(1, max(steps, default=0) + 1):
@@ -498,11 +507,11 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
                     g, previous = g_new, value
                     lo, hi = min(lo, g), max(hi, g)
                     if step in wanted:
-                        yield step, forced_lattice(step, value)
+                        yield step, lattice(step, forced_modes, value)
                     continue
             # Double buffering from the previous lattice: each step reads u
             # and overwrites every node of nxt.
-            start = field.values if step == 1 else forced_lattice(step - 1, previous)
+            start = field.values if step == 1 else lattice(step - 1, forced_modes, previous)
             u, nxt = start.reshape(-1).copy(), np.empty(start.size)
             ftcs_step = _ftcs_stepper(field.extents, field.spacings)
         ftcs_step(u, nxt, boundary, value, dt, t)

@@ -257,7 +257,7 @@ def rs_sum(f, omega, partition: TaggedPartition) -> float:
     xs = np.asarray(partition.breakpoints)
     wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
     fv = _finite_or_raise(_eval_on(f_eval, np.asarray(partition.tags)), "integrand")
-    return _rs_sums("over the partition", wv, fv)[0]
+    return _rs_sum("over the partition", wv, fv)
 
 
 def _blocks(n: int):
@@ -280,16 +280,12 @@ def _finite_sums(sums: list[float], what: str) -> list[float]:
     return sums
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once, on the sums
-def _rs_sums(where: str, w_values: np.ndarray, *tag_values: np.ndarray) -> list[float]:
-    """sum_i tags[i] * (w[i+1] - w[i]) for each array of tag values.  einsum
-    sums in a fixed order, where the BLAS dot product sums in an order that
-    depends on its thread count."""
-    sums = [0.0] * len(tag_values)
-    for b, dw in _increments(w_values):
-        for k, tags in enumerate(tag_values):
-            sums[k] += float(np.einsum("i,i->", tags[b], dw))
-    return _finite_sums(sums, f"the Riemann-Stieltjes sum {where}")
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once, on the sum
+def _rs_sum(where: str, w_values: np.ndarray, tags: np.ndarray) -> float:
+    """sum_i tags[i] * (w[i+1] - w[i]).  einsum sums in a fixed order, where the
+    BLAS dot product sums in an order that depends on its thread count."""
+    total = sum(float(np.einsum("i,i->", tags[b], dw)) for b, dw in _increments(w_values))
+    return _finite_sums([total], f"the Riemann-Stieltjes sum {where}")[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -347,58 +343,6 @@ def _dyadic_levels(w_eval, f_eval, lo: float, hi: float):
         yield level, w_nodes, f_nodes, f_mids
 
 
-def _tagged_sums(level, w_nodes, f_nodes, f_mids):
-    """Midpoint, left and right R-S sums of one level."""
-    return _rs_sums(f"at dyadic level {level}", w_nodes, f_mids, f_nodes[:-1], f_nodes[1:])
-
-
-class _StopRule:
-    """When a refinement stops: at a level >= MIN_REFINEMENTS whose local gaps sum to
-    less than eta and whose local spreads sum to less than the tag tolerance.
-    It gives up once the spread has not decayed for STALL_LEVELS levels."""
-
-    def __init__(self, eta: float, length: float):
-        # Tag sensitivity shrinks like O(h) for integrable pairs while the
-        # midpoint gap shrinks like O(h^2), so sqrt(eta) keeps the two
-        # criteria on the same grid scale.  A pair whose tag spread never decays
-        # (e.g. integrand and weight sharing a jump) is reported non-integrable.
-        self.eta, self.tag_tol = eta, max(eta, math.sqrt(eta))
-        self.length = length
-        self.spread, self.stalled, self.decaying = math.inf, 0, True
-
-    def converged(self, level: int, gap: float, spread: float) -> bool:
-        """Whether level may stop; raises once the spread has stalled."""
-        prev_spread, self.level, self.gap, self.spread = self.spread, level, gap, spread
-        if level >= MIN_REFINEMENTS and gap < self.eta and spread < self.tag_tol:
-            return True
-        # An integrable pair's tag spread falls like O(h), halving per level.
-        self.decaying = spread < self.tag_tol or spread <= 0.75 * prev_spread
-        self.stalled = 0 if self.decaying or level <= MIN_REFINEMENTS else self.stalled + 1
-        if self.stalled == STALL_LEVELS:
-            raise self.error()
-        return False
-
-    def error(self) -> NonConvergenceError:
-        """The error of a refinement that ends at the last level checked."""
-        if self.decaying:
-            cause = ("the sums are still converging: raise eta "
-                     "(an eta below the rounding error of the sums is never reached)")
-        else:
-            cause = ("the tag spread is not decaying: the integrand may not be integrable "
-                     "against this weight (e.g. shared discontinuity)")
-        if self.stalled == STALL_LEVELS:
-            limit = MIN_REFINEMENTS + STALL_LEVELS
-            cause += (f"; stopped after {STALL_LEVELS} levels without decay, so jumps closer "
-                      f"than (hi-lo)/2^{limit} = {self.length / 2**limit:.3g} are taken for a "
-                      "shared jump")
-        return NonConvergenceError(
-            f"Riemann-Stieltjes refinement did not converge to eta={self.eta} by dyadic "
-            f"level {self.level}: last midpoint gap {self.gap:.3g}, tag spread {self.spread:.3g} "
-            f"(tag tolerance {self.tag_tol:.3g}); {cause}",
-            self.level, self.gap, self.spread,
-        )
-
-
 # A split is an interval [a, b] of one level halved at its midpoint m into two
 # intervals of the next, whose midpoints are q1 and q3.  Both walks below yield
 # blocks of splits as (k, w(a), w(m), w(b), f(a), f(m), f(b), f(q1), f(q3)),
@@ -449,15 +393,23 @@ def _least(values, where=True) -> float:
 
 
 class _Walk:
-    """The running state of one refinement: the sums over the splits frozen so
-    far and, once it refines locally, the least weight increment over their
-    halves and sup|F| over every integrand value sampled."""
+    """One refinement: its budgets, the sums over the splits frozen so far,
+    sup|F| over every integrand value sampled, the least weight increment and
+    whether the tag spread has stalled.  It stops at a level >= MIN_REFINEMENTS
+    whose local gaps sum to less than eta and whose local spreads sum to less
+    than the tag tolerance, and gives up once the spread has not decayed for
+    STALL_LEVELS levels."""
 
-    def __init__(self, eta: float, tag_tol: float):
-        self.eta, self.tag_tol = eta, tag_tol
+    def __init__(self, eta: float, length: float, sup_f: float):
+        # Tag sensitivity shrinks like O(h) for integrable pairs while the
+        # midpoint gap shrinks like O(h^2), so sqrt(eta) keeps the two
+        # criteria on the same grid scale.  A pair whose tag spread never decays
+        # (e.g. integrand and weight sharing a jump) is reported non-integrable.
+        self.eta, self.tag_tol, self.length = eta, max(eta, math.sqrt(eta)), length
+        self.spread, self.stalled, self.decaying = math.inf, 0, True
         self.frozen = [0.0, 0.0, 0.0]  # midpoint sum, local gaps, local spreads
-        self.sup_f = 0.0  # set from the uniform levels' values on going local
-        self.low = math.inf  # over the halves of the frozen splits
+        self.sup_f = sup_f  # seeded with the values sampled before the first split
+        self.low = math.inf  # least weight increment over the halves of the frozen splits
         self.least = math.inf  # over the halves of the last level's splits
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once, on the sums
@@ -487,10 +439,10 @@ class _Walk:
                 sums[i] += float(np.einsum("i->", values))
                 if freeze:
                     frozen[i] += float(np.einsum("i,i->", values, done))
+            self.least = min(self.least, _least(dw1), _least(dw2))
+            self.sup_f = max(self.sup_f, float(np.abs(fq1).max()), float(np.abs(fq3).max()))
             if freeze:
-                self.least = min(self.least, _least(dw1), _least(dw2))
                 self.low = min(self.low, _least(dw1, done), _least(dw2, done))
-                self.sup_f = max(self.sup_f, float(np.abs(fq1).max()), float(np.abs(fq3).max()))
                 halves.append(_halves(~done, k, wa, wm, wb, fa, fm, fb, fq1, fq3))
         where = f"the Riemann-Stieltjes sum at dyadic level {level}"
         sums = _finite_sums([old + new for old, new in zip(self.frozen, sums)], where)
@@ -498,6 +450,43 @@ class _Walk:
             return sums, settled, None
         self.frozen = [old + new for old, new in zip(self.frozen, frozen)]
         return sums, settled, np.concatenate(halves, axis=1)
+
+    def converged(self, level: int, gap: float, spread: float) -> bool:
+        """Whether level may stop; raises once the spread has stalled."""
+        prev_spread, self.level, self.gap, self.spread = self.spread, level, gap, spread
+        if level >= MIN_REFINEMENTS and gap < self.eta and spread < self.tag_tol:
+            return True
+        # An integrable pair's tag spread falls like O(h), halving per level.
+        self.decaying = spread < self.tag_tol or spread <= 0.75 * prev_spread
+        self.stalled = 0 if self.decaying or level <= MIN_REFINEMENTS else self.stalled + 1
+        if self.stalled == STALL_LEVELS:
+            raise self.error()
+        return False
+
+    def error(self) -> NonConvergenceError:
+        """The error of a refinement that ends at the last level checked."""
+        if self.decaying:
+            cause = ("the sums are still converging: raise eta "
+                     "(an eta below the rounding error of the sums is never reached)")
+        else:
+            cause = ("the tag spread is not decaying: the integrand may not be integrable "
+                     "against this weight (e.g. shared discontinuity)")
+        if self.stalled == STALL_LEVELS:
+            limit = MIN_REFINEMENTS + STALL_LEVELS
+            cause += (f"; stopped after {STALL_LEVELS} levels without decay, so jumps closer "
+                      f"than (hi-lo)/2^{limit} = {self.length / 2**limit:.3g} are taken for a "
+                      "shared jump")
+        return NonConvergenceError(
+            f"Riemann-Stieltjes refinement did not converge to eta={self.eta} by dyadic "
+            f"level {self.level}: last midpoint gap {self.gap:.3g}, tag spread {self.spread:.3g} "
+            f"(tag tolerance {self.tag_tol:.3g}); {cause}",
+            self.level, self.gap, self.spread,
+        )
+
+    def found(self, value: float, local_from: int | None) -> _Integral:
+        """What the refinement found, stopping at the last level checked."""
+        low = min(self.low, self.least)
+        return _Integral(value, self.level, local_from, self.sup_f, low >= -1e-12)
 
 
 class _Integral(NamedTuple):
@@ -537,23 +526,18 @@ def _rs_integrate_info(f, omega, lo, hi, eta) -> _Integral:
     check_positive("eta", (eta,))
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
-    rule = _StopRule(eta, hi - lo)
-    walk = _Walk(eta, rule.tag_tol)
-    for level, w_nodes, f_nodes, f_mids in _dyadic_levels(w_eval, f_eval, lo, hi):
-        if level == 0:  # one interval, the split of none: its spread is |left - right|
-            _, left, right = _tagged_sums(level, w_nodes, f_nodes, f_mids)
-            rule.converged(level, math.inf, abs(left - right))  # never at level 0
-            continue
+    levels = _dyadic_levels(w_eval, f_eval, lo, hi)
+    _, _, f_nodes, f_mids = next(levels)  # level 0: one interval, the split of none
+    walk = _Walk(eta, hi - lo, float(np.abs(np.append(f_nodes, f_mids)).max()))
+    for level, w_nodes, f_nodes, f_mids in levels:
         splits = _uniform_splits(w_nodes, f_nodes, f_mids)
         (mid, gap, spread), settled, _ = walk.split(level, splits)
-        if rule.converged(level, gap, spread):
-            least = min(float(dw.min()) for _, dw in _increments(w_nodes))
-            return _Integral(mid, level, None, _sup_abs(f_nodes, f_mids), least >= -1e-12)
+        if walk.converged(level, gap, spread):
+            return walk.found(mid, None)
         if level >= MIN_REFINEMENTS and 2 * settled >= f_mids.size // 2:
             break
         del w_nodes, f_nodes, f_mids  # the next level is built without this one's arrays
     local_from, points = level + 1, _uniform_points(level, True)
-    walk.sup_f = _sup_abs(f_nodes, f_mids)
     *_, active = walk.split(level, _uniform_splits(w_nodes, f_nodes, f_mids), freeze=True)
     del w_nodes, f_nodes, f_mids
     for level in range(local_from, _MAX_LEVEL + 1):
@@ -561,14 +545,9 @@ def _rs_integrate_info(f, omega, lo, hi, eta) -> _Integral:
         _check_budget(level, 2 * active.shape[1], points)
         splits = _local_splits(level, active, w_eval, f_eval, lo, hi)
         (mid, gap, spread), _, active = walk.split(level, splits, freeze=True)
-        if rule.converged(level, gap, spread):
-            low = min(walk.low, walk.least)
-            return _Integral(mid, level, local_from, walk.sup_f, low >= -1e-12)
-    raise rule.error()
-
-
-def _sup_abs(*arrays) -> float:
-    return max(float(np.abs(values[b]).max()) for values in arrays for b in _blocks(values.size))
+        if walk.converged(level, gap, spread):
+            return walk.found(mid, local_from)
+    raise walk.error()
 
 
 def rs_integrate(

@@ -1084,6 +1084,23 @@ def test_cli_stepped_affine_run_beyond_the_step_budget_warns_nothing(tmp_path):
     assert "MAX_STEPS" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["figures", "--which", "fig4", "--resolution", "5", "--s", "1e308", "--t-end", "1"], None),
+    (["solve"], '{"domain": [[0, 1], [0, 1]], "resolution": [5, 5], "t_end": 1, '
+                '"initial": 1e308, "boundary": -1e308}'),
+], ids=["affine_modes", "initial_modes"])
+def test_cli_modes_that_overflow_exit_one_without_a_warning(tmp_path, argv, spec):
+    # the forced modes of the AffineRule closed form, and the sine modes of
+    # initial - boundary, overflow; under -W error a numpy warning would be a traceback
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(spec)
+        argv = [*argv, "--spec", str(tmp_path / "spec.json")]
+    proc = _fresh_cli([*argv, "--out", str(tmp_path / "out")], timeout=30,
+                      python_flags=["-W", "error"])
+    _assert_process_exits_one_with_error_line(proc)
+    assert "non-finite values after step to t=" in proc.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
 @pytest.mark.parametrize("argv", [
     ["rs", "integrate", "--f", "x", "--omega", "x^2", "--lo", "0", "--hi", "1", "--eta", "1e-300"],

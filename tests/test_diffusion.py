@@ -1104,6 +1104,17 @@ def test_affine_non_finite_slope_is_rejected(s):
         scenario_from_json({**base, "s": s})
 
 
+def test_affine_modes_that_overflow_are_refused_not_clipped():
+    # fig4 panel c at s = 1e308: the closed form's forced modes overflow.  Were
+    # they clipped to the range of the boundary values, the interior would read
+    # 0, where the s = 1 run scaled by 1e308 reads about 0.228 * s.
+    from sustkit.pavement import figure_scenarios
+
+    spec = figure_scenarios("fig4", resolution=5, s=1e308, t_end=1.0)[2]
+    with pytest.raises(NonFiniteFieldError, match="^non-finite values after step to t="):
+        run_scenario(spec, [spec.t_end])
+
+
 @pytest.mark.parametrize("field, value", [
     ("resolution", 9), ("resolution", [9, "9"]), ("domain", 5), ("domain", [[0.0, 1.0], 1.0]),
     ("domain", [[0.0, 1.0], [0.0, 1.0, 2.0]]), ("domain", [[0.0, 1.0], [0.0, "1"]]),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pickle
 import random
@@ -29,7 +30,7 @@ from sustkit.riemann_stieltjes import (
     _eval_on,
     _finite_or_raise,
     _rs_integrate_info,
-    _tagged_sums,
+    _rs_sum,
     _uniform_splits,
     _Walk,
     make_uniform_partition,
@@ -573,9 +574,9 @@ def test_interval_whose_length_overflows_is_refused_where_intervals_are_checked(
     (lambda: rs_sum(_linear(1.0), _linear(1.0), make_uniform_partition(0.0, 1e308, 4)),
      "the Riemann-Stieltjes sum over the partition"),
     (lambda: rs_integrate(_linear(1.0), _linear(1.0), 0.0, 1e308),
-     "the Riemann-Stieltjes sum at dyadic level 0"),
+     "the Riemann-Stieltjes sum at dyadic level 1"),
     (lambda: variation_lower_bound_check(_linear(1.0), _linear(1.0), 0.0, 1e308),
-     "the Riemann-Stieltjes sum at dyadic level 0"),
+     "the Riemann-Stieltjes sum at dyadic level 1"),
     (lambda: total_variation(lambda x: 1e308 * np.sin(50 * x), make_uniform_partition(0, 1, 99)),
      "the variation sum over the partition"),
     (lambda: variation_sup(lambda x: 1e308 * np.sin(50 * x), 0.0, 1.0),
@@ -744,6 +745,12 @@ def _reference_split_sums(f_eval, w_eval, lo, hi, level, eta, tag_tol):
     return float(gaps.sum()), float(spreads.sum()), int(settled.sum())
 
 
+def _tagged_sums(level, w_nodes, f_nodes, f_mids):
+    """Midpoint, left and right R-S sums of one level."""
+    where = f"at dyadic level {level}"
+    return [_rs_sum(where, w_nodes, tags) for tags in (f_mids, f_nodes[:-1], f_nodes[1:])]
+
+
 def _check_against_reference(name, f, omega, lo, hi, eta=1e-6):
     """Every uniform level the refinement walks has the reference's sums within
     1e-13 * sum|f dw|, and the stopping rule applied to the reference sums
@@ -769,7 +776,7 @@ def _check_against_reference(name, f, omega, lo, hi, eta=1e-6):
             assert abs(g - w) <= 1e-13 * scale, (name, level, got, want)
         if level == 0:
             continue
-        (mid, gap, spread), settled, _ = _Walk(eta, tag_tol).split(
+        (mid, gap, spread), settled, _ = _Walk(eta, hi - lo, 0.0).split(
             level, _uniform_splits(w_nodes, f_nodes, f_mids))
         *reference, reference_settled = _reference_split_sums(f_eval, w_eval, lo, hi, level,
                                                               eta, tag_tol)
@@ -820,14 +827,23 @@ def test_nested_sums_match_reference_on_suite_pairs(tmp_path):
         _check_against_reference(name, *pair)
 
 
-def test_nested_sums_match_reference_on_benchmark_pairs(tmp_path):
-    # the integrand/weight pairs of the benchmark's rs_weights operations,
-    # with the offsets it draws fixed at cf = 0.3, cw = 0.7
+def _benchmark_table(tmp_path):
+    """A weight table of the benchmark's shape: 33 knots j/32, rising."""
     rng = random.Random(7)
     xs = [j / 32 for j in range(33)]
     ys = np.cumsum([0.2] + [rng.uniform(0.5, 2.0) / 32 for _ in xs[1:]]).tolist()
     table = tmp_path / "weight_table.csv"
     table.write_text("x,value\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    return WeightFunction.from_csv(table)
+
+
+def _compiled(*functions):
+    return [compile_expression(g) if isinstance(g, str) else g for g in functions]
+
+
+def _benchmark_pairs(tmp_path):
+    """(name, f, omega, eta) on [0, 1]: the integrand/weight pairs of the benchmark's
+    rs_integrate operations, with the offsets it draws fixed at cf = 0.3, cw = 0.7."""
 
     def scalar_exp(x):
         if not isinstance(x, float):
@@ -837,13 +853,16 @@ def test_nested_sums_match_reference_on_benchmark_pairs(tmp_path):
     pairs = [
         ("exp_x3", "exp(x) + 0.3", "x^3 + 0.7", 1e-9),
         ("sin_x2", "sin(2*pi*x) + 0.3", "x^2 + 0.7", 1e-8),
-        ("x2_table", "x^2 + 0.3", WeightFunction.from_csv(table), 1e-8),
+        ("x2_table", "x^2 + 0.3", _benchmark_table(tmp_path), 1e-8),
         ("exp_step", "exp(x) + 0.3", "step(x-0.5) + 0.7", 1e-6),
         ("linear_x2", "50*x + 0.3", "x^2 + 0.7", 1e-6),
         ("scalar_x2", scalar_exp, "x^2 + 0.7", 1e-8),
     ]
-    for name, f, omega, eta in pairs:
-        f, omega = (compile_expression(g) if isinstance(g, str) else g for g in (f, omega))
+    return [(name, *_compiled(f, omega), eta) for name, f, omega, eta in pairs]
+
+
+def test_nested_sums_match_reference_on_benchmark_pairs(tmp_path):
+    for name, f, omega, eta in _benchmark_pairs(tmp_path):
         _check_against_reference(name, f, omega, 0.0, 1.0, eta)
 
 
@@ -1098,3 +1117,48 @@ def test_short_interval_far_from_zero_is_within_eta(eta):
     found = _rs_integrate_info(f, compile_expression(f"step(x-{FAR_C!r})"), FAR_LO, FAR_HI, eta)
     assert abs(found.value - math.exp(FAR_C - 1e6)) < eta
     assert found.level <= 25
+
+
+# -- the refinement's outputs, bit for bit ---------------------------------------------
+
+RS_OUTPUTS = Path(__file__).parent / "data" / "rs_outputs.json"
+
+
+def _bits(values: dict) -> dict:
+    """values with each float as its repr, which names the double exactly."""
+    return {key: repr(v) if isinstance(v, float) else v for key, v in values.items()}
+
+
+def _refinement_outputs(tmp_path) -> dict:
+    """What the refinement returns on the benchmark's integral and bound pairs,
+    on the off-node bump and on a jump at a node, and where a shared jump ends."""
+    outputs = {}
+
+    def integrate(name, f, omega, lo, hi, eta):
+        found = _rs_integrate_info(f, omega, lo, hi, eta)._asdict()
+        outputs[f"integral {name} {eta!r}"] = _bits(found)
+
+    for name, f, omega, eta in _benchmark_pairs(tmp_path):
+        integrate(name, f, omega, 0.0, 1.0, eta)
+    bounds = [
+        ("cos_sin", *_compiled("cos(x) + 0.3", "sin(x) + 0.7"), 0.0, TWO_PI, 1e-6),
+        ("x2_table", *_compiled("x^2 + 0.3", _benchmark_table(tmp_path)), 0.0, 1.0, 1e-8),
+        ("exp_x3", *_compiled("exp(x) + 0.3", "x^3 + 0.7"), 0.0, 1.0, 1e-9),
+    ]
+    for name, f, omega, lo, hi, eta in bounds:
+        integrate(f"bound {name}", f, omega, lo, hi, eta)
+        outputs[f"variation_sup {name} {eta!r}"] = repr(variation_sup(omega, lo, hi, tol=eta))
+    for eta in (1e-6, 1e-8):
+        integrate("bump", *_compiled("exp(x)", BUMP), 0.0, 1.0, eta)
+    integrate("x2_step", *_compiled("x^2", "step(x-0.5)"), 0.0, 1.0, 1e-8)
+    jump = compile_expression("step(x-0.5)")
+    with pytest.raises(NonConvergenceError) as info:
+        rs_integrate(jump, jump, 0.0, 1.0)
+    outputs["shared_jump"] = _bits(vars(info.value))
+    return outputs
+
+
+def test_refinement_outputs_are_the_recorded_bits(tmp_path):
+    recorded = json.loads(RS_OUTPUTS.read_text())
+    assert recorded["integral exp_x3 1e-09"]["value"] == "2.4548454853428066"
+    assert _refinement_outputs(tmp_path) == recorded
