@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -57,14 +58,22 @@ def _list_of(kind):
 _float_list, _int_list = _list_of(float), _list_of(int)
 
 
+# A negative number; argparse's own pattern misses the exponent form (-1e-3).
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ValueError, so they exit 1 like every other error.
 
     A command parser with ``verbs`` refuses an option before its verb, which
     argparse would otherwise report as an invalid verb named by the option's
-    value."""
+    value.  An argument such as ``-1e-3`` is a value, not an option."""
 
     verbs: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
         if self.verbs and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):

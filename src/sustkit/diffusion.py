@@ -65,6 +65,9 @@ from ._checks import check_interval, check_positive, finite, is_number, whole_nu
 CFL_SAFETY = 0.9
 # Most steps run_scenario takes one at a time (any boundary rule but an AffineRule).
 MAX_STEPS = 10**7
+# Most lattice points a ScenarioSpec may have: fig4 at 2048^2 = 2^22 points
+# peaks at about 1.2 GB, most of it in the CSV export.
+MAX_LATTICE_POINTS = 2**22
 # Lattices whose boundary nodes are kept for reuse by later runs and steps.
 _BOUNDARY_CACHE = 16
 # Grid values that field_to_json encodes at a time.
@@ -170,7 +173,8 @@ class ScenarioSpec:
     ``boundary_rule(coords, t)`` supplies Dirichlet values on every boundary
     node (corners included), given as 1-D coordinate arrays;
     ``initial_rule(coords)`` fills the lattice at t=0.
-    ``dt`` is a float or "auto" (the stability bound).
+    ``dt`` is a float or "auto" (the stability bound).  A lattice of more
+    than :data:`MAX_LATTICE_POINTS` points is refused before it is allocated.
     """
 
     domain: tuple[tuple[float, float], ...]
@@ -186,6 +190,10 @@ class ScenarioSpec:
         self.resolution = tuple(whole_number("resolution", n, 3) for n in self.resolution)
         if len(self.domain) != len(self.resolution):
             raise ValueError("domain and resolution must have equal length")
+        points = math.prod(self.resolution)
+        if points > MAX_LATTICE_POINTS:
+            raise ValueError(f"a lattice of {points} points exceeds MAX_LATTICE_POINTS = "
+                             f"{MAX_LATTICE_POINTS}")
         (self.t_end,) = check_positive("t_end", (self.t_end,))
         self.resolved_dt()
 
@@ -386,36 +394,38 @@ def _sine_modes(field: ScalarField, dt: float):
     basis, as ``(transform, decay, ones)``.
 
     ``transform`` maps interior values to mode amplitudes and back: it is
-    its own inverse, and overflows to inf or NaN without a warning.  In that
-    basis the interior Laplacian ``A`` is diagonal with eigenvalues
-    ``mu = sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so a step multiplies
-    each mode by ``r = 1 + dt*mu`` (LeVeque, Finite Difference Methods for
-    ODEs and PDEs, 2007, sec. 2.10).  ``decay`` is ``-dt*mu``, which is
-    ``1 - r`` without its rounding.  ``ones`` holds the amplitudes of the
-    interior all-ones array; they vanish, up to rounding, unless every wave
-    number ``j_i`` is odd.
+    its own inverse, and overflows to inf or NaN without a warning.  Along
+    an axis of m nodes it is ``-sqrt(2/(m+1))`` times the imaginary part, at
+    wave numbers 1..m, of the real FFT of the values put at places 1..m of
+    2(m+1) zeros (Press et al., Numerical Recipes, 3rd ed., sec. 12.4.1),
+    which calls no BLAS routine, so no thread count changes it.  In that
+    basis the interior Laplacian ``A`` is diagonal with eigenvalues ``mu =
+    sum_i -(4/h_i^2) sin^2(j_i*pi/(2(m_i+1)))``, so a step multiplies each
+    mode by ``r = 1 + dt*mu`` (LeVeque, Finite Difference Methods for ODEs
+    and PDEs, 2007, sec. 2.10).  ``decay`` is ``-dt*mu``, which is ``1 - r``
+    without its rounding.  ``ones`` holds the amplitudes of the interior
+    all-ones array; they vanish, up to rounding, unless every wave number
+    ``j_i`` is odd.
     """
     k = field.k
-    bases, mu, ones = [], np.zeros(()), np.ones(())
-    for axis, (n, h) in enumerate(zip(field.extents, field.spacings)):
-        m = n - 2
+    interior = tuple(n - 2 for n in field.extents)
+    mu = np.zeros(())
+    for axis, (m, h) in enumerate(zip(interior, field.spacings)):
         j = np.arange(1, m + 1)
         shape = [1] * k
         shape[axis] = m
         mu = mu + (-(4.0 / h**2) * np.sin(j * np.pi / (2 * (m + 1))) ** 2).reshape(shape)
-        # Orthonormal DST-I, symmetric and its own inverse; j*l is reduced
-        # modulo the period 2(m+1) so that sin sees small arguments.
-        basis = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
-        ones = np.multiply.outer(ones, basis.sum(axis=1))
-        bases.append(basis)
 
     def transform(v):
         with np.errstate(over="ignore", invalid="ignore"):
-            for axis, basis in enumerate(bases):
-                v = np.moveaxis(np.tensordot(basis, v, axes=([1], [axis])), 0, axis)
+            for axis, m in enumerate(interior):
+                modes = (slice(None),) * axis + (slice(1, m + 1),)
+                padded = np.zeros(v.shape[:axis] + (2 * (m + 1),) + v.shape[axis + 1:])
+                padded[modes] = v
+                v = np.fft.rfft(padded, axis=axis).imag[modes] * -math.sqrt(2.0 / (m + 1))
         return v
 
-    return transform, -dt * mu, ones
+    return transform, -dt * mu, transform(np.ones(interior))
 
 
 def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):

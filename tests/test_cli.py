@@ -247,6 +247,20 @@ def test_cli_full_precision_fit_is_the_same_under_any_blas_thread_count(tmp_path
     assert one == two
 
 
+def test_cli_figure_grids_are_the_same_under_any_blas_thread_count(tmp_path):
+    # at 301 points the sine transform by BLAS matrix products wrote 4 grids
+    # that differed in the last digits between 1 and 2 threads
+    outs = [tmp_path / threads for threads in ("1", "2")]
+    for out in outs:
+        _fresh_cli(["figures", "--which", "fig5", "--resolution", "301", "--t-end", "0.5",
+                    "--out", str(out)], timeout=60, check=True,
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": out.name})
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert len(names) == 9 and names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:  # eight grids and the manifest
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_bad_expression_reports_error(capsys):
     rc = main(["rs", "sum", "--f", "nope(x)", "--omega", "x", "--lo", "0",
                "--hi", "1", "--n", "2"])
@@ -1024,6 +1038,7 @@ def test_cli_rs_variation_of_one_partition_refuses_a_refinement_cap(cap):
 @pytest.mark.parametrize("argv, verbs", [
     (["rs", "--omega", "x", "integrate", "--lo", "0", "--hi", "1"], ALL_RS_VERBS),
     (["rs", "--omega=x", "integrate", "--lo", "0", "--hi", "1"], ALL_RS_VERBS),
+    (["rs", "--lo", "-1e-3", "integrate", "--hi", "1"], ALL_RS_VERBS),
     (["index", "--psi", "0.1", "eval"], "eval, seven, fit"),
     (["pavement", "--format", "json", "table"], "table, reduction"),
 ])
@@ -1031,6 +1046,16 @@ def test_cli_option_before_its_verb_is_named(argv, verbs):
     err = _assert_exits_one_with_error_line(argv)
     assert err == (f"error: options follow the verb: sustkit {argv[0]} VERB {argv[1]} ..., "
                    f"where VERB is one of {verbs}\n")
+
+
+@pytest.mark.parametrize("lo, want", [("-1e-3", (1.0 - 1e-6) / 2), ("-1E+0", 0.0), ("-.5", 0.375),
+                                      ("-2", -1.5)])
+def test_cli_negative_numbers_are_values_not_options(capsys, lo, want):
+    # argparse's own pattern takes -1e-3 for an unknown option
+    assert main(["rs", "integrate", "--f", "x", "--omega", "x", "--lo", lo, "--hi", "1",
+                 "--precision", "full"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-6, abs=1e-12)
+    assert main(["index", "eval", "--family", "C1w", "--psi", "0.1,0.2", "--t", lo]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -1058,6 +1083,14 @@ def _fresh_cli(argv, timeout, python_flags=(), **kwargs):
 def _assert_process_exits_one_with_error_line(proc):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _limit_address_space():
+    """Cap the address space at 1.5 GB, for a child process only."""
+    import resource
+
+    limit = 1_500_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_cli_shared_jump_fails_fast():
@@ -1109,13 +1142,21 @@ def test_cli_modes_that_overflow_exit_one_without_a_warning(tmp_path, argv, spec
 def test_cli_interval_budget_refuses_before_allocating(argv):
     # under a 1.5 GB address space, which 2**25 or 1e8 intervals would overrun:
     # the refusal must come before the level or the partition is allocated
-    import resource
-
-    limit = 1_500_000 * 1024
-
-    def limit_address_space():  # in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = _fresh_cli(argv, timeout=60, preexec_fn=limit_address_space)
+    proc = _fresh_cli(argv, timeout=60, preexec_fn=_limit_address_space)
     _assert_process_exits_one_with_error_line(proc)
     assert "over the budget of 16777216 intervals" in proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("which, resolution, points", [
+    ("fig4", "40000", 1600000000), ("fig5", "100000", 6666700000)])
+def test_cli_figures_beyond_the_lattice_budget_refuse_before_allocating(tmp_path, which,
+                                                                       resolution, points):
+    # 11.9 and 49.7 GiB for the first panel's lattice alone
+    out = tmp_path / "out"
+    proc = _fresh_cli(["figures", "--which", which, "--resolution", resolution, "--out", str(out)],
+                      timeout=60, preexec_fn=_limit_address_space)
+    _assert_process_exits_one_with_error_line(proc)
+    assert proc.stderr == (f"error: a lattice of {points} points exceeds "
+                           "MAX_LATTICE_POINTS = 4194304\n")
+    assert not out.exists()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sustkit.diffusion import (
+    MAX_LATTICE_POINTS,
     MAX_STEPS,
     AffineRule,
     NonFiniteFieldError,
@@ -31,7 +32,7 @@ from sustkit.diffusion import (
     stable_dt,
     step_explicit,
 )
-from sustkit.diffusion import _field_boundary, _ftcs_stepper, _iterates
+from sustkit.diffusion import _field_boundary, _ftcs_stepper, _iterates, _sine_modes
 
 
 def unit_square_spec(resolution=11, t_end=1.0, boundary=None, initial=None, k=2):
@@ -482,6 +483,37 @@ def test_scenario_validation():
             boundary_rule=lambda c, t: 0.0,
             initial_rule=lambda c: 0.0,
         )
+
+
+def test_lattice_budget_admits_2048_squared_and_no_more():
+    # specs only: nothing is allocated before a run
+    from sustkit.pavement import figure_scenarios
+
+    assert MAX_LATTICE_POINTS == 2048**2
+    assert max(math.prod(spec.resolution) for spec in figure_scenarios("fig4", 2048)) == 2048**2
+    with pytest.raises(ValueError, match="a lattice of 4198401 points exceeds "
+                                         "MAX_LATTICE_POINTS = 4194304"):
+        figure_scenarios("fig4", 2049)
+    with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
+        scenario_from_json({"domain": [[0.0, 1.0]] * 3, "resolution": [162] * 3, "t_end": 0.1})
+
+
+@pytest.mark.parametrize("resolution", [(5, 7), (7, 5), (3, 4, 3)], ids=str)
+def test_lattice_budget_edge(monkeypatch, resolution):
+    # a lattice of exactly the budget runs; one more point per row is refused
+    import sustkit.diffusion as diffusion
+
+    budget = math.prod(resolution)
+    monkeypatch.setattr(diffusion, "MAX_LATTICE_POINTS", budget)
+    spec = ScenarioSpec(domain=((0.0, 1.0),) * len(resolution), resolution=resolution,
+                        boundary_rule=AffineRule(s=1.0), initial_rule=AffineRule(0.0),
+                        t_end=0.01)
+    assert run_scenario(spec, [spec.t_end])[0].values.shape == resolution
+    bigger = resolution[:-1] + (resolution[-1] + 1,)
+    points = math.prod(bigger)
+    with pytest.raises(ValueError, match=f"^a lattice of {points} points exceeds "
+                                         f"MAX_LATTICE_POINTS = {budget}$"):
+        replace(spec, resolution=bigger)
 
 
 def test_explicit_dt_above_bound_rejected():
@@ -1155,6 +1187,64 @@ def test_field_csv_bytes_match_csv_writer(tmp_path):
         assert path.read_bytes() == buf.getvalue().encode()
 
 
+# -- the sine transform against the dense DST-I matrices -----------------------------
+
+
+def _dst_matrix(m):
+    """The orthonormal DST-I of m points as a dense matrix, symmetric and its
+    own inverse; j*l is reduced modulo the period 2(m+1) so that sin sees
+    small arguments."""
+    j = np.arange(1, m + 1)
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
+
+
+def _matrix_transform(v):
+    """The reference DST-I along every axis of ``v``: one matrix product per axis."""
+    for axis, m in enumerate(v.shape):
+        v = np.moveaxis(np.tensordot(_dst_matrix(m), v, axes=([1], [axis])), 0, axis)
+    return v
+
+
+def _matrix_ones(interior):
+    """The reference amplitudes of the all-ones interior: the outer product of
+    each axis's matrix row sums."""
+    ones = np.ones(())
+    for m in interior:
+        ones = np.multiply.outer(ones, _dst_matrix(m).sum(axis=1))
+    return ones
+
+
+# k = 1, 2, 3; 3- and 4-point axes (m = 1 and 2); non-square lattices; 91 points.
+TRANSFORM_LATTICES = [(3,), (4,), (91,), (3, 3), (4, 3), (91, 4), (61, 91), (91, 91),
+                      (3, 4, 5), (9, 5, 7)]
+
+
+def _modes_of(extents):
+    fld = ScalarField(k=len(extents), extents=extents, spacings=(0.1,) * len(extents),
+                      origin=(0.0,) * len(extents), values=np.zeros(extents))
+    return _sine_modes(fld, 1e-3)
+
+
+def _close(got, want):
+    """Within 1e-14 of the largest |value| of ``want``, shape included."""
+    return got.shape == want.shape and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("extents", TRANSFORM_LATTICES, ids=str)
+def test_sine_transform_matches_the_dense_matrices_and_scipy(extents):
+    import scipy.fft
+
+    transform, _, ones = _modes_of(extents)
+    interior = tuple(n - 2 for n in extents)
+    v = np.random.default_rng(sum(extents)).standard_normal(interior)
+    modes = transform(v)
+    assert _close(modes, _matrix_transform(v))
+    assert _close(modes, scipy.fft.dstn(v, type=1, norm="ortho"))
+    assert _close(ones, _matrix_ones(interior))
+    assert _close(ones, scipy.fft.dstn(np.ones(interior), type=1, norm="ortho"))
+    assert _close(transform(modes), v)  # its own inverse
+
+
 # -- modal path for spatially uniform boundary data against stepping -----------------
 
 # k = 1, 2, 3, non-square lattices and 3-point axes (a one-node interior).
@@ -1289,8 +1379,8 @@ HUGE_SPEC = {"domain": [[0, 900], [0, 900]], "resolution": [91, 91], "t_end": 1e
                          ids=["callable", "affine"])
 def test_overflowing_initial_modes_step_as_the_kernel(boundary, initial, monkeypatch):
     # +-1e307 or 1e307 under a uniform boundary: the modes overflow (the
-    # constant's in a BLAS dot that would warn), so the run is stepped from
-    # step 1, bit for bit, and with no warning.
+    # constant's in the transform's sums, which would warn), so the run is
+    # stepped from step 1, bit for bit, and with no warning.
     spec = replace(scenario_from_json({**HUGE_SPEC, "t_end": 1.0}), boundary_rule=boundary,
                    initial_rule=initial)
     dt = spec.resolved_dt()
