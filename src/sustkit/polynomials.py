@@ -6,7 +6,9 @@ coefficients.  Differentiation is exact coefficient arithmetic, so every
 closed-form index family can be checked against its defining model without
 numerical differentiation: a candidate solves its model iff the residual
 polynomial has all coefficients below :data:`ZERO_TOL` relative to the
-size of its time derivative (see :func:`verify_solution_families`).
+size of its time derivative.  That is the reference path for
+:func:`verify_solution_families`, which builds no polynomial: each family's
+residual is one constant, taken from :func:`family_coefficients`.
 
 Two models are covered.  In the *diffusion* model each factor acts
 independently::
@@ -33,9 +35,16 @@ from ._checks import check_positive, whole_number
 
 # A residual counts as the zero polynomial when every coefficient is below
 # this, relative to max(1, |dH/dt coefficients|) in verify_solution_families.
-# Coefficients are doubles; 1/k! round-trips through k differentiation
-# steps leave at most ~1e-15 relative noise for the k <= 7 used here.
+# A family's residual is dH/dt's coefficient minus terms of its size, each
+# a_i times the running product p*(p-1)*...*1; their rounding leaves at most
+# ~1e-15 relative noise for the k <= 7 used here.
 ZERO_TOL = 1e-12
+
+# verify_solution_families refuses every larger k before its first draw: two
+# families that take no draw leave the float range beyond it, T2b's time
+# coefficient k!*k + 1 at k = 170 and T2a's alpha = 1/k! at k = 171, where k!
+# does.  At k = 169 every drawn coefficient is below 2*169!*2*169 + 2*2**169.
+_MAX_K = 169
 
 T = 0  # variable id of t; psi_i has id i (1-based)
 
@@ -293,16 +302,24 @@ def family_coefficients(
     return c_t, alpha * w, k, beta * prod_w
 
 
+_BEYOND_FLOAT_RANGE = "non-finite coefficient in {} at k={} (beyond the float range)"
+
+
+def _finite_coefficients(family: SolutionFamily):
+    """:func:`family_coefficients` of a family, refusing one beyond the float range."""
+    c_t, a, p, b = family_coefficients(
+        family.variant, family.k, family.alpha, family.beta, family.weights, family.uncorrected
+    )
+    if not (np.isfinite(c_t) and np.isfinite(a).all() and np.isfinite(b)):
+        raise ValueError(_BEYOND_FLOAT_RANGE.format(family.variant, family.k))
+    return c_t, a, p, b
+
+
 def build_solution(family: SolutionFamily) -> SparsePolynomial:
     """The closed-form index polynomial of a family (see
     :func:`family_coefficients` for the forms)."""
     k = family.k
-    c_t, a, p, b = family_coefficients(
-        family.variant, k, family.alpha, family.beta, family.weights, family.uncorrected
-    )
-    if not (np.isfinite(c_t) and np.isfinite(a).all() and np.isfinite(b)):
-        raise ValueError(f"non-finite coefficient in {family.variant} at k={k} "
-                         "(beyond the float range)")
+    c_t, a, p, b = _finite_coefficients(family)
     terms = {(1,) + (0,) * k: c_t}
     for i in range(1, k + 1):
         terms[(0,) * i + (p,) + (0,) * (k - i)] = a[i - 1]
@@ -339,9 +356,21 @@ def interaction_residual(h: SparsePolynomial) -> SparsePolynomial:
     return _residual(h, [[(i, k)] for i in psis] + [[(i, 1) for i in psis]])
 
 
-def _time_scale(h: SparsePolynomial) -> float:
-    """max(1, max|coefficient of dH/dt|), the size a residual's rounding grows with."""
-    return max(1.0, h.partial(T).max_abs_coeff())
+def _residual_constant(family: SolutionFamily) -> tuple[float, float]:
+    """A family's residual under its model, and max(1, |c_t|), the size of dH/dt.
+
+    Every family's power p is its model's order, so the residual is the constant
+    c_t - sum_i a_i*p*(p-1)*...*1 - b (b under the interaction model only), summed
+    in the order and with the roundings of :func:`_residual`."""
+    c_t, a, p, b = _finite_coefficients(family)
+    res = c_t = float(c_t)
+    for a_i in a.tolist():
+        for j in range(p, 0, -1):
+            a_i *= j
+        res -= a_i
+    if family.model == "interaction":
+        res -= float(b)
+    return res, max(1.0, abs(c_t))
 
 
 @dataclass
@@ -364,22 +393,29 @@ def verify_solution_families(
     """Check every family against its model over random parameter draws.
 
     For each k in ``k_values`` (T1a/T1b additionally run k = 1) the weighted
-    and parametrised families are rebuilt ``draws`` times with random
+    and parametrised families are drawn ``draws`` times with random
     positive weights, alpha and beta; the worst residual coefficient over
-    all draws is reported.  A family passes when every residual coefficient
-    is below :data:`ZERO_TOL` times max(1, max|coefficient of dH/dt|): the
-    residual is a difference of terms of that size, so rounding grows with
-    it (the time coefficient reaches 1e5 at k = 7).  A final record covers
-    the uncorrected C_ab form, whose residual is the constant
-    (k*alpha*k! + beta) - (k + 1) and is expected to be nonzero away from
-    alpha = 1/k!, beta = 1; it passes when the residual is that constant,
-    and is not zero, by the same relative rule.
+    all draws is reported.  Each residual is a constant from the families'
+    coefficient table, bit for bit that of the reference path,
+    ``*_residual(build_solution(family))``; no polynomial is built.  A
+    family passes when its residual is below :data:`ZERO_TOL` times max(1,
+    |coefficient of dH/dt|): the residual is a difference of terms of that
+    size, so rounding grows with it (the time coefficient reaches 1e5 at
+    k = 7).  A final record covers the uncorrected C_ab form, whose residual
+    is the constant (k*alpha*k! + beta) - (k + 1) and is expected to be
+    nonzero away from alpha = 1/k!, beta = 1; it passes when the residual is
+    that constant, and is not zero, by the same relative rule.  A k above
+    169 is refused before the first draw, naming the family that would be.
     """
     rng = random.Random(seed)
     ks = sorted({whole_number("k_values", k, 2) for k in k_values})
     if not ks:
         raise ValueError("k_values must name at least one k")
     draws = whole_number("draws", draws, 1)
+    if ks[-1] > _MAX_K:
+        # T2a runs before T2b, so past k = 170 it is the one refused first
+        k = next((k for k in ks if k > _MAX_K + 1), ks[-1])
+        raise ValueError(_BEYOND_FLOAT_RANGE.format("T2a" if k > _MAX_K + 1 else "T2b", k))
     checks: list[FamilyCheck] = []
 
     for variant in FAMILY_VARIANTS:
@@ -395,11 +431,9 @@ def verify_solution_families(
                     alpha=rng.uniform(0.5, 2.0),
                     beta=rng.uniform(0.5, 2.0),
                 )
-                h = build_solution(family)
-                fn = diffusion_residual if family.model == "diffusion" else interaction_residual
-                res = fn(h).max_abs_coeff()
-                worst = max(worst, res)
-                worst_ratio = max(worst_ratio, res / _time_scale(h))
+                res, scale = _residual_constant(family)
+                worst = max(worst, abs(res))
+                worst_ratio = max(worst_ratio, abs(res) / scale)
             checks.append(FamilyCheck(variant, k, family.model, worst, worst_ratio < ZERO_TOL))
 
     # Uncorrected C_ab: report that its residual is the expected nonzero
@@ -408,18 +442,15 @@ def verify_solution_families(
         alpha = rng.uniform(0.5, 2.0)
         beta = rng.uniform(0.5, 2.0)
         fam = SolutionFamily("C_ab", k, alpha=alpha, beta=beta, uncorrected=True)
-        h = build_solution(fam)
-        res = interaction_residual(h)
+        coeff, scale = _residual_constant(fam)
         expected = (k * alpha * math.factorial(k) + beta) - (k + 1)
-        coeff = res.terms.get(tuple([0] * (k + 1)), 0.0)
-        zero = ZERO_TOL * _time_scale(h)
-        ok = abs(coeff - expected) < zero < abs(coeff)
+        ok = abs(coeff - expected) < ZERO_TOL * scale < abs(coeff)
         checks.append(
             FamilyCheck(
                 "C_ab(uncorrected)",
                 k,
                 "interaction",
-                res.max_abs_coeff(),
+                abs(coeff),
                 ok,
                 note=f"expected nonzero residual {expected:.6g}",
             )

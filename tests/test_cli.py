@@ -1148,6 +1148,29 @@ def test_cli_interval_budget_refuses_before_allocating(argv):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("k", ["400", "100000", "100000000"])
+def test_cli_verify_solutions_beyond_the_float_range_refuses_before_drawing(k):
+    # every k above 169 is refused before its first draw, so within 2 s and
+    # under a 1.5 GB address space, which k draws per family would overrun
+    proc = _fresh_cli(["verify-solutions", "--k", k, "--draws", "1"], timeout=2,
+                      preexec_fn=_limit_address_space)
+    _assert_process_exits_one_with_error_line(proc)
+    assert proc.stderr == f"error: non-finite coefficient in T2a at k={k} (beyond the float range)\n"
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # numpy is the only runtime dependency, and any other import would add to
+    # every command's start-up time
+    code = ("import json, sys; before = set(sys.modules); import sustkit; "
+            "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout)) - set(sys.stdlib_module_names)
+    assert loaded == {"numpy", "sustkit"}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
 @pytest.mark.parametrize("which, resolution, points", [
     ("fig4", "40000", 1600000000), ("fig5", "100000", 6666700000)])
 def test_cli_figures_beyond_the_lattice_budget_refuse_before_allocating(tmp_path, which,

@@ -10,10 +10,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sustkit import polynomials
 from sustkit.polynomials import (
+    DIFFUSION_FAMILIES,
     FAMILY_VARIANTS,
     ZERO_TOL,
     ArityMismatchError,
+    FamilyCheck,
     SolutionFamily,
     SparsePolynomial,
     build_solution,
@@ -476,6 +479,140 @@ def test_verify_solution_families_judges_uncorrected_c_ab_relative_to_dhdt():
 def test_verify_solution_families_needs_a_k():
     with pytest.raises(ValueError, match="at least one k"):
         verify_solution_families(k_values=())
+
+
+# -- verify_solution_families against the polynomial reference path -------------
+
+
+def _drawn_families(k, seed):
+    """Every family at k (T1a and T1b only at k = 1), the uncorrected C_ab form
+    included, with random parameters from the ranges verify_solution_families draws."""
+    rng = random.Random(seed)
+    variants = FAMILY_VARIANTS if k >= 2 else DIFFUSION_FAMILIES
+    families = [SolutionFamily(variant, k, weights=tuple(rng.uniform(0.5, 2.0) for _ in range(k)),
+                               alpha=rng.uniform(0.5, 2.0), beta=rng.uniform(0.5, 2.0))
+                for variant in variants]
+    if k >= 2:
+        families.append(SolutionFamily("C_ab", k, alpha=rng.uniform(0.5, 2.0),
+                                       beta=rng.uniform(0.5, 2.0), uncorrected=True))
+    return families
+
+
+@pytest.mark.parametrize("k, seed", [(k, seed) for k in (1, 2, 3, 4, 5, 6, 7, 10, 40)
+                                     for seed in (0, 1, 2)] + [(169, 0)])
+def test_residual_constant_is_the_reference_residual_bit_for_bit(k, seed):
+    zero = (0,) * (k + 1)
+    for family in _drawn_families(k, seed):
+        h = build_solution(family)
+        model_residual = diffusion_residual if family.model == "diffusion" else interaction_residual
+        reference = model_residual(h).terms
+        # each family's power is its model's order, so its residual is a constant
+        assert set(reference) <= {zero}, family
+        res, scale = polynomials._residual_constant(family)
+        # equal finite doubles have equal bits, up to the sign of a zero
+        assert res == reference.get(zero, 0.0), family
+        assert scale == max(1.0, h.partial(0).max_abs_coeff()), family
+
+
+def reference_verify_solution_families(k_values, draws, seed):
+    """verify_solution_families on the polynomial path: each family is built
+    with build_solution and its residual polynomial differentiated."""
+    rng = random.Random(seed)
+    ks = sorted(set(k_values))
+    checks = []
+
+    def time_scale(h):
+        return max(1.0, h.partial(0).max_abs_coeff())
+
+    for variant in FAMILY_VARIANTS:
+        for k in [1] + ks if variant in DIFFUSION_FAMILIES else ks:
+            drawn = variant in ("T3w", "C1w", "C2w_ab", "C_ab")
+            worst = worst_ratio = 0.0
+            for _ in range(draws if drawn else 1):
+                family = SolutionFamily(variant, k,
+                                        weights=tuple(rng.uniform(0.5, 2.0) for _ in range(k)),
+                                        alpha=rng.uniform(0.5, 2.0), beta=rng.uniform(0.5, 2.0))
+                h = build_solution(family)
+                fn = diffusion_residual if family.model == "diffusion" else interaction_residual
+                res = fn(h).max_abs_coeff()
+                worst = max(worst, res)
+                worst_ratio = max(worst_ratio, res / time_scale(h))
+            checks.append(FamilyCheck(variant, k, family.model, worst, worst_ratio < ZERO_TOL))
+    for k in ks:
+        alpha = rng.uniform(0.5, 2.0)
+        beta = rng.uniform(0.5, 2.0)
+        h = build_solution(SolutionFamily("C_ab", k, alpha=alpha, beta=beta, uncorrected=True))
+        res = interaction_residual(h)
+        expected = (k * alpha * math.factorial(k) + beta) - (k + 1)
+        coeff = res.terms.get(tuple([0] * (k + 1)), 0.0)
+        ok = abs(coeff - expected) < ZERO_TOL * time_scale(h) < abs(coeff)
+        checks.append(FamilyCheck("C_ab(uncorrected)", k, "interaction", res.max_abs_coeff(), ok,
+                                  note=f"expected nonzero residual {expected:.6g}"))
+    return checks
+
+
+@pytest.mark.parametrize("k_values, draws, seed", [
+    (k_values, draws, seed)
+    for k_values, draws in [((2, 3, 4, 5, 6, 7), 3), ((2,), 1), ((3, 2), 2), ((10, 40), 1)]
+    for seed in (0, 1, 2, 3)
+] + [((169,), 1, 0)])
+def test_verify_solution_families_gives_the_records_of_the_polynomial_path(k_values, draws, seed):
+    assert verify_solution_families(k_values, draws, seed) == reference_verify_solution_families(
+        k_values, draws, seed)
+
+
+def test_verify_solution_families_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(SparsePolynomial, "__init__", refuse)
+    checks = verify_solution_families((2, 3), 2)
+    assert len(checks) == 2 * 3 + 6 * 2 + 2
+
+
+def test_verify_bound_is_the_edge_of_the_float_range():
+    k = polynomials._MAX_K
+    # at the bound every family is finite at the largest parameters drawn
+    for variant in FAMILY_VARIANTS:
+        build_solution(SolutionFamily(variant, k, alpha=2.0, beta=2.0, weights=(2.0,) * k))
+    build_solution(SolutionFamily("C_ab", k, alpha=2.0, beta=2.0, uncorrected=True))
+    build_solution(SolutionFamily("T2a", k + 1))
+    # one past it a family that takes no draw is refused, whatever is drawn
+    with pytest.raises(ValueError, match=f"in T2b at k={k + 1} "):
+        build_solution(SolutionFamily("T2b", k + 1))
+    with pytest.raises(ValueError, match=f"in T2a at k={k + 2} "):
+        build_solution(SolutionFamily("T2a", k + 2))
+
+
+def _first_refusal(k_values):
+    """The error the polynomial path raises first: variant by variant, k ascending.
+    T2b is refused at every k above the bound, so no drawn family is reached."""
+    for variant in ("T1a", "T1b", "T2a", "T2b"):
+        for k in sorted(k_values):
+            try:
+                build_solution(SolutionFamily(variant, k))
+            except ValueError as err:
+                return str(err)
+    raise AssertionError(f"nothing refused at {k_values}")
+
+
+@pytest.mark.parametrize("k_values", [(170,), (2, 170), (171,), (170, 175), (169, 173, 172)])
+def test_verify_refuses_k_beyond_the_float_range_before_any_draw(monkeypatch, k_values):
+    expected = _first_refusal(k_values)
+    monkeypatch.setattr(random.Random, "uniform", _refuse_to_draw)
+    with pytest.raises(ValueError) as err:
+        verify_solution_families(k_values, draws=1)
+    assert str(err.value) == expected
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a parameter was drawn")
+
+
+def test_verify_refuses_a_huge_k_before_any_draw(monkeypatch):
+    monkeypatch.setattr(random.Random, "uniform", _refuse_to_draw)
+    with pytest.raises(ValueError, match=r"^non-finite coefficient in T2a at k=1000000000000 "):
+        verify_solution_families((2, 10**12), draws=10**9)
 
 
 # -- serialisation ---------------------------------------------------------------
