@@ -87,26 +87,28 @@ class NonConvergenceError(RuntimeError):
         return type(self), (self.args[0], self.level, self.gap, self.spread)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggedPartition:
     """Ordered breakpoints of [interval_lo, interval_hi] with one tag per
-    subinterval."""
+    subinterval, held as 1-D read-only float64 arrays copied from the input.
+    Partitions compare by value and, like the arrays, have no hash."""
 
     interval_lo: float
     interval_hi: float
-    breakpoints: tuple[float, ...]
-    tags: tuple[float, ...]
+    breakpoints: np.ndarray
+    tags: np.ndarray
     region_id: int | None = None
 
     def __post_init__(self):
         lo, hi = finite("interval_lo", self.interval_lo), finite("interval_hi", self.interval_hi)
-        values = (*self.breakpoints, *self.tags)
-        one_per_type = dict(zip(map(type, values), values)).values()  # is_number once per type
-        if not all(map(is_number, one_per_type)):
+        points = (self.breakpoints, self.tags)
+        # an array is checked by its dtype, a sequence by is_number once per element type
+        if not all(v.ndim == 1 and v.dtype.kind in "iuf" if isinstance(v, np.ndarray)
+                   else all(map(is_number, dict(zip(map(type, v), v)).values())) for v in points):
             raise ValueError("breakpoints and tags must be numbers")
         not_finite = "breakpoints and tags must be finite"
         try:
-            xs, ts = np.asarray(self.breakpoints, dtype=float), np.asarray(self.tags, dtype=float)
+            xs, ts = (np.array(v, dtype=float) for v in points)
         except OverflowError:  # an int beyond the float range
             raise ValueError(not_finite) from None
         if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
@@ -122,10 +124,16 @@ class TaggedPartition:
         if outside.size:
             i = outside[0]
             raise ValueError(f"tag {ts[i]} outside its subinterval [{xs[i]}, {xs[i + 1]}]")
+        xs.flags.writeable = ts.flags.writeable = False
         object.__setattr__(self, "interval_lo", lo)
         object.__setattr__(self, "interval_hi", hi)
-        object.__setattr__(self, "breakpoints", tuple(xs.tolist()))
-        object.__setattr__(self, "tags", tuple(ts.tolist()))
+        object.__setattr__(self, "breakpoints", xs)
+        object.__setattr__(self, "tags", ts)
+
+    def __eq__(self, other):  # defining it leaves __hash__ None
+        if not isinstance(other, TaggedPartition):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 @dataclass
@@ -245,7 +253,7 @@ def make_uniform_partition(
         tags = xs[1:]
     else:
         tags = 0.5 * (xs[:-1] + xs[1:])
-    return TaggedPartition(lo, hi, xs.tolist(), tags.tolist(), region_id)
+    return TaggedPartition(lo, hi, xs, tags, region_id)
 
 
 def rs_sum(f, omega, partition: TaggedPartition) -> float:
@@ -254,9 +262,8 @@ def rs_sum(f, omega, partition: TaggedPartition) -> float:
     lo, hi = partition.interval_lo, partition.interval_hi
     f_eval = _as_callable(f, lo, hi, "integrand")
     w_eval = _as_callable(omega, lo, hi, "weight")
-    xs = np.asarray(partition.breakpoints)
-    wv = _finite_or_raise(_eval_on(w_eval, xs), "weight")
-    fv = _finite_or_raise(_eval_on(f_eval, np.asarray(partition.tags)), "integrand")
+    wv = _finite_or_raise(_eval_on(w_eval, partition.breakpoints), "weight")
+    fv = _finite_or_raise(_eval_on(f_eval, partition.tags), "integrand")
     return _rs_sum("over the partition", wv, fv)
 
 
@@ -581,7 +588,7 @@ def total_variation(omega, partition: TaggedPartition) -> float:
     sum_i |omega(x_i) - omega(x_{i-1})|."""
     lo, hi = partition.interval_lo, partition.interval_hi
     w_eval = _as_callable(omega, lo, hi, "weight")
-    wv = _finite_or_raise(_eval_on(w_eval, np.asarray(partition.breakpoints)), "weight")
+    wv = _finite_or_raise(_eval_on(w_eval, partition.breakpoints), "weight")
     return _variation("over the partition", wv)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import filecmp
 import io
+import itertools
 import json
 import math
 import os
@@ -180,6 +181,43 @@ def test_cli_rs_bound_equality_pair_holds_at_small_eta(eta, capsys):
                "--lo", "0", "--hi", "1", "--eta", eta])
     assert capsys.readouterr().out == "lhs=0.555556 rhs=0.555556 holds=True\n"
     assert rc == 0
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _rs_partition_cases():
+    """argv of ``rs sum`` for each tag rule and precision and of ``rs variation --n``
+    for each precision, on expression weights and on a rising-and-falling table;
+    TABLE stands for the table's path."""
+    weights = [("exp(x)", "x^3 + 0.7", [("0", "1"), ("-1", "2")]),
+               ("sin(2*pi*x)", "step(x-0.5)", [("0", "1"), ("0.1", "0.7")]),
+               ("x^2", "table:TABLE", [("0", "1")])]
+    for f, omega, spans in weights:
+        for (lo, hi), n, precision in itertools.product(spans, ("1", "7", "1000", "65536"),
+                                                        ("default", "full")):
+            common = ["--lo", lo, "--hi", hi, "--n", n, "--precision", precision]
+            for rule in riemann_stieltjes.TAG_RULES:
+                yield ["rs", "sum", "--f", f, "--omega", omega, "--tag-rule", rule, *common]
+            yield ["rs", "variation", "--omega", omega, *common]
+
+
+def _rs_partition_outputs() -> dict:
+    """{argv: {"exit": code, "stdout": text}} of each case, run in this process."""
+    outputs, table = {}, str(DATA / "rs_weight_table.csv")
+    for argv in _rs_partition_cases():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main([a.replace("TABLE", table) for a in argv])
+        outputs[" ".join(argv)] = {"exit": code, "stdout": out.getvalue()}
+    return outputs
+
+
+def test_cli_rs_partition_outputs_are_the_recorded_bytes():
+    # recorded before the partitions held their points as arrays
+    recorded = json.loads((DATA / "rs_partition_outputs.json").read_text())
+    assert recorded["rs sum --f x^2 --omega table:TABLE --tag-rule left --lo 0 --hi 1 "
+                    "--n 7 --precision full"] == {"exit": 0, "stdout": "0.08959727815080555\n"}
+    assert _rs_partition_outputs() == recorded
 
 
 def test_cli_rs_table_function(tmp_path, capsys):
@@ -1145,6 +1183,19 @@ def test_cli_interval_budget_refuses_before_allocating(argv):
     proc = _fresh_cli(argv, timeout=60, preexec_fn=_limit_address_space)
     _assert_process_exits_one_with_error_line(proc)
     assert "over the budget of 16777216 intervals" in proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("argv, printed", [
+    (["rs", "sum", "--f", "x", "--omega", "x"], "0.5\n"),
+    (["rs", "variation", "--omega", "x"], "1.0\n"),
+], ids=["sum", "variation"])
+def test_cli_partition_of_the_whole_interval_budget_fits(argv, printed):
+    # one partition of 2**24 intervals, the most the budget admits, fits in a
+    # 1.5 GB address space: its points are held as arrays, never as Python floats
+    proc = _fresh_cli([*argv, "--lo", "0", "--hi", "1", "--n", "16777216", "--precision", "full"],
+                      timeout=30, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, "")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -744,6 +746,20 @@ def test_field_csv_matches_reference_on_random_lattices(case):
                       values=np.array(values, dtype=float).reshape(extents))
     with tempfile.TemporaryDirectory() as directory:
         _csv_bytes_match_reference(fld, Path(directory))
+
+
+def test_field_csv_holds_one_lattice_row_at_a_time():
+    # a 1024 x 1024 grid's text and a tuple of its values would take over 200 MiB
+    values = np.random.default_rng(3).standard_normal((1024, 1024))
+    fld = ScalarField(k=2, extents=(1024, 1024), spacings=(1e-3, 1 / 3), origin=(-0.5, 0.0),
+                      values=values)
+    tracemalloc.start()
+    try:
+        field_to_csv(fld, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _json_dump_reference(fld, path):

@@ -360,4 +360,7 @@ def test_numpy_scalars_are_numbers():
     assert all(type(v) is float for ax in spec.domain for v in ax) and type(spec.t_end) is float
     assert Interval(np.int64(1), np.float32(2.5)).contains(Interval(1.5, 2.0))
     p = make_uniform_partition(np.float64(0.0), np.int32(1), np.int64(4))
-    assert all(type(v) is float for v in (p.interval_lo, p.interval_hi, *p.breakpoints, *p.tags))
+    assert type(p.interval_lo) is float and type(p.interval_hi) is float
+    assert p.breakpoints.dtype == p.tags.dtype == np.float64
+    assert p.breakpoints.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert p.tags.tolist() == [0.125, 0.375, 0.625, 0.875]

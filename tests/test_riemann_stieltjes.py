@@ -47,16 +47,22 @@ TWO_PI = 2.0 * math.pi
 # -- partitions -----------------------------------------------------------------
 
 
+def _is_points(values, expected) -> bool:
+    """values is a 1-D float64 array holding exactly the numbers of expected."""
+    return (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.tolist() == list(expected))
+
+
 def test_uniform_midpoint_partition():
     p = make_uniform_partition(0.0, 1.0, 2, "midpoint")
-    assert p.breakpoints == (0.0, 0.5, 1.0)
-    assert p.tags == (0.25, 0.75)
+    assert _is_points(p.breakpoints, (0.0, 0.5, 1.0))
+    assert _is_points(p.tags, (0.25, 0.75))
 
 
 def test_uniform_single_interval_left():
     p = make_uniform_partition(0.0, 1.0, 1, "left")
-    assert p.breakpoints == (0.0, 1.0)
-    assert p.tags == (0.0,)
+    assert _is_points(p.breakpoints, (0.0, 1.0))
+    assert _is_points(p.tags, (0.0,))
 
 
 def test_uniform_partition_rejects_inverted_interval():
@@ -141,7 +147,32 @@ def test_partition_checks_match_the_elementwise_rule(xs, data):
         assert not _partition_rule_holds(lo, hi, xs, ts)
     else:
         assert _partition_rule_holds(lo, hi, xs, ts)
-        assert (p.breakpoints, p.tags) == (tuple(xs), tuple(ts))
+        assert _is_points(p.breakpoints, xs) and _is_points(p.tags, ts)
+
+
+def test_partition_holds_its_own_read_only_arrays_and_compares_by_value():
+    xs, ts = np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75])
+    p = TaggedPartition(0.0, 1.0, xs, ts)
+    xs[1], ts[0] = 0.4, 0.1  # the caller's arrays were copied
+    assert _is_points(p.breakpoints, (0.0, 0.5, 1.0)) and _is_points(p.tags, (0.25, 0.75))
+    assert not p.breakpoints.flags.writeable and not p.tags.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        p.tags[0] = 0.3
+    same = TaggedPartition(0, 1, [0, 0.5, 1], (0.25, np.float32(0.75)))
+    assert p == same and not p != same
+    assert (TaggedPartition(0, 2, np.arange(3), np.array([0.5, 1.5], dtype=np.float32))
+            == TaggedPartition(0, 2, (0.0, 1.0, 2.0), (0.5, 1.5)))
+    assert p != TaggedPartition(0.0, 1.0, (0.0, 0.5, 1.0), (0.25, 0.75), region_id=3)
+    assert p != TaggedPartition(0.0, 1.0, (0.0, 0.5, 1.0), (0.25, 0.5))
+    assert p != make_uniform_partition(0.0, 1.0, 4) and p != (0.0, 1.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
+    for bad in (np.array([True, False]), np.array([0.0, 1.0], dtype=object),
+                np.array([[0.0, 1.0]]), np.array(["0", "1"]), np.array([0j, 1j])):
+        with pytest.raises(ValueError, match="breakpoints and tags must be numbers"):
+            TaggedPartition(0.0, 1.0, bad, (0.5,))
+        with pytest.raises(ValueError, match="breakpoints and tags must be numbers"):
+            TaggedPartition(0.0, 1.0, (0.0, 1.0), bad[..., :1])
 
 
 def test_partition_carries_region_label():
