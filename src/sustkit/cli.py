@@ -173,7 +173,7 @@ def _cmd_figures(args) -> int:
         snapshot_times=args.snapshots,
         normalized=args.normalized,
     )
-    n_files = sum(len(p["files"]) for p in manifest["panels"])
+    n_files = sum(1 + ("normalized_file" in f) for p in manifest["panels"] for f in p["files"])
     print(f"wrote {n_files} grid(s) and {args.which}_manifest.json to {args.out}")
     return 0
 
@@ -344,15 +344,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        rs.NonConvergenceError,
-        diffusion.NonFiniteFieldError,
-    ) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, rs.NonConvergenceError,
+            diffusion.NonFiniteFieldError) as exc:
         # str() of a KeyError is the repr of its message: print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        if isinstance(exc, MemoryError):  # numpy's names the allocation; a bare one is empty
+            message = f"out of memory: {exc}".removesuffix(": ")
         print(f"error: {message}", file=sys.stderr)
         return 1
 

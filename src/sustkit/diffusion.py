@@ -51,7 +51,6 @@ execute concurrently.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import sys
@@ -67,12 +66,13 @@ CFL_SAFETY = 0.9
 # Most steps run_scenario takes one at a time (any boundary rule but an AffineRule).
 MAX_STEPS = 10**7
 # Most lattice points a ScenarioSpec may have: fig4 at 2048^2 = 2^22 points
-# peaks at about 575 MB of RSS with --t-end 0.001, the CSV export included.
+# peaks at about 520 MB of RSS with --t-end 0.001, and a k = 1 solve of 2^22
+# points at 450 MB, the CSV export included.
 MAX_LATTICE_POINTS = 2**22
 # Lattices whose boundary nodes are kept for reuse by later runs and steps.
 _BOUNDARY_CACHE = 16
-# Grid values that field_to_json encodes at a time.
-_JSON_CHUNK = 4096
+# Most grid cells field_to_csv and field_to_json write at a time.
+_CHUNK = 4096
 
 
 class StabilityError(ValueError):
@@ -615,18 +615,30 @@ def field_to_csv(field: ScalarField, path: str | Path) -> None:
     the value, each as ``%.17g``, comma-separated with CRLF line ends (the
     bytes the csv module's default dialect writes).
 
-    Written one lattice row (a run along the last axis) at a time: each
-    axis's coordinates are formatted once, a row's leading ones are joined
-    into a prefix and one ``%`` call fills the row with its values.  An axis
-    with no points leaves no rows, so the file is the header alone."""
-    *lead, last = [["%.17g," % x for x in field.axis_coords(a).tolist()] for a in range(field.k)]
-    # joined by a row's prefix: the leading "" puts one before each cell, none if no cells
-    last = ["", *(c + "%.17g\r\n" for c in last)]
+    Written a lattice row (a run along the last axis) at a time, in pieces of
+    at most :data:`_CHUNK` cells, which one ``%`` call fills with values; a
+    piece's text is kept while the next row's piece is the same.  No text of
+    a whole axis is held: ``tracemalloc`` peaks at 0.7 MiB on 2^22 points
+    along one axis and 0.2 MiB on 1024^2.  No points on an axis: no rows."""
+    *lead, n = field.extents
+    # the leading axes, last first: a row's number is divided along them in turn
+    axes = list(zip(field.origin, field.spacings, lead))[::-1]
+    x0, dx = field.origin[-1], field.spacings[-1]
     header = ",".join([f"psi{a + 1}" for a in range(field.k)] + ["value"]) + "\r\n"
+    cells = (None, [])  # a piece's first index and its cell templates
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        for prefix, row in zip(itertools.product(*lead), np.ndindex(field.values.shape[:-1])):
-            fh.write("".join(prefix).join(last) % tuple(field.values[row].tolist()))
+        for row, values in enumerate(field.values.reshape(math.prod(lead), n)):
+            prefix = ""
+            for origin, spacing, m in axes:
+                row, i = divmod(row, m)
+                prefix = "%.17g," % (origin + spacing * i) + prefix  # axis_coords' bits
+            for start in range(0, n, _CHUNK):
+                if cells[0] != start:
+                    # joined by a row's prefix: the leading "" puts one before each cell
+                    cells = (start, ["", *("%.17g,%%.17g\r\n" % (x0 + dx * i)
+                                           for i in range(start, min(start + _CHUNK, n)))])
+                fh.write(prefix.join(cells[1]) % tuple(values[start:start + _CHUNK].tolist()))
 
 
 def field_to_json(field: ScalarField, path: str | Path) -> None:
@@ -635,7 +647,7 @@ def field_to_json(field: ScalarField, path: str | Path) -> None:
 
     ``json.dumps`` takes the C encoder, which ``json.dump`` does not; both
     write each float as its ``repr`` and ``", "`` between list items.  The
-    values, the last key, are encoded :data:`_JSON_CHUNK` at a time, so
+    values, the last key, are encoded :data:`_CHUNK` at a time, so
     neither their text nor a list of them is ever held whole."""
     head = json.dumps({"k": field.k, "extents": list(field.extents),
                        "spacings": list(field.spacings), "origin": list(field.origin),
@@ -644,9 +656,9 @@ def field_to_json(field: ScalarField, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.write(head[:-len("]}")])
         separator = ""
-        for start in range(0, values.size, _JSON_CHUNK):
+        for start in range(0, values.size, _CHUNK):
             # each chunk's list text without its brackets
-            fh.write(separator + json.dumps(values[start:start + _JSON_CHUNK].tolist())[1:-1])
+            fh.write(separator + json.dumps(values[start:start + _CHUNK].tolist())[1:-1])
             separator = ", "
         fh.write("]}\n")
 

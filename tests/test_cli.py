@@ -5,8 +5,10 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from jsonschema import validate
 from sustkit import riemann_stieltjes
 from sustkit.cli import build_parser, main
 from sustkit.expressions import ExpressionError, compile_expression
+from sustkit.pavement import MIX_CSV_COLUMNS
 
 FIT_REPORT_SCHEMA = {
     "type": "object",
@@ -220,6 +223,79 @@ def test_cli_rs_partition_outputs_are_the_recorded_bytes():
     assert _rs_partition_outputs() == recorded
 
 
+CORPUS = DATA / "cli_corpus"
+_SNAPSHOTS = ["--snapshots", "0,0.05,0.1"]
+# each case runs in a working directory that holds the specs of cli_corpus/specs
+# and writes its files under out/, so no path in stdout or a manifest is absolute
+CORPUS_CASES = {
+    "fig4_11": ["figures", "--which", "fig4", "--resolution", "11", "--out", "out"],
+    "fig5_21_normalized": ["figures", "--which", "fig5", "--resolution", "21", "--t-end", "0.1",
+                           *_SNAPSHOTS, "--normalized", "--out", "out"],
+    **{f"solve_k{k}_{fmt}": ["solve", "--spec", f"k{k}.json", *_SNAPSHOTS, "--format", fmt,
+                             "--out", "out"] for k in (1, 2, 3) for fmt in ("csv", "json")},
+}
+
+
+def _corpus_run(case: str, workdir: Path) -> dict:
+    """Run ``case`` in this process in ``workdir``: its argv, exit code, stdout,
+    stderr line count and the names of the files it wrote under out/."""
+    for spec in (CORPUS / "specs").iterdir():
+        shutil.copy(spec, workdir)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(CORPUS_CASES[case])
+    finally:
+        os.chdir(cwd)
+    files = sorted(p.relative_to(workdir / "out").as_posix()
+                   for p in (workdir / "out").rglob("*") if p.is_file())
+    return {"argv": CORPUS_CASES[case], "exit": code, "stdout": out.getvalue(),
+            "stderr_lines": err.getvalue().count("\n"), "files": files}
+
+
+def _record_cli_corpus() -> None:
+    """Re-record cli_corpus/outputs.json and each case's files, a deliberate act
+    to be listed in CHANGES.md with its reason; from the repository root:
+    ``PYTHONPATH=src:tests python -c "import test_cli; test_cli._record_cli_corpus()"``."""
+    cases = {}
+    for case in sorted(CORPUS_CASES):
+        with tempfile.TemporaryDirectory() as work:
+            cases[case] = _corpus_run(case, Path(work))
+            shutil.rmtree(CORPUS / case, ignore_errors=True)
+            shutil.copytree(Path(work) / "out", CORPUS / case)
+    (CORPUS / "outputs.json").write_text(
+        json.dumps({"numpy": np.__version__, "cases": cases}, indent=1, sort_keys=True) + "\n")
+
+
+def _grid_parts(path: Path):
+    """A grid file's text outside its values, and its values."""
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+        return {**data, "values": None}, np.array(data["values"], dtype=float).ravel()
+    rows = [line.rpartition(",") for line in path.read_text().splitlines()]
+    return [head for head, _, _ in rows], np.array([float(v) for _, _, v in rows[1:]])
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_CASES))
+def test_cli_corpus_outputs_are_the_recorded_bytes(case, tmp_path):
+    recorded = json.loads((CORPUS / "outputs.json").read_text())
+    assert _corpus_run(case, tmp_path) == recorded["cases"][case]
+    for name in recorded["cases"][case]["files"]:
+        got, want = tmp_path / "out" / name, CORPUS / case / name
+        if recorded["numpy"] == np.__version__ or name.endswith("_manifest.json"):
+            assert got.read_bytes() == want.read_bytes(), name
+        else:
+            # another numpy build may round the sine transform differently: the
+            # text outside the values is the same, the values within 1e-14 of the
+            # grid's largest |value|
+            (got_text, got_values), (want_text, want_values) = _grid_parts(got), _grid_parts(want)
+            assert got_text == want_text, name
+            np.testing.assert_allclose(got_values, want_values, rtol=0,
+                                       atol=1e-14 * np.abs(want_values).max(initial=0.0))
+
+
 def test_cli_rs_table_function(tmp_path, capsys):
     table = tmp_path / "omega.csv"
     table.write_text("x,value\n0,0\n1,1\n")
@@ -386,6 +462,15 @@ def test_cli_figures_manifest_schema(tmp_path):
     validate(manifest, MANIFEST_SCHEMA)
 
 
+@pytest.mark.parametrize("normalized, grids", [([], 12), (["--normalized"], 15)])
+def test_cli_figures_counts_every_grid_it_writes(tmp_path, capsys, normalized, grids):
+    # a snapshot that snaps to step 0 has no normalized twin: 3 of the 8 at t > 0 have one
+    assert main(["figures", "--which", "fig5", "--resolution", "11", "--t-end", "0.1",
+                 "--snapshots", "0,0.05,0.1", *normalized, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {grids} grid(s) and fig5_manifest.json to {tmp_path}\n"
+    assert len(list(tmp_path.glob("*.csv"))) == grids
+
+
 def test_cli_figures_deterministic(tmp_path):
     args = ["figures", "--which", "fig5", "--resolution", "8", "--t-end", "0.2",
             "--snapshots", "0,0.2"]
@@ -428,7 +513,8 @@ def test_cli_index_seven(capsys):
     assert capsys.readouterr().out.strip() == "35281"
 
 
-def test_cli_index_fit(tmp_path, capsys):
+def _c2w_observations(path: Path) -> Path:
+    """Eight exact C2w_ab observations at k = 3, alpha = 2.5 and beta = 0.5."""
     import random
 
     from sustkit.index import IndexInputs, index_value
@@ -446,8 +532,12 @@ def test_cli_index_fit(tmp_path, capsys):
             "C2w_ab",
         )
         lines.append(",".join(repr(v) for v in [t, *psi, *w, h]))
-    obs = tmp_path / "obs.csv"
-    obs.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_cli_index_fit(tmp_path, capsys):
+    obs = _c2w_observations(tmp_path / "obs.csv")
     report_path = tmp_path / "fit.json"
     rc = main(["index", "fit", "--observations", str(obs), "--format", "json",
                "--out", str(report_path)])
@@ -457,6 +547,18 @@ def test_cli_index_fit(tmp_path, capsys):
     assert payload["alpha"] == pytest.approx(2.5, abs=1e-9)
     assert payload["beta"] == pytest.approx(0.5, abs=1e-9)
     assert json.loads(report_path.read_text()) == payload
+
+
+@pytest.mark.parametrize("precision", ["default", "full"])
+def test_cli_index_fit_text_names_each_result(tmp_path, capsys, precision):
+    obs = _c2w_observations(tmp_path / "obs.csv")
+    assert main(["index", "fit", "--observations", str(obs), "--format", "json"]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert main(["index", "fit", "--observations", str(obs), "--precision", precision]) == 0
+    fmt = repr if precision == "full" else "{:.6g}".format
+    assert capsys.readouterr().out == (
+        f"alpha={fmt(fit['alpha'])} beta={fmt(fit['beta'])} "
+        f"residual_norm={fmt(fit['residual_norm'])} n_obs=8\n")
 
 
 @pytest.mark.parametrize("blank", ["   ", "\t"])
@@ -786,6 +888,20 @@ BAD_INPUT = {
     "rs_option_before_verb": (None, ["rs", "--omega", "x", "integrate", "--lo", "0", "--hi", "1"]),
     "index_option_before_verb": (None, ["index", "--psi", "0.1", "eval"]),
     "pavement_option_before_verb": (None, ["pavement", "--format", "json", "table"]),
+    # each names its cause, which a later error would not: a KeyError, an empty
+    # domain, a table that prints, an operator that fails or an ignored argument
+    "spec_without_t_end": ({key: SPEC[key] for key in ("domain", "resolution")}, ["solve"],
+                           "scenario spec is missing required fields ['t_end']"),
+    "integrate_one_sample_table": (
+        ("one.csv", "x,value\n0,1\n"),
+        ["rs", "integrate", "--omega", "table:one.csv", "--lo", "0", "--hi", "1"],
+        "one.csv: need at least two samples"),
+    "pavement_table_header_only": (
+        ("mix.csv", ",".join(MIX_CSV_COLUMNS) + "\n"), ["pavement", "table", "--table", "mix.csv"],
+        "mix.csv: no data rows"),
+    "integrate_not_operator": (None, RS + ["--f", "not x"], "unsupported operator Not"),
+    "integrate_call_with_two_arguments": (
+        None, RS + ["--f", "exp(x, 1)"], "only f(expr) calls with one argument are allowed"),
 }
 
 
@@ -805,8 +921,11 @@ def _assert_exits_one_with_error_line(argv):
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where a figures case would write its grids
-    content, argv = BAD_INPUT[case]
-    if isinstance(content, dict):  # a scenario spec
+    content, argv, *cause = BAD_INPUT[case]
+    if isinstance(content, tuple):  # a named file in the working directory
+        name, text = content
+        (tmp_path / name).write_text(text)
+    elif isinstance(content, dict):  # a scenario spec
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(content))
         argv = argv + ["--spec", str(spec), "--out", str(tmp_path / "out")]
@@ -818,7 +937,8 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
-    _assert_exits_one_with_error_line(argv)
+    err = _assert_exits_one_with_error_line(argv)
+    assert all(c in err for c in cause), err
 
 
 def test_cli_level_over_the_interval_budget_exits_one(monkeypatch, capsys):
@@ -1207,6 +1327,18 @@ def test_cli_verify_solutions_beyond_the_float_range_refuses_before_drawing(k):
                       preexec_fn=_limit_address_space)
     _assert_process_exits_one_with_error_line(proc)
     assert proc.stderr == f"error: non-finite coefficient in T2a at k={k} (beyond the float range)\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_cli_out_of_memory_is_one_error_line(tmp_path):
+    # 60 snapshots of a 2048 x 2048 lattice, 32 MiB each, overrun a 1.5 GB address space
+    spec = tmp_path / "big.json"
+    spec.write_text('{"domain": [[0, 1], [0, 1]], "resolution": [2048, 2048], "t_end": 1e-9}')
+    proc = _fresh_cli(["solve", "--spec", str(spec), "--format", "json", "--snapshots",
+                       ",".join(["0"] * 60), "--out", str(tmp_path / "out")],
+                      timeout=60, preexec_fn=_limit_address_space)
+    _assert_process_exits_one_with_error_line(proc)
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
 
 
 def test_import_loads_no_third_party_module_but_numpy():

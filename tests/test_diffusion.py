@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sustkit import diffusion
 from sustkit.diffusion import (
     MAX_LATTICE_POINTS,
     MAX_STEPS,
@@ -503,8 +504,6 @@ def test_lattice_budget_admits_2048_squared_and_no_more():
 @pytest.mark.parametrize("resolution", [(5, 7), (7, 5), (3, 4, 3)], ids=str)
 def test_lattice_budget_edge(monkeypatch, resolution):
     # a lattice of exactly the budget runs; one more point per row is refused
-    import sustkit.diffusion as diffusion
-
     budget = math.prod(resolution)
     monkeypatch.setattr(diffusion, "MAX_LATTICE_POINTS", budget)
     spec = ScenarioSpec(domain=((0.0, 1.0),) * len(resolution), resolution=resolution,
@@ -668,6 +667,22 @@ def test_agrees_with_method_of_lines_reference():
     assert gap < 1e-3
 
 
+def test_lattice_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="extents, spacings and origin must all have length k"):
+        ScalarField(k=2, extents=(3, 3), spacings=(0.5,), origin=(0.0, 0.0),
+                    values=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"values shape \(3, 4\) != extents \(3, 3\)"):
+        ScalarField(k=2, extents=(3, 3), spacings=(0.5, 0.5), origin=(0.0, 0.0),
+                    values=np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="domain and resolution must have equal length"):
+        ScenarioSpec(domain=((0.0, 1.0), (0.0, 1.0)), resolution=(5,),
+                     boundary_rule=AffineRule(), initial_rule=AffineRule())
+    fld = ScalarField(k=2, extents=(2, 5), spacings=(1.0, 0.25), origin=(0.0, 0.0),
+                      values=np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="stepping needs at least 3 points per axis"):
+        step_explicit(fld, AffineRule(), 1e-3)
+
+
 # -- IO ------------------------------------------------------------------------------
 
 
@@ -711,7 +726,7 @@ SPECIAL_VALUES = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -
                   1e308, -sys.float_info.max, 1 / 3, -1e-300]
 
 
-@pytest.mark.parametrize("extents, origin, spacings", [
+REFERENCE_LATTICES = [
     ((15,), (0.0,), (0.1,)),
     ((4, 6), (-3.0, 1e-300), (1e-9, 1 / 3)),
     ((3, 3), (-1e5, -0.0), (0.25, 1e-9)),
@@ -720,7 +735,10 @@ SPECIAL_VALUES = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -
     ((0,), (0.0,), (0.1,)),
     ((0, 3), (-1e5, 0.0), (1 / 3, 0.1)),
     ((4, 0, 2), (0.0, 1e-300, -1.0), (0.1, 1e-9, 1 / 3)),
-])
+]
+
+
+@pytest.mark.parametrize("extents, origin, spacings", REFERENCE_LATTICES)
 def test_field_csv_matches_reference_bytes(tmp_path, extents, origin, spacings):
     n = math.prod(extents)
     rng = np.random.default_rng(n)
@@ -748,18 +766,35 @@ def test_field_csv_matches_reference_on_random_lattices(case):
         _csv_bytes_match_reference(fld, Path(directory))
 
 
+# rows of up to 15 cells in pieces of 2 and 3: split evenly, unevenly and not at all
+@pytest.mark.parametrize("chunk", [2, 3])
+@pytest.mark.parametrize("extents, origin, spacings", REFERENCE_LATTICES)
+def test_field_csv_in_pieces_matches_reference_bytes(tmp_path, monkeypatch, chunk, extents,
+                                                     origin, spacings):
+    monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+    test_field_csv_matches_reference_bytes(tmp_path, extents, origin, spacings)
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_field_csv_in_pieces_matches_reference_on_random_lattices(monkeypatch, chunk):
+    monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+    test_field_csv_matches_reference_on_random_lattices()
+
+
 def test_field_csv_holds_one_lattice_row_at_a_time():
-    # a 1024 x 1024 grid's text and a tuple of its values would take over 200 MiB
-    values = np.random.default_rng(3).standard_normal((1024, 1024))
-    fld = ScalarField(k=2, extents=(1024, 1024), spacings=(1e-3, 1 / 3), origin=(-0.5, 0.0),
-                      values=values)
-    tracemalloc.start()
-    try:
-        field_to_csv(fld, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # a 1024 x 1024 grid's text and a tuple of its values would take over 200 MiB;
+    # the text of a whole axis would take 11, 5.7 and 3.8 MiB on the three long axes
+    for extents in [(1024, 1024), (2**16,), (2, 2**15), (2**15, 2)]:
+        values = np.random.default_rng(3).standard_normal(extents)
+        fld = ScalarField(k=len(extents), extents=extents, spacings=(1e-3, 1 / 3)[:len(extents)],
+                          origin=(-0.5, 0.0)[:len(extents)], values=values)
+        tracemalloc.start()
+        try:
+            field_to_csv(fld, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, extents
 
 
 def _json_dump_reference(fld, path):
@@ -775,9 +810,7 @@ def _json_dump_reference(fld, path):
 # 1, 7 and 59 split the 60 values unevenly; 60 and 4096 leave them whole
 @pytest.mark.parametrize("chunk", [1, 7, 59, 60, 4096])
 def test_field_json_bytes_match_json_dump(tmp_path, monkeypatch, chunk):
-    import sustkit.diffusion as diffusion
-
-    monkeypatch.setattr(diffusion, "_JSON_CHUNK", chunk)
+    monkeypatch.setattr(diffusion, "_CHUNK", chunk)
     specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
                 1.7976931348623157e308, 0.1, 1 / 3, -2 / 3, 123456789.01234567, 1e16 + 2.0]
     rng = np.random.default_rng(7)
@@ -1121,8 +1154,6 @@ def test_step_budget_refuses_rules_that_must_step():
 
 @pytest.mark.parametrize("last_step", [5, 6])
 def test_step_budget_counts_the_last_wanted_step(monkeypatch, last_step):
-    import sustkit.diffusion as diffusion
-
     monkeypatch.setattr(diffusion, "MAX_STEPS", 5)
     spec = unit_square_spec(resolution=5, t_end=1.0)
     dt = spec.resolved_dt()
@@ -1295,8 +1326,6 @@ def _uniform_then_varying(calls, dt, switch_step):
 
 def _counting_steppers(monkeypatch):
     """Count the FTCS kernel steps that run_scenario takes from here on."""
-    import sustkit.diffusion as diffusion
-
     taken = []
     make = diffusion._ftcs_stepper
 
@@ -1417,8 +1446,6 @@ def test_overflowing_initial_modes_step_as_the_kernel(boundary, initial, monkeyp
 def test_stepped_affine_run_counts_against_the_step_budget(monkeypatch, last_step):
     # An AffineRule run whose initial modes overflow takes every step, so
     # the budget applies: refused after the t = 0 call, before any step.
-    import sustkit.diffusion as diffusion
-
     monkeypatch.setattr(diffusion, "MAX_STEPS", 5)
     spec = scenario_from_json(HUGE_SPEC)
     dt = spec.resolved_dt()

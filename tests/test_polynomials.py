@@ -116,6 +116,24 @@ def test_negative_exponent_rejected():
         SparsePolynomial(1, {(0, -1): 1.0})
 
 
+def test_polynomial_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+        SparsePolynomial(0)
+    with pytest.raises(ArityMismatchError, match=r"exponent vector \(1, 0\) has length 2, expected 3"):
+        SparsePolynomial(2, {(1, 0): 1.0})
+    p = SparsePolynomial(2, {(0, 1, 1): 1.0})
+    for var in (-1, 3):
+        with pytest.raises(ValueError, match=f"variable id {var} out of range for arity 2"):
+            p.partial(var)
+    # 1e300 * 1e10 is inf, not a Python OverflowError
+    with pytest.raises(ValueError, match="non-finite evaluation at"):
+        SparsePolynomial(1, {(0, 1): 1e300})((0.0, 1e10))
+    with pytest.raises(ValueError, match="T3w needs 2 weights"):
+        SolutionFamily("T3w", 2)
+    with pytest.raises(ValueError, match="interaction model needs k >= 2, got 1"):
+        interaction_residual(SparsePolynomial(1, {(1, 1): 1.0}))
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     terms=st.dictionaries(

@@ -1193,3 +1193,8 @@ def test_refinement_outputs_are_the_recorded_bits(tmp_path):
     recorded = json.loads(RS_OUTPUTS.read_text())
     assert recorded["integral exp_x3 1e-09"]["value"] == "2.4548454853428066"
     assert _refinement_outputs(tmp_path) == recorded
+
+
+def test_integrand_that_is_not_callable_is_a_type_error():
+    with pytest.raises(TypeError, match="integrand must be a WeightFunction or callable"):
+        rs_integrate(0.5, lambda x: x, 0.0, 1.0)
