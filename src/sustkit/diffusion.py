@@ -43,9 +43,9 @@ run takes every step, calling the rule ``1 + steps`` times, and one of
 more than :data:`MAX_STEPS` steps is refused.
 
 Both paths snap snapshots to the same steps and write boundary nodes with
-the values the rule returned.  Scenario runs share no mutable state (the
-boundary nodes of a lattice are cached read-only), so independent runs may
-execute concurrently.
+the values the rule returned.  Scenario runs share no mutable state (a
+lattice's boundary nodes and stencil slices are cached read-only, and each
+run owns its scratch arrays), so independent runs may execute concurrently.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ MAX_STEPS = 10**7
 # peaks at about 520 MB of RSS with --t-end 0.001, and a k = 1 solve of 2^22
 # points at 450 MB, the CSV export included.
 MAX_LATTICE_POINTS = 2**22
-# Lattices whose boundary nodes are kept for reuse by later runs and steps.
-_BOUNDARY_CACHE = 16
+# Lattices whose geometry is kept for reuse by later runs and steps.
+_LATTICE_CACHE = 16
 # Most grid cells field_to_csv and field_to_json write at a time.
 _CHUNK = 4096
 
@@ -154,14 +154,9 @@ class ScalarField:
         return self.origin[axis] + self.spacings[axis] * np.arange(self.extents[axis])
 
     def coordinate_grids(self) -> tuple[np.ndarray, ...]:
-        """Sparse broadcastable coordinate arrays, one per axis: those of
-        ``np.meshgrid(..., indexing="ij", sparse=True)``, without its set-up."""
-        grids = []
-        for a in range(self.k):
-            shape = [1] * self.k
-            shape[a] = -1
-            grids.append(self.axis_coords(a).reshape(shape))
-        return tuple(grids)
+        """Sparse broadcastable coordinate arrays, one per axis."""
+        return tuple(np.meshgrid(*map(self.axis_coords, range(self.k)), indexing="ij",
+                                 sparse=True))
 
     def copy(self) -> "ScalarField":
         return replace(self, values=self.values.copy())
@@ -222,30 +217,38 @@ class ScenarioSpec:
             time=0.0,
         )
         fld.values[...] = self.initial_rule(fld.coordinate_grids())
-        boundary = _field_boundary(fld)
-        boundary.write(fld.values, self.boundary_rule(boundary.coords, 0.0))
+        lattice = _lattice(fld.extents, fld.spacings, fld.origin)
+        lattice.write(fld.values, self.boundary_rule(lattice.coords, 0.0))
         if not np.all(np.isfinite(fld.values)):
             raise NonFiniteFieldError("initial data is not finite")
         return fld
 
 
-class _Boundary(NamedTuple):
-    """The boundary nodes of a lattice: ``index``, their ascending flat
-    row-major indices, and ``coords``, one 1-D array per axis of their
-    coordinates, the values of :meth:`ScalarField.axis_coords`.  The arrays
-    are read-only, so every run on the lattice may share them."""
+class _Lattice(NamedTuple):
+    """The geometry of a lattice in its flat row-major order.
+
+    ``index`` holds the ascending flat indices of the boundary nodes and
+    ``coords`` one 1-D array per axis of their coordinates, the values of
+    :meth:`ScalarField.axis_coords`.  With row-major strides ``s_i`` the
+    FTCS stencil runs on the contiguous ``span`` ``[sum_i s_i, N - sum_i
+    s_i)``, which holds every interior node, and ``axes`` holds, per axis,
+    the span shifted by ``+s_i`` and by ``-s_i`` and ``h_i**2``.  The arrays
+    are read-only, so every run and step on the lattice may share them.
+    """
 
     index: np.ndarray
     coords: tuple[np.ndarray, ...]
+    span: slice
+    axes: tuple[tuple[slice, slice, float], ...]
 
     def write(self, values: np.ndarray, value) -> None:
         """Write a boundary rule's ``value`` into the C-contiguous ``values``."""
         values.reshape(-1)[self.index] = value
 
 
-@functools.lru_cache(maxsize=_BOUNDARY_CACHE)
-def _boundary(extents: tuple[int, ...], spacings: tuple[float, ...],
-              origin: tuple[float, ...]) -> _Boundary:
+@functools.lru_cache(maxsize=_LATTICE_CACHE)
+def _lattice(extents: tuple[int, ...], spacings: tuple[float, ...],
+             origin: tuple[float, ...]) -> _Lattice:
     mask = np.ones(extents, dtype=bool)
     mask[(slice(1, -1),) * len(extents)] = False
     index = np.flatnonzero(mask)
@@ -254,11 +257,11 @@ def _boundary(extents: tuple[int, ...], spacings: tuple[float, ...],
                    for o, h, n, j in zip(origin, spacings, extents, position))
     for array in (index, *coords):
         array.flags.writeable = False
-    return _Boundary(index, coords)
-
-
-def _field_boundary(field: ScalarField) -> _Boundary:
-    return _boundary(field.extents, field.spacings, field.origin)
+    strides = [math.prod(extents[a + 1:]) for a in range(len(extents))]
+    n, edge = math.prod(extents), sum(strides)
+    axes = tuple((slice(edge + s, n - edge + s), slice(edge - s, n - edge - s), h**2)
+                 for s, h in zip(strides, spacings))
+    return _Lattice(index, coords, slice(edge, n - edge), axes)
 
 
 def _uniform_value(value) -> float | None:
@@ -274,32 +277,25 @@ def _uniform_value(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable:
-    """The FTCS step for one run on a lattice of ``extents``.
+def _ftcs_stepper(lattice: _Lattice) -> Callable:
+    """The FTCS step for one run on ``lattice``.
 
-    The returned ``step(u, out, boundary, value, dt, t_new)`` writes the
-    successor of ``u`` into ``out``, both flat C-order arrays of the lattice
-    (distinct): the stencil, then the boundary rule's ``value`` at ``t_new``
-    into the nodes of ``boundary`` (a :class:`_Boundary`).  With row-major
-    strides ``s_i`` the stencil runs on the contiguous span
-    ``[sum_i s_i, N - sum_i s_i)`` and its shifts by ``±s_i``, which hold
-    every interior node; the other nodes of the span are boundary nodes,
-    overwritten before the finiteness check, so their arithmetic, which may
-    overflow where the interior does not, runs with floating-point errors
-    ignored.  Each node evaluates
+    The returned ``step(u, out, value, dt, t_new)`` writes the successor of
+    ``u`` into ``out``, both flat C-order arrays of the lattice (distinct):
+    the stencil on the lattice's span, then the boundary rule's ``value`` at
+    ``t_new`` into its boundary nodes.  The other nodes of the span are
+    boundary nodes, overwritten before the finiteness check, so their
+    arithmetic, which may overflow where the interior does not, runs with
+    floating-point errors ignored.  Each node evaluates
     ``u + dt * sum_i (u[+s_i] - 2u + u[-s_i]) / h_i**2`` in that order, with
     in-place ufuncs into scratch arrays built here, once per stepper, so a
     step allocates nothing.  Steppers share no buffers.
     """
-    strides = [math.prod(extents[a + 1:]) for a in range(len(extents))]
-    n, edge = math.prod(extents), sum(strides)
-    span = slice(edge, n - edge)
-    axes = [(slice(edge + s, n - edge + s), slice(edge - s, n - edge - s), h**2)
-            for s, h in zip(strides, spacings)]
-    lap, two, tmp = np.empty(n - 2 * edge), np.empty(n - 2 * edge), np.empty(n - 2 * edge)
-    finite = np.empty(n, dtype=bool)
+    span, axes, index = lattice.span, lattice.axes, lattice.index
+    lap, two, tmp = (np.empty(span.stop - span.start) for _ in range(3))
+    finite = np.empty(span.start + span.stop, dtype=bool)  # the span is [edge, N - edge)
 
-    def step(u, out, boundary: _Boundary, value, dt: float, t_new: float) -> None:
+    def step(u, out, value, dt: float, t_new: float) -> None:
         with np.errstate(all="ignore"):
             lap.fill(0.0)
             np.multiply(u[span], 2.0, out=two)
@@ -310,7 +306,7 @@ def _ftcs_stepper(extents: Sequence[int], spacings: Sequence[float]) -> Callable
                 np.add(lap, tmp, out=lap)
             np.multiply(lap, dt, out=lap)
             np.add(u[span], lap, out=out[span])
-        out[boundary.index] = value
+        out[index] = value
         if not np.isfinite(out, out=finite).all():
             raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
 
@@ -330,11 +326,10 @@ def step_explicit(field: ScalarField, boundary_rule: Callable, dt: float) -> Sca
         raise ValueError("stepping needs at least 3 points per axis")
     dt = _checked_dt(dt, field.spacings)
     t_new = field.time + dt
-    boundary = _field_boundary(field)
+    lattice = _lattice(field.extents, field.spacings, field.origin)
     out = np.empty(field.extents)
-    step = _ftcs_stepper(field.extents, field.spacings)
-    step(field.values.reshape(-1), out.reshape(-1), boundary,
-         boundary_rule(boundary.coords, t_new), dt, t_new)
+    _ftcs_stepper(lattice)(field.values.reshape(-1), out.reshape(-1),
+                           boundary_rule(lattice.coords, t_new), dt, t_new)
     return replace(field, values=out, time=t_new)
 
 
@@ -348,7 +343,7 @@ def run_scenario(spec: ScenarioSpec, snapshot_times: Sequence[float]) -> list[Sc
     boundary ``a + s*t`` is called at t = 0 and at the snapshot steps only,
     each snapshot being the exact FTCS iterate in closed form.  Any other
     boundary rule is called once per step, with the coordinates of every
-    boundary node (see :class:`_Boundary`), so ``1 + steps`` times in all,
+    boundary node (see :class:`_Lattice`), so ``1 + steps`` times in all,
     and a scenario that needs more than :data:`MAX_STEPS` such steps is
     refused with ``ValueError`` before any rule is called (an
     :class:`AffineRule` run that has to step, before its first step).  The
@@ -453,8 +448,8 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
       forced modes, the lattice of step n-1 is rebuilt from the modes and
       stepping takes over with the value of step n.
     """
-    boundary = _field_boundary(field)
-    edge = field.values.reshape(-1)[boundary.index]
+    lattice = _lattice(field.extents, field.spacings, field.origin)
+    edge = field.values.reshape(-1)[lattice.index]
     g, core = float(edge[0]), (slice(1, -1),) * field.k
     modal = bool(np.all(edge == g))
     if modal:
@@ -468,14 +463,14 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
         growth = 1.0 - decay
         lo, hi = float(field.values.min()), float(field.values.max())
 
-        def lattice(step, modes, value):
+        def from_modes(step, modes, value):
             """The lattice of ``step`` from the sine modes ``modes(step)``, refused
             unless finite before its interior is clipped."""
             values = np.empty(field.extents)
             interior = values[core]
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
                 np.add(transform(modes(step)), g, out=interior)
-            boundary.write(values, value)
+            lattice.write(values, value)
             if not np.isfinite(values).all():
                 raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
             np.clip(interior, lo, hi, out=interior)
@@ -489,9 +484,9 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
                 return power * initial + w * ones
 
             for step in steps:
-                g = boundary_rule(boundary.coords, step * dt)
+                g = boundary_rule(lattice.coords, step * dt)
                 lo, hi = min(lo, g), max(hi, g)
-                yield step, lattice(step, affine_modes, g)
+                yield step, from_modes(step, affine_modes, g)
             return
 
         odd = (slice(None, None, 2),) * field.k
@@ -507,7 +502,7 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
     wanted, previous, u = set(steps), None, None  # u stays None while the run is modal
     for step in range(1, max(steps, default=0) + 1):
         t = step * dt
-        value = boundary_rule(boundary.coords, t)
+        value = boundary_rule(lattice.coords, t)
         if u is None:
             g_new = _uniform_value(value) if modal else None
             if g_new is not None:
@@ -518,14 +513,14 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
                     g, previous = g_new, value
                     lo, hi = min(lo, g), max(hi, g)
                     if step in wanted:
-                        yield step, lattice(step, forced_modes, value)
+                        yield step, from_modes(step, forced_modes, value)
                     continue
             # Double buffering from the previous lattice: each step reads u
             # and overwrites every node of nxt.
-            start = field.values if step == 1 else lattice(step - 1, forced_modes, previous)
+            start = field.values if step == 1 else from_modes(step - 1, forced_modes, previous)
             u, nxt = start.reshape(-1).copy(), np.empty(start.size)
-            ftcs_step = _ftcs_stepper(field.extents, field.spacings)
-        ftcs_step(u, nxt, boundary, value, dt, t)
+            ftcs_step = _ftcs_stepper(lattice)
+        ftcs_step(u, nxt, value, dt, t)
         u, nxt = nxt, u
         if step in wanted:
             yield step, u.reshape(field.extents)

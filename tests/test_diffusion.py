@@ -35,7 +35,7 @@ from sustkit.diffusion import (
     stable_dt,
     step_explicit,
 )
-from sustkit.diffusion import _field_boundary, _ftcs_stepper, _iterates, _sine_modes
+from sustkit.diffusion import _ftcs_stepper, _iterates, _lattice, _sine_modes
 
 
 def unit_square_spec(resolution=11, t_end=1.0, boundary=None, initial=None, k=2):
@@ -209,14 +209,13 @@ def _rough_field(extents, domain, seed):
 @pytest.mark.parametrize("extents, domain", KERNEL_LATTICES, ids=str)
 def test_stepper_matches_reference_bit_for_bit(extents, domain, dt_factor):
     fld = _rough_field(extents, domain, seed=sum(extents))
-    faces, boundary = _boundary_faces(fld), _field_boundary(fld)
+    faces, lattice = _boundary_faces(fld), _lattice(fld.extents, fld.spacings, fld.origin)
     dt = dt_factor * stable_dt(fld.spacings)
-    step = _ftcs_stepper(fld.extents, fld.spacings)
+    step = _ftcs_stepper(lattice)
     ref, u, out = fld.values.copy(), fld.values.copy(), np.empty_like(fld.values)
     for n in range(1, 31):
         ref = _reference_step(ref, faces, fld.spacings, _wavy_rule, dt, n * dt)
-        step(u.reshape(-1), out.reshape(-1), boundary, _wavy_rule(boundary.coords, n * dt),
-             dt, n * dt)
+        step(u.reshape(-1), out.reshape(-1), _wavy_rule(lattice.coords, n * dt), dt, n * dt)
         assert np.array_equal(_bits(out), _bits(ref)), n
         u, out = out, u
     # step_explicit builds its own stepper per call and gives the same bits
@@ -228,15 +227,15 @@ def test_stepper_matches_reference_bit_for_bit(extents, domain, dt_factor):
 @pytest.mark.parametrize("extents, domain", KERNEL_LATTICES, ids=str)
 def test_stepper_keeps_signed_zeros_as_the_reference(extents, domain):
     fld = _rough_field(extents, domain, seed=1)
-    faces, boundary = _boundary_faces(fld), _field_boundary(fld)
+    faces, lattice = _boundary_faces(fld), _lattice(fld.extents, fld.spacings, fld.origin)
     dt = stable_dt(fld.spacings)
     for fill in (-0.0, 0.0):
         for rule in (lambda coords, t: -0.0, lambda coords, t: 0.0):
             u = np.full(fld.extents, fill)
             u[np.indices(fld.extents).sum(axis=0) % 2 == 1] = -fill  # checkerboard of zeros
             out = np.empty_like(u)
-            _ftcs_stepper(fld.extents, fld.spacings)(u.reshape(-1), out.reshape(-1), boundary,
-                                                     rule(boundary.coords, dt), dt, dt)
+            _ftcs_stepper(lattice)(u.reshape(-1), out.reshape(-1), rule(lattice.coords, dt),
+                                   dt, dt)
             want = _reference_step(u, faces, fld.spacings, rule, dt, dt)
             assert np.array_equal(_bits(out), _bits(want))
 
@@ -312,6 +311,18 @@ def test_concurrent_runs_share_no_buffers():
     assert not any(th.is_alive() for th in threads)
     for got, want in zip(results, alone):
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_lattice_is_built_once_and_shared_read_only():
+    fld = _rough_field((9, 7), ((0.0, 1.0), (-1.0, 2.0)), seed=3)
+    dt = stable_dt(fld.spacings)
+    fld = step_explicit(fld, _wavy_rule, dt)
+    misses = diffusion._lattice.cache_info().misses
+    for _ in range(200):
+        fld = step_explicit(fld, _wavy_rule, dt)
+    assert diffusion._lattice.cache_info().misses == misses
+    lattice = _lattice(fld.extents, fld.spacings, fld.origin)
+    assert not any(array.flags.writeable for array in (lattice.index, *lattice.coords))
 
 
 def test_overflowing_step_raises_at_the_reference_time():
@@ -1046,12 +1057,13 @@ def stepped(spec: ScenarioSpec, times) -> list[ScalarField]:
     dt = spec.resolved_dt()
     fld = spec.initial_field()
     want = [round(t / dt) for t in times]
-    boundary, step = _field_boundary(fld), _ftcs_stepper(fld.extents, fld.spacings)
+    lattice = _lattice(fld.extents, fld.spacings, fld.origin)
+    step = _ftcs_stepper(lattice)
     got = {0: fld.values.copy()}
     for n in range(1, max(want) + 1):
         got[n] = np.empty(fld.extents)
-        step(got[n - 1].reshape(-1), got[n].reshape(-1), boundary,
-             spec.boundary_rule(boundary.coords, n * dt), dt, n * dt)
+        step(got[n - 1].reshape(-1), got[n].reshape(-1),
+             spec.boundary_rule(lattice.coords, n * dt), dt, n * dt)
     return [replace(fld, values=got[n], time=n * dt) for n in want]
 
 
@@ -1329,8 +1341,8 @@ def _counting_steppers(monkeypatch):
     taken = []
     make = diffusion._ftcs_stepper
 
-    def counting(extents, spacings):
-        step = make(extents, spacings)
+    def counting(lattice):
+        step = make(lattice)
 
         def counted(*args):
             taken.append(args[-1])
