@@ -462,14 +462,25 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
     if modal:
         growth = 1.0 - decay
         lo, hi = float(field.values.min()), float(field.values.max())
+        # |x| < 2**exponent(x).  The modes are less than |initial| + |w| * |ones|, and the
+        # transform's sums of them less than prod_i 2(n_i - 1) times that; 2**1020 leaves
+        # the FFT room below the overflow threshold for its own partial sums.
+        exponent = lambda x: math.frexp(float(x))[1]
+        headroom = 1020 - 1 - sum(exponent(2 * (n - 1)) for n in field.extents)
+        initial_top, ones_top = exponent(np.abs(initial).max()), exponent(np.abs(ones).max())
 
-        def from_modes(step, modes, value):
-            """The lattice of ``step`` from the sine modes ``modes(step)``, refused
-            unless finite before its interior is clipped."""
+        def from_modes(step, modes, w, value):
+            """The lattice of ``step`` from ``modes(step, shift)``, its sine modes
+            times ``2**-shift``, refused unless finite before its interior is
+            clipped.  ``w`` bounds ``|w_n|``.  ``shift`` is 0 unless the modes or
+            the transform's sums could overflow where the lattice need not; the
+            interior is scaled back before ``g`` is added, and scaling by a power
+            of two changes no bit."""
+            shift = max(0, max(initial_top, exponent(w) + ones_top) - headroom)
             values = np.empty(field.extents)
             interior = values[core]
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-                np.add(transform(modes(step)), g, out=interior)
+                np.add(np.ldexp(transform(modes(step, shift)), shift), g, out=interior)
             lattice.write(values, value)
             if not np.isfinite(values).all():
                 raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
@@ -478,25 +489,27 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
 
         if isinstance(boundary_rule, AffineRule):
 
-            def affine_modes(step):
+            def affine_modes(step, shift):
                 power = growth**step
-                w = boundary_rule.s * dt * (power - 1.0) / decay
-                return power * initial + w * ones
+                w = math.ldexp(boundary_rule.s, -shift) * dt * (power - 1.0) / decay
+                return power * np.ldexp(initial, -shift) + w * ones
 
             for step in steps:
                 g = boundary_rule(lattice.coords, step * dt)
                 lo, hi = min(lo, g), max(hi, g)
-                yield step, from_modes(step, affine_modes, g)
+                # |w_n| <= |s| * n*dt, as |r| <= 1
+                yield step, from_modes(step, affine_modes, abs(boundary_rule.s) * (step * dt), g)
             return
 
         odd = (slice(None, None, 2),) * field.k
         rate, forced = np.ascontiguousarray(growth[odd]), np.zeros(ones[odd].shape)
         reach, reach_limit = 0.0, sys.float_info.max / float(np.abs(ones).max())
 
-        def forced_modes(step):
-            """The modes of ``step``, the last step the forced modes were advanced to."""
-            v = growth**step * initial
-            v[odd] += forced * ones[odd]
+        def forced_modes(step, shift):
+            """The modes of ``step``, the last step the forced modes were advanced
+            to, times ``2**-shift``."""
+            v = growth**step * np.ldexp(initial, -shift)
+            v[odd] += np.ldexp(forced, -shift) * ones[odd]
             return v
 
     wanted, previous, u = set(steps), None, None  # u stays None while the run is modal
@@ -513,11 +526,12 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
                     g, previous = g_new, value
                     lo, hi = min(lo, g), max(hi, g)
                     if step in wanted:
-                        yield step, from_modes(step, forced_modes, value)
+                        yield step, from_modes(step, forced_modes, np.abs(forced).max(), value)
                     continue
             # Double buffering from the previous lattice: each step reads u
             # and overwrites every node of nxt.
-            start = field.values if step == 1 else from_modes(step - 1, forced_modes, previous)
+            start = field.values if step == 1 else from_modes(
+                step - 1, forced_modes, np.abs(forced).max(), previous)
             u, nxt = start.reshape(-1).copy(), np.empty(start.size)
             ftcs_step = _ftcs_stepper(lattice)
         ftcs_step(u, nxt, value, dt, t)

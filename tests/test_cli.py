@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from jsonschema import validate
 from sustkit import riemann_stieltjes
 from sustkit.cli import build_parser, main
 from sustkit.expressions import ExpressionError, compile_expression
-from sustkit.pavement import MIX_CSV_COLUMNS
+from sustkit.diffusion import AffineRule, run_scenario
+from sustkit.pavement import MIX_CSV_COLUMNS, figure_scenarios
 
 FIT_REPORT_SCHEMA = {
     "type": "object",
@@ -1301,13 +1303,14 @@ def test_cli_stepped_affine_run_beyond_the_step_budget_warns_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("argv, spec", [
-    (["figures", "--which", "fig4", "--resolution", "5", "--s", "1e308", "--t-end", "1"], None),
+    (["figures", "--which", "fig4", "--resolution", "5", "--s", "1e308", "--t-end", "2"], None),
     (["solve"], '{"domain": [[0, 1], [0, 1]], "resolution": [5, 5], "t_end": 1, '
                 '"initial": 1e308, "boundary": -1e308}'),
 ], ids=["affine_modes", "initial_modes"])
 def test_cli_modes_that_overflow_exit_one_without_a_warning(tmp_path, argv, spec):
-    # the forced modes of the AffineRule closed form, and the sine modes of
-    # initial - boundary, overflow; under -W error a numpy warning would be a traceback
+    # the forced modes of the AffineRule closed form, where s*t overflows too, and
+    # the sine modes of initial - boundary, overflow; under -W error a numpy warning
+    # would be a traceback
     if spec is not None:
         (tmp_path / "spec.json").write_text(spec)
         argv = [*argv, "--spec", str(tmp_path / "spec.json")]
@@ -1315,6 +1318,26 @@ def test_cli_modes_that_overflow_exit_one_without_a_warning(tmp_path, argv, spec
                       python_flags=["-W", "error"])
     _assert_process_exits_one_with_error_line(proc)
     assert "non-finite values after step to t=" in proc.stderr
+
+
+@pytest.mark.parametrize("which", ["fig4", "fig5"])
+def test_cli_affine_modes_that_overflow_where_the_field_does_not(tmp_path, which):
+    # at s = 1e307 the terms w_n * ones of the sine modes overflow though s*t does
+    # not: the modes are scaled by a power of two, which changes no bit
+    assert main(["figures", "--which", which, "--s", "1e307", "--t-end", "1",
+                 "--out", str(tmp_path)]) == 0
+    for label, spec in zip("abcd", figure_scenarios(which, s=1e307, t_end=1.0)):
+        rows = np.loadtxt(tmp_path / f"{which}_{label}_t1.csv", delimiter=",", skiprows=1)
+        got = rows[:, -1].reshape(spec.resolution)
+        assert np.isfinite(got).all()
+        small = replace(spec, boundary_rule=AffineRule(s=math.ldexp(1e307, -40)))
+        assert np.array_equal(got, np.ldexp(run_scenario(small, [1.0])[0].values, 40))
+        # the same boundary as a lambda is stepped from the step where its forced
+        # modes could overflow; modal and stepped runs round differently, by up
+        # to 7e-14 of the largest |value| on these lattices at s = 10 as well
+        stepped = run_scenario(replace(spec, boundary_rule=lambda coords, t: 1e307 * t), [1.0])
+        np.testing.assert_allclose(got, stepped[0].values, rtol=0,
+                                   atol=1e-12 * np.abs(got).max())
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")

@@ -793,9 +793,9 @@ def test_field_csv_in_pieces_matches_reference_on_random_lattices(monkeypatch, c
 
 
 def test_field_csv_holds_one_lattice_row_at_a_time():
-    # a 1024 x 1024 grid's text and a tuple of its values would take over 200 MiB;
-    # the text of a whole axis would take 11, 5.7 and 3.8 MiB on the three long axes
-    for extents in [(1024, 1024), (2**16,), (2, 2**15), (2**15, 2)]:
+    # a 256 x 256 grid's text and a tuple of its values would take 13 MiB; the
+    # text of a whole axis would take 11, 5.7 and 3.8 MiB on the three long axes
+    for extents in [(256, 256), (2**16,), (2, 2**15), (2**15, 2)]:
         values = np.random.default_rng(3).standard_normal(extents)
         fld = ScalarField(k=len(extents), extents=extents, spacings=(1e-3, 1 / 3)[:len(extents)],
                           origin=(-0.5, 0.0)[:len(extents)], values=values)
@@ -1198,10 +1198,17 @@ def test_affine_non_finite_slope_is_rejected(s):
 def test_affine_modes_that_overflow_are_refused_not_clipped():
     # fig4 panel c at s = 1e308: the closed form's forced modes overflow.  Were
     # they clipped to the range of the boundary values, the interior would read
-    # 0, where the s = 1 run scaled by 1e308 reads about 0.228 * s.
+    # 0, where the s = 1 run scaled by 1e308 reads about 0.228 * s.  At t = 1 the
+    # field is finite, and the modes are scaled into range by a power of two;
+    # at t = 2 s*t overflows too, and the run is refused.
     from sustkit.pavement import figure_scenarios
 
     spec = figure_scenarios("fig4", resolution=5, s=1e308, t_end=1.0)[2]
+    got = run_scenario(spec, [spec.t_end])[0].values
+    small = replace(spec, boundary_rule=AffineRule(s=math.ldexp(1e308, -60)))
+    assert np.array_equal(got, np.ldexp(run_scenario(small, [spec.t_end])[0].values, 60))
+    assert 0.2 * 1e308 < got[1, 1] < 0.25 * 1e308
+    spec = replace(spec, t_end=2.0)
     with pytest.raises(NonFiniteFieldError, match="^non-finite values after step to t="):
         run_scenario(spec, [spec.t_end])
 
