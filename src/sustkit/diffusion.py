@@ -462,9 +462,10 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
     if modal:
         growth = 1.0 - decay
         lo, hi = float(field.values.min()), float(field.values.max())
-        # |x| < 2**exponent(x).  The modes are less than |initial| + |w| * |ones|, and the
-        # transform's sums of them less than prod_i 2(n_i - 1) times that; 2**1020 leaves
-        # the FFT room below the overflow threshold for its own partial sums.
+        # |x| < 2**exponent(x).  The modes are less than |initial| + |w| * |ones|, so
+        # than 2**(max(initial_top, exponent(w) + ones_top) + 1), and the transform's
+        # sums of them than prod_i 2(n_i - 1) times that.  Kept below 2**1020, they
+        # leave the FFT room for its own partial sums.
         exponent = lambda x: math.frexp(float(x))[1]
         headroom = 1020 - 1 - sum(exponent(2 * (n - 1)) for n in field.extents)
         initial_top, ones_top = exponent(np.abs(initial).max()), exponent(np.abs(ones).max())
