@@ -162,6 +162,11 @@ class ScalarField:
         return replace(self, values=self.values.copy())
 
 
+def _is_list(value) -> bool:
+    """Whether ``value`` is a list, a tuple or an array of at least one axis."""
+    return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0)
+
+
 @dataclass
 class ScenarioSpec:
     """One solver run: domain, lattice, data rules and horizon.
@@ -181,6 +186,11 @@ class ScenarioSpec:
     dt: float | str = "auto"
 
     def __post_init__(self):
+        if not (_is_list(self.domain) and all(_is_list(ax) and len(ax) == 2
+                                              for ax in self.domain)):
+            raise ValueError(f"domain must be a list of [lo, hi] pairs, got {self.domain!r}")
+        if not _is_list(self.resolution):
+            raise ValueError(f"resolution must be a list, got {self.resolution!r}")
         self.domain = tuple(check_interval(finite("domain", lo), finite("domain", hi))
                             for lo, hi in self.domain)
         self.resolution = tuple(whole_number("resolution", n, 3) for n in self.resolution)
@@ -219,8 +229,6 @@ class ScenarioSpec:
         fld.values[...] = self.initial_rule(fld.coordinate_grids())
         lattice = _lattice(fld.extents, fld.spacings, fld.origin)
         lattice.write(fld.values, self.boundary_rule(lattice.coords, 0.0))
-        if not np.all(np.isfinite(fld.values)):
-            raise NonFiniteFieldError("initial data is not finite")
         return fld
 
 
@@ -241,9 +249,16 @@ class _Lattice(NamedTuple):
     span: slice
     axes: tuple[tuple[slice, slice, float], ...]
 
-    def write(self, values: np.ndarray, value) -> None:
-        """Write a boundary rule's ``value`` into the C-contiguous ``values``."""
-        values.reshape(-1)[self.index] = value
+    def write(self, values: np.ndarray, value, t: float | None = None, finite=None) -> None:
+        """Write a boundary rule's ``value`` into the C-contiguous ``values``,
+        then refuse them unless every node is finite.  ``t`` is the time of the
+        step that made them, None for initial data; ``finite``, if given, is a
+        bool array of their size that the check writes into."""
+        flat = values.reshape(-1)
+        flat[self.index] = value
+        if not np.isfinite(flat, out=finite).all():
+            raise NonFiniteFieldError("initial data is not finite" if t is None
+                                      else f"non-finite values after step to t={t:g}")
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE)
@@ -291,7 +306,7 @@ def _ftcs_stepper(lattice: _Lattice) -> Callable:
     in-place ufuncs into scratch arrays built here, once per stepper, so a
     step allocates nothing.  Steppers share no buffers.
     """
-    span, axes, index = lattice.span, lattice.axes, lattice.index
+    span, axes = lattice.span, lattice.axes
     lap, two, tmp = (np.empty(span.stop - span.start) for _ in range(3))
     finite = np.empty(span.start + span.stop, dtype=bool)  # the span is [edge, N - edge)
 
@@ -306,9 +321,7 @@ def _ftcs_stepper(lattice: _Lattice) -> Callable:
                 np.add(lap, tmp, out=lap)
             np.multiply(lap, dt, out=lap)
             np.add(u[span], lap, out=out[span])
-        out[index] = value
-        if not np.isfinite(out, out=finite).all():
-            raise NonFiniteFieldError(f"non-finite values after step to t={t_new:g}")
+        lattice.write(out, value, t_new, finite)
 
     return step
 
@@ -482,9 +495,7 @@ def _iterates(field: ScalarField, boundary_rule: Callable, dt: float, steps):
             interior = values[core]
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
                 np.add(np.ldexp(transform(modes(step, shift)), shift), g, out=interior)
-            lattice.write(values, value)
-            if not np.isfinite(values).all():
-                raise NonFiniteFieldError(f"non-finite values after step to t={step * dt:g}")
+            lattice.write(values, value, step * dt)
             np.clip(interior, lo, hi, out=interior)
             return values
 
@@ -729,12 +740,6 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     missing = [key for key in required if key not in data]
     if missing:
         raise ValueError(f"scenario spec is missing required fields {missing}")
-    domain, resolution = data["domain"], data["resolution"]
-    if not (isinstance(domain, (list, tuple)) and all(
-            isinstance(ax, (list, tuple)) and len(ax) == 2 for ax in domain)):
-        raise ValueError(f"domain must be a list of [lo, hi] pairs, got {domain!r}")
-    if not isinstance(resolution, (list, tuple)):
-        raise ValueError(f"resolution must be a list, got {resolution!r}")
     s = finite("s", data.get("s", 10.0))
     boundary = data.get("boundary", "s*t")
     if boundary == "s*t":
@@ -747,8 +752,8 @@ def scenario_from_json(source: str | Path | dict) -> ScenarioSpec:
     if not is_number(initial):
         raise ValueError(f"unsupported initial rule {initial!r}")
     return ScenarioSpec(
-        domain=domain,
-        resolution=resolution,
+        domain=data["domain"],
+        resolution=data["resolution"],
         boundary_rule=boundary_rule,
         initial_rule=AffineRule(float(initial)),
         t_end=data["t_end"],

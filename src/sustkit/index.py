@@ -353,6 +353,8 @@ def read_observations(path: str | Path) -> Observations:
 
 
 def write_fit_report(result: FitResult, path: str | Path) -> None:
+    """Write ``result`` as sorted-key JSON to ``path``, making its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(asdict(result), fh, sort_keys=True)
         fh.write("\n")

@@ -576,6 +576,16 @@ def test_cli_index_fit(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == payload
 
 
+def test_cli_index_fit_makes_the_report_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    obs = _c2w_observations(tmp_path / "obs.csv")
+    assert not (tmp_path / "out").exists()
+    rc = main(["index", "fit", "--observations", str(obs), "--format", "json",
+               "--out", "out/fit.json"])
+    assert rc == 0
+    assert (tmp_path / "out" / "fit.json").read_text() == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("precision", ["default", "full"])
 def test_cli_index_fit_text_names_each_result(tmp_path, capsys, precision):
     obs = _c2w_observations(tmp_path / "obs.csv")

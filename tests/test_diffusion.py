@@ -1009,6 +1009,24 @@ def test_spec_rejects_fractional_resolution():
     assert scenario_from_json({**base, "resolution": [9.0, 9]}).resolution == (9, 9)
 
 
+@pytest.mark.parametrize("domain, resolution, message", [
+    (((0, 1),), 5, "resolution must be a list, got 5"),
+    ((0, 1), (5,), "domain must be a list of [lo, hi] pairs, got (0, 1)"),
+    (((0, 1, 2),), (5,), "domain must be a list of [lo, hi] pairs, got ((0, 1, 2),)"),
+], ids=["scalar_resolution", "flat_domain", "triple_domain"])
+def test_spec_refuses_a_malformed_shape(domain, resolution, message):
+    with pytest.raises(ValueError) as raised:
+        ScenarioSpec(domain=domain, resolution=resolution, boundary_rule=AffineRule(),
+                     initial_rule=AffineRule())
+    assert str(raised.value) == message
+
+
+def test_spec_takes_arrays_for_domain_and_resolution():
+    spec = ScenarioSpec(domain=np.array([[0.0, 1.0], [0.0, 2.0]]), resolution=np.array([5, 7]),
+                        boundary_rule=AffineRule(), initial_rule=AffineRule())
+    assert spec.domain == ((0.0, 1.0), (0.0, 2.0)) and spec.resolution == (5, 7)
+
+
 @pytest.mark.parametrize("field", ["boundary", "initial"])
 @pytest.mark.parametrize("value", [True, False])
 def test_scenario_from_json_rejects_boolean_rules(tmp_path, field, value):
