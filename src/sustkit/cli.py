@@ -154,7 +154,6 @@ def _cmd_solve(args) -> int:
     times = args.snapshots if args.snapshots is not None else [spec.t_end]
     fields = diffusion.run_scenario(spec, times)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.spec).stem
     files = diffusion.export_snapshots(out, stem, times, fields, args.format)
     diffusion.write_manifest({"spec": str(args.spec), "dt": spec.resolved_dt(), "files": files},

@@ -144,6 +144,7 @@ class ScalarField:
         self.extents = tuple(int(n) for n in self.extents)
         self.spacings = check_positive("spacings", self.spacings)
         self.origin = tuple(finite("origin", o) for o in self.origin)
+        self.time = finite("time", self.time)
         if not (len(self.extents) == len(self.spacings) == len(self.origin) == self.k):
             raise ValueError("extents, spacings and origin must all have length k")
         self.values = np.ascontiguousarray(self.values, dtype=float)
@@ -685,14 +686,24 @@ def field_to_json(field: ScalarField, path: str | Path) -> None:
 
 
 def export_snapshots(out_dir: Path, stem: str, times, fields, fmt: str = "csv") -> list[dict]:
-    """Write each snapshot as ``{stem}_t{requested:g}.{fmt}`` (csv or json)
-    and return its manifest entry: file name, requested and actual time."""
+    """Make ``out_dir``, write each snapshot as ``{stem}_t{requested:g}.{fmt}``
+    (csv or json) and return its manifest entry: file name, requested and
+    actual time.
+
+    The name keeps 6 significant digits of the requested time, so two
+    requests can share one.  That is refused before anything is written
+    unless both snapped to the same step, whose grid the file then holds."""
     write = field_to_csv if fmt == "csv" else field_to_json
-    entries = []
+    entries, taken = [], {}
     for requested, fld in zip(times, fields):
         name = f"{stem}_t{requested:g}.{fmt}"
-        write(fld, out_dir / name)
+        if taken.setdefault(name, fld.time) != fld.time:
+            raise ValueError(f"snapshots at t={taken[name]!r} and t={fld.time!r} would both "
+                             f"be written to {name}")
         entries.append({"file": name, "time_requested": requested, "time_actual": fld.time})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry, fld in zip(entries, fields):
+        write(fld, out_dir / entry["file"])
     return entries
 
 

@@ -46,6 +46,11 @@ _BINOPS = {
 
 _UNARYOPS = {ast.UAdd: lambda a: a, ast.USub: lambda a: -a}
 
+# Deepest syntax tree compiled, as CPython bounds nested parentheses: compiling
+# and evaluating recurse once per level, which must leave room on the stack for
+# the callers, the R-S walk among them.
+_MAX_DEPTH = 200
+
 
 class ExpressionError(ValueError):
     """The expression is malformed or uses something outside the grammar."""
@@ -101,6 +106,16 @@ def compile_expression(text: str) -> Callable:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from exc
+    except (RecursionError, MemoryError) as exc:  # the parser's own stack overflowed
+        raise ExpressionError(f"expression nested too deeply to parse "
+                              f"(at most {_MAX_DEPTH} levels)") from exc
+    depth, level = 0, [tree.body]
+    while level:  # one level of nested expressions at a time, without recursion
+        depth += 1
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {_MAX_DEPTH} levels")
+        level = [child for node in level for child in ast.iter_child_nodes(node)
+                 if isinstance(child, ast.expr)]
     fn = _compile_node(tree)
     with np.errstate(all="ignore"):  # fail fast on type errors only
         probe = fn(np.asarray(0.5))

@@ -230,14 +230,15 @@ def run_demo_figures(
     runs.
 
     With ``normalized`` an additional grid divided by s*t is written for
-    every snapshot with t > 0, so ``s`` must then be nonzero.
+    every snapshot with t > 0, so ``s`` and ``s*t`` at each of them must then
+    be nonzero.  A panel that fails this is refused before its grids are
+    written.
     """
     s = finite("s", s)
     if normalized and s == 0:
         raise ValueError("normalized grids are divided by s*t, so they need s != 0")
     specs = figure_scenarios(which, resolution=resolution, s=s, t_end=t_end)
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     times = [0.0, t_end] if snapshot_times is None else [
         finite("snapshot time", t) for t in snapshot_times]
     manifest = {
@@ -250,10 +251,14 @@ def run_demo_figures(
     }
     for label, spec in zip(PANEL_LABELS, specs):
         fields = run_scenario(spec, times)
+        underflow = [f.time for f in fields if normalized and f.time > 0 and s * f.time == 0]
+        if underflow:
+            raise ValueError(f"normalized grids are divided by s*t, which is 0 for s={s!r} "
+                             f"at t={underflow[0]!r} in panel {label}")
         files = export_snapshots(out, f"{which}_{label}", times, fields)
         for entry, fld in zip(files, fields):
             if normalized and fld.time > 0:
-                norm_name = f"{which}_{label}_t{entry['time_requested']:g}_normalized.csv"
+                norm_name = Path(entry["file"]).stem + "_normalized.csv"
                 field_to_csv(replace(fld, values=fld.values / (s * fld.time)), out / norm_name)
                 entry["normalized_file"] = norm_name
         manifest["panels"].append({

@@ -132,7 +132,10 @@ def test_expression_constants_overflow_to_non_finite_values(text, value):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "import os", "x + y", "foo(x)", "x @ x", "(1).real", "lambda: 1", "x if x else x"],
+    ["", "import os", "x + y", "foo(x)", "x @ x", "(1).real", "lambda: 1", "x if x else x",
+     pytest.param("+".join(["x"] * 201), id="sum-of-201-terms"),
+     pytest.param("-" * 200 + "x", id="x-under-200-minus-signs"),
+     pytest.param("exp(" * 200 + "x" + ")" * 200, id="200-nested-calls")],
 )
 def test_expression_rejects_out_of_grammar(bad):
     with pytest.raises(ExpressionError):
@@ -147,6 +150,17 @@ def test_cli_rs_integrate(capsys):
                "--lo", "0", "--hi", "1", "--eta", "1e-6"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "0.666667"
+
+
+@pytest.mark.parametrize("f, omega, value", [
+    ("x", "+".join(["x"] * 200), "100"),
+    ("-" * 199 + "x", "x", "-0.5"),
+    ("abs(" * 199 + "x" + ")" * 199, "x", "0.5"),
+], ids=["sum-of-200-terms", "x-under-199-minus-signs", "199-nested-calls"])
+def test_cli_rs_integrate_at_the_expression_depth_bound(capsys, f, omega, value):
+    # compiling and evaluating recurse once per level, inside the R-S walk
+    assert main(["rs", "integrate", f"--f={f}", f"--omega={omega}", "--lo", "0", "--hi", "1"]) == 0
+    assert capsys.readouterr().out.strip() == value
 
 
 def test_cli_rs_sum(capsys):
@@ -462,6 +476,24 @@ def test_cli_solve_initial_value_off_the_boundary(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--spec", str(spec), "--snapshots", "0,0.1,0.5", "--out", str(out)]) == 0
     assert len(json.loads((out / "offset_manifest.json").read_text())["files"]) == 3
+
+
+def test_cli_solve_times_that_snap_to_one_step_may_share_its_file(tmp_path):
+    # dt = 0.00225: every time asked for snaps to step 1, and two of the names are one
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"domain": [[0, 1], [0, 1]], "resolution": [11, 11],
+                                "t_end": 0.01}))
+    run = ["solve", "--spec", str(spec), "--out"]
+    assert main(run + [str(tmp_path / "dup"), "--snapshots", "0.0033,0.0033,0.00337499999"]) == 0
+    assert main(run + [str(tmp_path / "one"), "--snapshots", "0.00225"]) == 0
+    dup = tmp_path / "dup"
+    assert sorted(p.name for p in dup.iterdir()) == [
+        "s_manifest.json", "s_t0.0033.csv", "s_t0.003375.csv"]
+    step = (tmp_path / "one" / "s_t0.00225.csv").read_bytes()
+    assert (dup / "s_t0.0033.csv").read_bytes() == step == (dup / "s_t0.003375.csv").read_bytes()
+    files = json.loads((dup / "s_manifest.json").read_text())["files"]
+    assert [f["file"] for f in files] == ["s_t0.0033.csv", "s_t0.0033.csv", "s_t0.003375.csv"]
+    assert {f["time_actual"] for f in files} == {0.0022500000000000003}
 
 
 def test_cli_solve_dt_override(tmp_path, capsys):
@@ -939,6 +971,26 @@ BAD_INPUT = {
     "integrate_not_operator": (None, RS + ["--f", "not x"], "unsupported operator Not"),
     "integrate_call_with_two_arguments": (
         None, RS + ["--f", "exp(x, 1)"], "only f(expr) calls with one argument are allowed"),
+    # a grid's name keeps 6 digits of its time: two steps (dt = 0.00225) would share a file
+    "spec_snapshots_sharing_a_file": (
+        {"domain": [[0, 1], [0, 1]], "resolution": [11, 11], "t_end": 0.01},
+        ["solve", "--snapshots", "0.00337499999,0.00337500001"],
+        "snapshots at t=0.0022500000000000003 and t=0.0045000000000000005 would both be "
+        "written to spec_t0.003375.csv"),
+    "figures_snapshots_sharing_a_file": (
+        None, ["figures", "--which", "fig4", "--resolution", "5", "--t-end", "1",
+               "--snapshots", "0.007031249,0.007031251"],
+        "snapshots at t=0.0 and t=0.0140625 would both be written to fig4_a_t0.00703125.csv"),
+    "figures_normalized_s_t_underflows": (
+        None, ["figures", "--which", "fig4", "--resolution", "5", "--s", "5e-324", "--t-end",
+               "0.1", "--normalized"],
+        "normalized grids are divided by s*t, which is 0 for s=5e-324 at t=0.0984375"),
+    "integrate_sum_nested_too_deep": (
+        None, RS + ["--f", "+".join(["x"] * 1000)], "expression nested deeper than 200 levels"),
+    # depending on the Python version, ast.parse or the depth check refuses the first
+    "integrate_minus_nested_too_deep": (None, RS + ["--f=" + "-" * 3000 + "x"], "nested"),
+    "integrate_minus_nested_too_deep_to_parse": (
+        None, RS + ["--f=" + "-" * 100000 + "x"], "expression nested too deeply to parse"),
 }
 
 
@@ -974,8 +1026,10 @@ def test_cli_bad_input_exits_one_with_error_line(case, tmp_path, monkeypatch):
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps(content))
         argv = argv + ["--observations", str(obs)]
+    inputs = sorted(tmp_path.rglob("*"))
     err = _assert_exits_one_with_error_line(argv)
     assert all(c in err for c in cause), err
+    assert sorted(tmp_path.rglob("*")) == inputs  # a refused run writes nothing
 
 
 def test_cli_level_over_the_interval_budget_exits_one(monkeypatch, capsys):

@@ -176,12 +176,13 @@ FIELD = dict(k=2, extents=(3, 4), spacings=(0.5, 0.25), origin=(0.0, 1.0))
 
 def bad_field():
     """ScalarField arguments with one spacing NaN, infinite, zero or negative,
-    or one origin coordinate non-finite."""
+    one origin coordinate non-finite, or the time non-finite."""
     return st.one_of(
         st.tuples(st.integers(0, 1), st.one_of(NON_FINITE, NON_POSITIVE)).map(
             lambda p: {"spacings": tuple(p[1] if i == p[0] else 0.5 for i in range(2))}),
         st.tuples(st.integers(0, 1), NON_FINITE).map(
             lambda p: {"origin": tuple(p[1] if i == p[0] else 0.0 for i in range(2))}),
+        NON_FINITE.map(lambda t: {"time": t}),
     )
 
 
@@ -201,7 +202,7 @@ def field_json(tmp_path_factory):
 @given(bad_field())
 def test_field_from_json_rejects(field_json, changes):
     # json writes NaN and Infinity as the non-standard literals it reads back
-    data = {**FIELD, **changes, "time": 0.0, "values": [0.0] * 12}
+    data = {**FIELD, "time": 0.0, "values": [0.0] * 12, **changes}
     field_json.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         field_from_json(field_json)
@@ -230,8 +231,10 @@ def one_not_real(values):
 @given(st.one_of(
     one_not_real(FIELD["spacings"]).map(lambda h: {**FIELD, "spacings": h}),
     one_not_real(FIELD["origin"]).map(lambda o: {**FIELD, "origin": o}),
+    NOT_REAL.map(lambda t: {**FIELD, "time": t}),
 ))
 @example({"k": 1, "extents": (3,), "spacings": (0.5,), "origin": ("0",)})
+@example({**FIELD, "time": "0"})
 def test_scalar_field_refuses_non_numbers(kwargs):
     with pytest.raises(ValueError):
         ScalarField(**kwargs, values=np.zeros(kwargs["extents"]))
